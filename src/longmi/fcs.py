@@ -33,8 +33,7 @@ from .fitters import (
     fit_polr,
     polr_category_probs,
 )
-from .jm import _chol, _inv_wishart
-from .rng import RngStream, trunc_normal_array
+from .rng import RngStream, chol, inv_wishart_draw, sym, trunc_normal_array
 from .stack import ImputedStack
 from .table import Dataset, ReshapeMap
 
@@ -259,8 +258,8 @@ def _pmm_pick(rng, pred_obs, y_obs, pred_mis, k):
 
 
 def _draw_mvn_params(rng, mean, cov):
-    cov = (cov + cov.T) / 2.0 + 1e-12 * np.eye(len(mean))
-    return mean + _chol(cov) @ rng.normal(size=len(mean))
+    cov = sym(cov) + 1e-12 * np.eye(len(mean))
+    return mean + chol(cov) @ rng.normal(size=len(mean))
 
 
 class _SlopeGibbs:
@@ -280,7 +279,7 @@ class _SlopeGibbs:
         ZtZ = np.zeros((n_groups, q, q))
         np.add.at(ZtZ, group, Z[:, :, None] * Z[:, None, :])
         XtX = X.T @ X
-        Cx = _chol(XtX + 1e-10 * np.eye(X.shape[1]))
+        Cx = chol(XtX + 1e-10 * np.eye(X.shape[1]))
         eta_sum = np.zeros(len(y))
         for _ in range(sweeps):
             # u | rest
@@ -289,22 +288,22 @@ class _SlopeGibbs:
             np.add.at(Ztr, group, Z * r[:, None])
             prec = np.linalg.inv(self.psi)[None] + ZtZ / self.sigma2
             cov = np.linalg.inv(prec)
-            cov = (cov + np.swapaxes(cov, 1, 2)) / 2.0
+            cov = sym(cov)
             mean = np.einsum("gij,gj->gi", cov, Ztr / self.sigma2)
-            L = _chol(cov)
+            L = chol(cov)
             self.u = mean + np.einsum(
                 "gij,gj->gi", L, rng.normal(size=(n_groups, q))
             )
             # translation interweave: the mean of u trades against the
             # matching fixed effects; resampling the split keeps the
             # chain mixing when clusters are information-rich
-            shift = self.u.mean(axis=0) + _chol(
+            shift = self.u.mean(axis=0) + chol(
                 (self.psi + self.psi.T) / (2.0 * n_groups)
             ) @ rng.normal(size=q)
             self.u = self.u - shift
             self.beta[self.z_to_x] += shift
             # psi | u
-            self.psi = _inv_wishart(
+            self.psi = inv_wishart_draw(
                 rng, np.eye(q) + self.u.T @ self.u, q + 1 + n_groups
             )
             # beta | rest
@@ -344,7 +343,7 @@ class _NestedGibbs:
     def advance(self, rng, sweeps, y, X, nested, sizes):
         n = len(y)
         XtX = X.T @ X
-        Cx = _chol(XtX + 1e-10 * np.eye(X.shape[1]))
+        Cx = chol(XtX + 1e-10 * np.eye(X.shape[1]))
         counts = [np.bincount(c, minlength=s) for c, s in zip(nested, sizes)]
         eta_sum = np.zeros(n)
         for _ in range(sweeps):

@@ -2,10 +2,15 @@
 
 Two samplers share one chassis. The single-level sampler treats the
 incomplete variables as one MVN response block given complete
-covariates. The two-level sampler adds cluster random effects (with a
-common or cluster-specific residual covariance) and an optional block
-of incomplete cluster-constant variables whose residuals are drawn
-jointly with the random effects.
+covariates. The two-level sampler adds cluster random effects and an
+optional block of incomplete cluster-constant variables whose residuals
+are drawn jointly with the random effects.
+
+Residual covariances come in groups: a common covariance is the
+one-group case, and a cluster-specific one gives every cluster its own
+group. Missing cells are drawn by one kernel that takes the stack of
+group precisions and each row's group, whatever its missingness
+pattern.
 
 Discrete variables ride along as thresholded latent normals: a K-level
 variable contributes K-1 latent columns; a cell's level is the index
@@ -16,19 +21,27 @@ Metropolis step confined to the cell's level region.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from .errors import (
+    BadConfig,
     DegenerateSeries,
-    NotPositiveDefinite,
     TooFewClusters,
     UnknownLevel,
     UnknownParam,
 )
-from .rng import MvnParams, RngStream, conditional_mvn, mvn_draw
+from .rng import (
+    MvnParams,
+    RngStream,
+    chol,
+    conditional_mvn,
+    inv_wishart_draw,
+    mvn_draw,
+    sym,
+)
 from .stack import ImputedStack
 from .table import Dataset
 
@@ -226,194 +239,73 @@ def autocorr(series: np.ndarray, lag: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _chol(a: np.ndarray) -> np.ndarray:
-    try:
-        return np.linalg.cholesky(a)
-    except np.linalg.LinAlgError:
-        raise NotPositiveDefinite(
-            "covariance lost positive definiteness (collinear responses?)"
-        ) from None
-
-
-def _sym(a: np.ndarray) -> np.ndarray:
-    return (a + np.swapaxes(a, -1, -2)) / 2.0
-
-
-def _inv_wishart(rng: RngStream, scale: np.ndarray, dof: float) -> np.ndarray:
-    """Single inverse-Wishart draw via Bartlett on the inverted scale."""
-    p = scale.shape[0]
-    L = _chol(np.linalg.inv(_sym(scale)))
-    T = np.zeros((p, p))
-    for i in range(p):
-        T[i, i] = math.sqrt(rng.chisquare(dof - i))
-        if i:
-            T[i, :i] = rng.normal(size=i)
-    A = L @ T
-    W = A @ A.T
-    out = np.linalg.inv(W)
-    return _sym(out)
-
-
-def _batched_inv_wishart(
-    rng: RngStream, scales: np.ndarray, dofs: np.ndarray
-) -> np.ndarray:
-    """Stacked inverse-Wishart draws, one per leading index."""
-    C, p, _ = scales.shape
-    L = _chol(np.linalg.inv(_sym(scales)))
-    T = np.zeros((C, p, p))
-    for i in range(p):
-        T[:, i, i] = np.sqrt(rng.chisquare(dofs - i))
-        if i:
-            T[:, i, :i] = rng.normal(size=(C, i))
-    A = L @ T
-    W = A @ np.swapaxes(A, -1, -2)
-    return _sym(np.linalg.inv(W))
-
-
 def _matrix_normal_draw(rng, b_hat, sqrt_row, omega):
     """Draw from MN(b_hat, sqrt_row sqrt_row', omega)."""
     E = rng.normal(size=b_hat.shape)
-    return b_hat + sqrt_row @ E @ _chol(omega).T
+    return b_hat + sqrt_row @ E @ chol(omega).T
 
 
-class _PatternGroups:
-    """Rows grouped by their unknown-cell pattern (static across sweeps)."""
+def _cho_solve(L, b):
+    """Solve L L' x = b row by row, for a stack of lower Cholesky factors.
 
-    def __init__(self, unknown: np.ndarray):
-        self.groups: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        seen: dict[bytes, list[int]] = {}
-        for i, row in enumerate(unknown):
-            if row.any():
-                seen.setdefault(row.tobytes(), []).append(i)
-        r = unknown.shape[1]
-        for key, rows in seen.items():
-            pat = np.frombuffer(key, dtype=bool)
-            mis = np.where(pat)[0]
-            obs = np.where(~pat)[0]
-            self.groups.append((np.asarray(rows), mis, obs))
-
-
-def _draw_missing_common(rng, Y, mu, omega, patterns: _PatternGroups):
-    """Redraw unknown cells from row conditionals under one covariance."""
-    for rows, mis, obs in patterns.groups:
-        if len(obs) == 0:
-            L = _chol(omega)
-            Y[rows[:, None], mis[None, :]] = (
-                mu[rows] + rng.normal(size=(len(rows), len(mis))) @ L.T
-            )
-            continue
-        s_oo = omega[np.ix_(obs, obs)]
-        s_mo = omega[np.ix_(mis, obs)]
-        gain = np.linalg.solve(s_oo, s_mo.T).T
-        cond_cov = _sym(omega[np.ix_(mis, mis)] - gain @ s_mo.T)
-        L = _chol(cond_cov)
-        resid = Y[rows[:, None], obs[None, :]] - mu[rows[:, None], obs[None, :]]
-        cond_mean = mu[rows[:, None], mis[None, :]] + resid @ gain.T
-        Y[rows[:, None], mis[None, :]] = (
-            cond_mean + rng.normal(size=(len(rows), len(mis))) @ L.T
-        )
+    Forward then back substitution, vectorised over the stack; for the
+    small blocks here this beats a batched LU solve several times over.
+    """
+    x = b.copy()
+    for i in range(b.shape[1]):
+        x[:, i] -= np.einsum("nj,nj->n", L[:, i, :i], x[:, :i])
+        x[:, i] /= L[:, i, i]
+    for i in reversed(range(b.shape[1])):
+        x[:, i] -= np.einsum("nj,nj->n", L[:, i + 1:, i], x[:, i + 1:])
+        x[:, i] /= L[:, i, i]
+    return x
 
 
-def _draw_missing_batched(rng, Y, mu, omegas, clus, patterns: _PatternGroups):
-    """As above but with a per-cluster covariance stack."""
-    for rows, mis, obs in patterns.groups:
-        om = omegas[clus[rows]]
-        if len(obs) == 0:
-            L = _chol(om)
-            z = rng.normal(size=(len(rows), len(mis)))
-            Y[rows[:, None], mis[None, :]] = mu[rows[:, None], mis[None, :]] + (
-                np.einsum("nij,nj->ni", L, z)
-            )
-            continue
-        s_oo = om[:, obs[:, None], obs[None, :]]
-        s_mo = om[:, mis[:, None], obs[None, :]]
-        s_mm = om[:, mis[:, None], mis[None, :]]
-        gain = np.swapaxes(
-            np.linalg.solve(s_oo, np.swapaxes(s_mo, 1, 2)), 1, 2
-        )
-        cond_cov = _sym(s_mm - gain @ np.swapaxes(s_mo, 1, 2))
-        L = _chol(cond_cov)
-        resid = Y[rows[:, None], obs[None, :]] - mu[rows[:, None], obs[None, :]]
-        cond_mean = mu[rows[:, None], mis[None, :]] + np.einsum(
-            "nij,nj->ni", gain, resid
-        )
-        z = rng.normal(size=(len(rows), len(mis)))
-        Y[rows[:, None], mis[None, :]] = cond_mean + np.einsum("nij,nj->ni", L, z)
+def _draw_missing(rng, Y, mu, Q, group, unknown):
+    """Redraw the unknown cells of each row from its conditional normal.
+
+    Row i follows N(mu_i, inv(Q[group[i]])). Given its known cells the
+    unknown block has precision Q_MM and mean
+    mu_M - inv(Q_MM) Q_MO (y_O - mu_O). Each row's Q_MM is padded with the
+    identity on the known coordinates, so one batched Cholesky L L' covers
+    every pattern, and inv(L L') (L z - Q_MO (y_O - mu_O)) is that mean
+    shift plus the noise inv(L') z. Entries on known coordinates are
+    discarded.
+    """
+    rows = np.flatnonzero(unknown.any(axis=1))
+    unk, y, m = unknown[rows], Y[rows], mu[rows]
+    r = unk.shape[1]
+    Qg = Q[group[rows]]
+    pad = np.where(unk[:, :, None] & unk[:, None, :], Qg, 0.0)
+    pad[:, np.arange(r), np.arange(r)] += ~unk
+    L = chol(pad)
+    dev = np.where(unk, 0.0, y - m)
+    z = rng.normal(size=(rows.size, r))
+    rhs = np.einsum("nij,nj->ni", L, z) - np.einsum("nij,nj->ni", Qg, dev)
+    Y[rows] = np.where(unk, m + _cho_solve(L, rhs), y)
 
 
-def _mh_refresh_common(rng, Y, mu, omega, layout: _Layout, d: Dataset):
-    """Metropolis refresh of latent cells for observed discrete values."""
-    r = omega.shape[0]
+def _mh_refresh(rng, Y, mu, Q, group, layout: _Layout, d: Dataset):
+    """Metropolis refresh of latent cells for observed discrete values.
+
+    A block's conditional precision is Q_bb, so a move by delta changes
+    the log density by -delta' (Q (y - mu))_b - delta' Q_bb delta / 2.
+    """
     for s in layout.slots:
-        if s.n_levels == 0 or (~s.missing).sum() == 0:
+        if s.n_levels == 0 or s.missing.all():
             continue
-        blk = np.arange(s.cols.start, s.cols.stop)
-        rest = np.setdiff1d(np.arange(r), blk)
-        rows = np.where(~s.missing)[0]
+        rows = np.flatnonzero(~s.missing)
         codes = d.column(s.name)[layout.rows[rows]]
-        if len(rest):
-            gain = np.linalg.solve(
-                omega[np.ix_(rest, rest)], omega[np.ix_(rest, blk)]
-            ).T
-            cond_cov = _sym(
-                omega[np.ix_(blk, blk)] - gain @ omega[np.ix_(rest, blk)]
-            )
-            resid = Y[rows[:, None], rest[None, :]] - mu[rows[:, None], rest[None, :]]
-            m = mu[rows[:, None], blk[None, :]] + resid @ gain.T
-        else:
-            cond_cov = omega[np.ix_(blk, blk)]
-            m = mu[rows[:, None], blk[None, :]]
-        prec = np.linalg.inv(cond_cov)
-        z = Y[rows[:, None], blk[None, :]]
-        zp = z + _MH_STEP * rng.normal(size=z.shape)
+        Qb = Q[:, s.cols][group[rows]]
+        grad = np.einsum("nij,nj->ni", Qb, Y[rows] - mu[rows])
+        step = _MH_STEP * rng.normal(size=(rows.size, Qb.shape[1]))
+        zp = Y[rows, s.cols] + step
         ok = _in_region(zp, codes)
-        dz, dzp = z - m, zp - m
-        log_alpha = -0.5 * (
-            np.einsum("ni,ij,nj->n", dzp, prec, dzp)
-            - np.einsum("ni,ij,nj->n", dz, prec, dz)
+        log_alpha = -np.einsum("ni,ni->n", step, grad) - 0.5 * np.einsum(
+            "ni,nij,nj->n", step, Qb[:, :, s.cols], step
         )
-        accept = ok & (np.log(rng.random(len(rows))) < log_alpha)
-        picked = rows[accept]
-        Y[picked[:, None], blk[None, :]] = zp[accept]
-
-
-def _mh_refresh_batched(rng, Y, mu, omegas, clus, layout: _Layout, d: Dataset):
-    r = omegas.shape[1]
-    for s in layout.slots:
-        if s.n_levels == 0 or (~s.missing).sum() == 0:
-            continue
-        blk = np.arange(s.cols.start, s.cols.stop)
-        rest = np.setdiff1d(np.arange(r), blk)
-        rows = np.where(~s.missing)[0]
-        codes = d.column(s.name)[layout.rows[rows]]
-        om = omegas[clus[rows]]
-        if len(rest):
-            s_rr = om[:, rest[:, None], rest[None, :]]
-            s_rb = om[:, rest[:, None], blk[None, :]]
-            gain = np.swapaxes(np.linalg.solve(s_rr, s_rb), 1, 2)
-            cond_cov = _sym(
-                om[:, blk[:, None], blk[None, :]]
-                - gain @ s_rb
-            )
-            resid = Y[rows[:, None], rest[None, :]] - mu[rows[:, None], rest[None, :]]
-            m = mu[rows[:, None], blk[None, :]] + np.einsum(
-                "nij,nj->ni", gain, resid
-            )
-        else:
-            cond_cov = om[:, blk[:, None], blk[None, :]]
-            m = mu[rows[:, None], blk[None, :]]
-        prec = np.linalg.inv(cond_cov)
-        z = Y[rows[:, None], blk[None, :]]
-        zp = z + _MH_STEP * rng.normal(size=z.shape)
-        ok = _in_region(zp, codes)
-        dz, dzp = z - m, zp - m
-        log_alpha = -0.5 * (
-            np.einsum("ni,nij,nj->n", dzp, prec, dzp)
-            - np.einsum("ni,nij,nj->n", dz, prec, dz)
-        )
-        accept = ok & (np.log(rng.random(len(rows))) < log_alpha)
-        picked = rows[accept]
-        Y[picked[:, None], blk[None, :]] = zp[accept]
+        accept = ok & (np.log(rng.random(rows.size)) < log_alpha)
+        Y[rows[accept], s.cols] = zp[accept]
 
 
 # ---------------------------------------------------------------------------
@@ -487,11 +379,11 @@ class _MvnSampler:
         self.f = self.X.shape[1]
         self.B = np.zeros((self.f, self.r))
         self.Omega = np.eye(self.r)
-        XtX = self.X.T @ self.X
-        Cx = _chol(XtX)
+        Cx = chol(self.X.T @ self.X)
         self._xtx_chol = Cx
         self._sqrt_xtx_inv = np.linalg.solve(Cx.T, np.eye(self.f))
-        self.patterns = _PatternGroups(self.layout.unknown_mask())
+        self.unknown = self.layout.unknown_mask()
+        self.group = np.zeros(self.n, dtype=int)
         self._prior_dof = self.r + 1
         self._prior_scale = np.eye(self.r)
         self.trace_names = [
@@ -514,12 +406,13 @@ class _MvnSampler:
         self.B = _matrix_normal_draw(rng, b_hat, self._sqrt_xtx_inv, self.Omega)
         # Omega | Y, B
         resid = self.Y - self.X @ self.B
-        self.Omega = _inv_wishart(
+        self.Omega = inv_wishart_draw(
             rng, self._prior_scale + resid.T @ resid, self._prior_dof + self.n
         )
         mu = self.X @ self.B
-        _draw_missing_common(rng, self.Y, mu, self.Omega, self.patterns)
-        _mh_refresh_common(rng, self.Y, mu, self.Omega, self.layout, self.d)
+        Q = sym(np.linalg.inv(self.Omega))[None]
+        _draw_missing(rng, self.Y, mu, Q, self.group, self.unknown)
+        _mh_refresh(rng, self.Y, mu, Q, self.group, self.layout, self.d)
 
     def snapshot(self) -> Dataset:
         values = self.d.values.copy()
@@ -541,13 +434,20 @@ class _MlmmSampler:
         self.d = d
         self.spec = spec
         raw = d.column(spec.clus)
-        uniq, clus = np.unique(raw, return_inverse=True)
+        uniq, self.first_row, clus = np.unique(
+            raw, return_index=True, return_inverse=True
+        )
         self.clus = clus.astype(int)
         self.C = len(uniq)
         if spec.cov_mode == "cluster-specific" and self.C < 3:
             raise TooFewClusters(
                 "cluster-specific residual covariances need >= 3 clusters"
             )
+        # residual-covariance group of each cluster: one group holds every
+        # cluster under a common covariance, else each cluster is its own
+        self.G = self.C if spec.cov_mode == "cluster-specific" else 1
+        self.clus_group = np.arange(self.C) if self.G > 1 else np.zeros(self.C, int)
+        self.group = self.clus_group[self.clus]
         self.layout = _Layout(d, list(spec.y_cols))
         self.X, self.x_names = _design_block(d, spec.x_cols)
         self.Z, self.z_names = _design_block(d, spec.z_cols)
@@ -557,31 +457,28 @@ class _MlmmSampler:
         self.q = self.Z.shape[1]
 
         # cluster-constant block
-        self.first_row = np.array(
-            [np.where(self.clus == c)[0][0] for c in range(self.C)]
-        )
         if spec.y2_cols:
+            ref = self.first_row[self.clus]
             for nm in spec.y2_cols:
-                vals = d.column(nm)
-                msk = d.column_mask(nm)
-                for c in range(self.C):
-                    rows = np.where(self.clus == c)[0]
-                    v, mk = vals[rows], msk[rows]
-                    if mk.any() != mk.all() or (
-                        not mk.all() and len(np.unique(v[~np.isnan(v)])) > 1
-                    ):
-                        raise ValueError(f"{nm!r} is not constant within cluster")
+                vals, msk = d.column(nm), d.column_mask(nm)
+                varies = (msk != msk[ref]) | (~msk & (vals != vals[ref]))
+                if varies.any():
+                    c = self.clus[np.argmax(varies)]
+                    raise BadConfig(
+                        f"{nm!r} is not constant within cluster {uniq[c]:.15g} of "
+                        f"{spec.clus!r}: a cluster-level variable must be "
+                        "observed, with one value, in all or none of its rows"
+                    )
             self.layout2 = _Layout(d, list(spec.y2_cols), rows=self.first_row)
             self.X2, self.x2_names = _design_block(d, spec.x2_cols, self.first_row)
             self.Y2 = self.layout2.build_matrix(rng, d)
             self.r2 = self.Y2.shape[1]
             self.f2 = self.X2.shape[1]
             self.B2 = np.zeros((self.f2, self.r2))
-            X2tX2 = self.X2.T @ self.X2
-            C2 = _chol(X2tX2)
+            C2 = chol(self.X2.T @ self.X2)
             self._x2_chol = C2
             self._sqrt_x2_inv = np.linalg.solve(C2.T, np.eye(self.f2))
-            self.patterns2 = _PatternGroups(self.layout2.unknown_mask())
+            self.unknown2 = self.layout2.unknown_mask()
         else:
             self.layout2 = None
             self.Y2 = np.zeros((self.C, 0))
@@ -593,23 +490,23 @@ class _MlmmSampler:
         self.U = np.zeros((self.C, self.q, self.r))
         self.Psi = np.eye(self.dim_psi)
         self.B = np.zeros((self.f, self.r))
-        self.common = spec.cov_mode == "common"
-        self.Omega = (
-            np.eye(self.r) if self.common else np.tile(np.eye(self.r), (self.C, 1, 1))
-        )
+        self.Omega = np.tile(np.eye(self.r), (self.G, 1, 1))
         self.psi_fixed_zero = False  # test hook: collapses to single level
 
-        XtX = self.X.T @ self.X
-        Cx = _chol(XtX)
-        self._xtx_chol = Cx
-        self._sqrt_xtx_inv = np.linalg.solve(Cx.T, np.eye(self.f))
-        self.patterns = _PatternGroups(self.layout.unknown_mask())
-        # per-cluster accumulators reused every sweep
-        self.ZtZ = np.zeros((self.C, self.q, self.q))
-        np.add.at(self.ZtZ, self.clus, self.Z[:, :, None] * self.Z[:, None, :])
-        self.XtX_c = np.zeros((self.C, self.f, self.f))
-        np.add.at(self.XtX_c, self.clus, self.X[:, :, None] * self.X[:, None, :])
-        self.n_c = np.bincount(self.clus, minlength=self.C).astype(float)
+        self.unknown = self.layout.unknown_mask()
+        # sparse row -> cluster and row -> group summing matrices
+        rows = np.arange(self.n)
+        self._by_clus = csr_matrix(
+            (np.ones(self.n), (self.clus, rows)), shape=(self.C, self.n)
+        )
+        self._by_group = csr_matrix(
+            (np.ones(self.n), (self.group, rows)), shape=(self.G, self.n)
+        )
+        self.ZtZ = self._sum(self._by_clus, self.Z[:, :, None] * self.Z[:, None, :])
+        self.XtX_g = self._sum(
+            self._by_group, self.X[:, :, None] * self.X[:, None, :]
+        )
+        self.n_g = np.bincount(self.group, minlength=self.G).astype(float)
         self._prior_dof = self.r + 1
         self._prior_scale = np.eye(self.r)
 
@@ -651,11 +548,15 @@ class _MlmmSampler:
             )
         )
 
+    @staticmethod
+    def _sum(by, x):
+        """Per-cluster or per-group sums of the row arrays ``x``."""
+        return (by @ x.reshape(len(x), -1)).reshape((by.shape[0],) + x.shape[1:])
+
     def _trace_row(self):
         iu_r = np.triu_indices(self.r)
         iu_p = np.triu_indices(self.dim_psi)
-        omega = self.Omega if self.common else self.Omega.mean(axis=0)
-        parts = [self.B.ravel(), omega[iu_r], self.Psi[iu_p]]
+        parts = [self.B.ravel(), self.Omega.mean(axis=0)[iu_r], self.Psi[iu_p]]
         if self.layout2:
             parts.append(self.B2.ravel())
         return np.concatenate(parts)
@@ -670,9 +571,9 @@ class _MlmmSampler:
         P_uv = self.Psi[:qr, qr:]
         P_vv = self.Psi[qr:, qr:]
         gain_uv = np.linalg.solve(P_vv, P_uv.T).T  # qr x r2
-        P_u_given_v = _sym(P_uu - gain_uv @ P_uv.T)
+        P_u_given_v = sym(P_uu - gain_uv @ P_uv.T)
         gain_vu = np.linalg.solve(P_uu, P_uv)  # qr x r2, for V | U
-        S_v_given_u = _sym(P_vv - P_uv.T @ gain_vu)
+        S_v_given_u = sym(P_vv - P_uv.T @ gain_vu)
         return P_u_given_v, gain_uv, gain_vu, S_v_given_u
 
     def _v_resid(self):
@@ -692,7 +593,7 @@ class _MlmmSampler:
         if self.r2:
             w = np.concatenate([w, self._v_resid()], axis=1)
         wbar = w.mean(axis=0)
-        params = MvnParams(wbar, _sym(self.Psi / C))
+        params = MvnParams(wbar, sym(self.Psi / C))
         if self._shiftable.all():
             shift = mvn_draw(rng, params)
         else:
@@ -710,22 +611,15 @@ class _MlmmSampler:
             self.B2[0] += shift[qr:]
 
     def sweep(self, rng: RngStream):
-        qr, r, q, C = self.qr, self.r, self.q, self.C
+        qr, r, q, C, f = self.qr, self.r, self.q, self.C, self.f
         P_u_given_v, gain_uv, gain_vu, S_v_given_u = self._psi_blocks()
-        omegas = self.Omega if not self.common else None
 
         # --- random effects U | rest ---
         R = self.Y - self.X @ self.B
-        ZtR = np.zeros((C, q, r))
-        np.add.at(ZtR, self.clus, self.Z[:, :, None] * R[:, None, :])
-        if self.common:
-            o_inv = np.linalg.inv(self.Omega)
-            K = np.einsum("cd,gab->gcadb", o_inv, self.ZtZ).reshape(C, qr, qr)
-            lin = np.einsum("gab,bc->gca", ZtR, o_inv).reshape(C, qr)
-        else:
-            o_inv = np.linalg.inv(self.Omega)
-            K = np.einsum("gcd,gab->gcadb", o_inv, self.ZtZ).reshape(C, qr, qr)
-            lin = np.einsum("gab,gbc->gca", ZtR, o_inv).reshape(C, qr)
+        ZtR = self._sum(self._by_clus, self.Z[:, :, None] * R[:, None, :])
+        o_inv = np.linalg.inv(self.Omega)[self.clus_group]
+        K = np.einsum("gcd,gab->gcadb", o_inv, self.ZtZ).reshape(C, qr, qr)
+        lin = np.einsum("gab,gbc->gca", ZtR, o_inv).reshape(C, qr)
         if self.psi_fixed_zero:
             self.U = np.zeros((C, q, r))
         else:
@@ -733,11 +627,11 @@ class _MlmmSampler:
             V = self._v_resid()
             prior_mean = V @ gain_uv.T if self.r2 else np.zeros((C, qr))
             lam = prior_prec[None] + K
-            cov = _sym(np.linalg.inv(lam))
+            cov = sym(np.linalg.inv(lam))
             mean = np.einsum(
                 "gij,gj->gi", cov, lin + prior_mean @ prior_prec
             )
-            L = _chol(cov)
+            L = chol(cov)
             u_flat = mean + np.einsum(
                 "gij,gj->gi", L, rng.normal(size=(C, qr))
             )
@@ -754,46 +648,31 @@ class _MlmmSampler:
             W = self.U.transpose(0, 2, 1).reshape(C, qr)
             if self.r2:
                 W = np.concatenate([W, self._v_resid()], axis=1)
-            self.Psi = _inv_wishart(
+            self.Psi = inv_wishart_draw(
                 rng,
                 np.eye(self.dim_psi) + W.T @ W,
                 self.dim_psi + 1 + C,
             )
             P_u_given_v, gain_uv, gain_vu, S_v_given_u = self._psi_blocks()
 
-        # --- Omega | residuals ---
+        # --- Omega | residuals, one inverse-Wishart per group ---
         offset = np.einsum("nq,nqr->nr", self.Z, self.U[self.clus])
         E = self.Y - self.X @ self.B - offset
-        if self.common:
-            self.Omega = _inv_wishart(
-                rng, self._prior_scale + E.T @ E, self._prior_dof + self.n
-            )
-        else:
-            EtE = np.zeros((C, r, r))
-            np.add.at(EtE, self.clus, E[:, :, None] * E[:, None, :])
-            scales = self._prior_scale[None] + EtE
-            self.Omega = _batched_inv_wishart(
-                rng, scales, self._prior_dof + self.n_c
-            )
+        EtE = self._sum(self._by_group, E[:, :, None] * E[:, None, :])
+        self.Omega = inv_wishart_draw(
+            rng, self._prior_scale[None] + EtE, self._prior_dof + self.n_g
+        )
+        Q = sym(np.linalg.inv(self.Omega))
 
-        # --- B | rest ---
+        # --- B | rest: normal with the Kronecker-sum precision ---
         T = self.Y - offset
-        if self.common:
-            b_hat = np.linalg.solve(
-                self._xtx_chol.T, np.linalg.solve(self._xtx_chol, self.X.T @ T)
-            )
-            self.B = _matrix_normal_draw(rng, b_hat, self._sqrt_xtx_inv, self.Omega)
-        else:
-            o_inv = np.linalg.inv(self.Omega)
-            fr = self.f * r
-            lam = np.einsum("gcd,gab->cadb", o_inv, self.XtX_c).reshape(fr, fr)
-            XtT = np.zeros((C, self.f, r))
-            np.add.at(XtT, self.clus, self.X[:, :, None] * T[:, None, :])
-            lin = np.einsum("gab,gbc->ca", XtT, o_inv).reshape(fr)
-            cov = _sym(np.linalg.inv(lam))
-            mean = cov @ lin
-            draw = mean + _chol(cov) @ rng.normal(size=fr)
-            self.B = draw.reshape(r, self.f).T
+        fr = f * r
+        lam = np.einsum("gcd,gab->cadb", Q, self.XtX_g).reshape(fr, fr)
+        XtT = self._sum(self._by_group, self.X[:, :, None] * T[:, None, :])
+        lin = np.einsum("gab,gbc->ca", XtT, Q).reshape(fr)
+        cov = sym(np.linalg.inv(lam))
+        draw = cov @ lin + chol(cov) @ rng.normal(size=fr)
+        self.B = draw.reshape(r, f).T
 
         # --- level-2 block: B2 and missing Y2 ---
         if self.r2:
@@ -807,24 +686,16 @@ class _MlmmSampler:
                 rng, b2_hat, self._sqrt_x2_inv, S_v_given_u
             )
             mu2 = self.X2 @ self.B2 + m_v
-            _draw_missing_common(rng, self.Y2, mu2, S_v_given_u, self.patterns2)
-            _mh_refresh_common(
-                rng, self.Y2, mu2, S_v_given_u, self.layout2, self.d
-            )
+            Q2 = sym(np.linalg.inv(S_v_given_u))[None]
+            one = np.zeros(C, dtype=int)
+            _draw_missing(rng, self.Y2, mu2, Q2, one, self.unknown2)
+            _mh_refresh(rng, self.Y2, mu2, Q2, one, self.layout2, self.d)
 
         # --- missing level-1 cells and latent refresh ---
         offset = np.einsum("nq,nqr->nr", self.Z, self.U[self.clus])
         mu = self.X @ self.B + offset
-        if self.common:
-            _draw_missing_common(rng, self.Y, mu, self.Omega, self.patterns)
-            _mh_refresh_common(rng, self.Y, mu, self.Omega, self.layout, self.d)
-        else:
-            _draw_missing_batched(
-                rng, self.Y, mu, self.Omega, self.clus, self.patterns
-            )
-            _mh_refresh_batched(
-                rng, self.Y, mu, self.Omega, self.clus, self.layout, self.d
-            )
+        _draw_missing(rng, self.Y, mu, Q, self.group, self.unknown)
+        _mh_refresh(rng, self.Y, mu, Q, self.group, self.layout, self.d)
 
     def snapshot(self) -> Dataset:
         values = self.d.values.copy()
@@ -845,18 +716,6 @@ class _MlmmSampler:
         if mask.any():
             raise RuntimeError("snapshot left masked cells")
         return self.d.completed(values)
-
-
-def gibbs_sweep_mvn(rng: RngStream, state: _MvnSampler) -> _MvnSampler:
-    """Advance the single-level sampler by one full sweep."""
-    state.sweep(rng)
-    return state
-
-
-def gibbs_sweep_mlmm(rng: RngStream, state: _MlmmSampler) -> _MlmmSampler:
-    """Advance the two-level sampler by one full sweep."""
-    state.sweep(rng)
-    return state
 
 
 # ---------------------------------------------------------------------------

@@ -57,13 +57,20 @@ class RngStream:
         return self.gen.shuffle(*a, **k)
 
 
-def _chol(cov: np.ndarray) -> np.ndarray:
+def chol(cov: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of one matrix or of each in a stack."""
     try:
         return np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
+        p = cov.shape[-1]
         raise NotPositiveDefinite(
-            f"{cov.shape[0]}x{cov.shape[0]} covariance is not positive definite"
+            f"{p}x{p} covariance is not positive definite"
         ) from None
+
+
+def sym(a: np.ndarray) -> np.ndarray:
+    """Symmetric part of one matrix or of each in a stack."""
+    return (a + np.swapaxes(a, -1, -2)) / 2.0
 
 
 @dataclass(frozen=True)
@@ -82,8 +89,8 @@ class MvnParams:
         if np.abs(cov - cov.T).max(initial=0.0) > 1e-10:
             raise ValueError("covariance is not symmetric")
         object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", (cov + cov.T) / 2.0)
-        object.__setattr__(self, "chol", _chol(self.cov))
+        object.__setattr__(self, "cov", sym(cov))
+        object.__setattr__(self, "chol", chol(self.cov))
 
     @property
     def dim(self) -> int:
@@ -122,41 +129,37 @@ def conditional_mvn(
         raise SingularObservedBlock("observed block of covariance is singular") from None
     mean = params.mean[mis] + gain @ (vals - params.mean[obs])
     cov = s_mm - gain @ s_mo.T
-    return MvnParams(mean, (cov + cov.T) / 2.0)
+    return MvnParams(mean, sym(cov))
 
 
-def wishart_draw(
-    rng: RngStream, scale: np.ndarray, dof: float, size: int | None = None
+def inv_wishart_draw(
+    rng: RngStream, scale: np.ndarray, dof, size: int | None = None
 ) -> np.ndarray:
-    """Bartlett-decomposition Wishart draw(s) with scale matrix ``scale``."""
-    scale = np.atleast_2d(np.asarray(scale, dtype=float))
-    p = scale.shape[0]
-    if dof <= p - 1:
+    """Inverse-Wishart draw(s); E[draw] = scale / (dof - p - 1).
+
+    ``scale`` is one p x p matrix, or a (G, p, p) stack with ``dof`` a
+    scalar or one value per entry; a stack gives one draw per entry.
+    ``size`` asks for that many draws from a single p x p scale.
+    """
+    scale = np.asarray(scale, dtype=float)
+    stacked = scale.ndim == 3
+    scale = scale if stacked else np.atleast_2d(scale)[None]
+    n, p = scale.shape[0], scale.shape[-1]
+    dof = np.asarray(dof, dtype=float)
+    if (dof <= p - 1).any():
         raise InvalidDof(f"dof must exceed p - 1 = {p - 1}")
-    L = _chol(scale)
-    n = 1 if size is None else size
+    if not stacked and size is not None:
+        n = size
+    # Bartlett decomposition of the Wishart draw on the inverted scale
+    L = chol(np.linalg.inv(sym(scale)))
     T = np.zeros((n, p, p))
     for i in range(p):
         T[:, i, i] = np.sqrt(rng.chisquare(dof - i, size=n))
         if i:
             T[:, i, :i] = rng.normal(size=(n, i))
     A = L @ T
-    W = A @ np.swapaxes(A, -1, -2)
-    return W[0] if size is None else W
-
-
-def inv_wishart_draw(
-    rng: RngStream, scale: np.ndarray, dof: float, size: int | None = None
-) -> np.ndarray:
-    """Inverse-Wishart draw(s); E[draw] = scale / (dof - p - 1)."""
-    scale = np.atleast_2d(np.asarray(scale, dtype=float))
-    p = scale.shape[0]
-    if dof <= p - 1:
-        raise InvalidDof(f"dof must exceed p - 1 = {p - 1}")
-    inv_scale = np.linalg.inv(scale)
-    W = wishart_draw(rng, (inv_scale + inv_scale.T) / 2.0, dof, size=size)
-    out = np.linalg.inv(W)
-    return (out + np.swapaxes(out, -1, -2)) / 2.0
+    out = sym(np.linalg.inv(A @ np.swapaxes(A, -1, -2)))
+    return out if stacked or size is not None else out[0]
 
 
 _FAR_TAIL = 4.0

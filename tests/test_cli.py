@@ -97,6 +97,26 @@ class TestImpute:
         ) == 2
         assert "jm-3l" in capsys.readouterr().err
 
+    def test_jm_2l_fixed_column_missing_in_some_rows(self, sim_dir, tmp_path, capsys):
+        # a time-fixed column observed in one row of a unit and missing in
+        # another is a configuration error (exit 2), not a traceback
+        lines = (sim_dir / "observed.csv").read_text().splitlines()
+        col = lines[0].split(",").index("numeracy_scorew1")
+        cells = lines[1].split(",")
+        assert cells[col] != "NA" and lines[2].split(",")[col] != "NA"
+        cells[col] = "NA"
+        lines[1] = ",".join(cells)
+        (tmp_path / "observed.csv").write_text("\n".join(lines) + "\n")
+        (tmp_path / "observed.meta.json").write_bytes(
+            (sim_dir / "observed.meta.json").read_bytes()
+        )
+        assert run(
+            "impute", "--input", str(tmp_path / "observed.csv"),
+            "--method", "jm-2l", "--m", "2", "--nburn", "5",
+            "--nbetween", "100", "--out-dir", str(tmp_path / "x"),
+        ) == 2
+        assert "'numeracy_scorew1' is not constant" in capsys.readouterr().err
+
     def test_fcs_2l_di_warns(self, sim_dir, tmp_path):
         with pytest.warns(UserWarning, match="fcs-2l-di"):
             assert run(

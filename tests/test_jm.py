@@ -1,18 +1,21 @@
 import numpy as np
 import pytest
 
-from longmi.errors import DegenerateSeries, TooFewClusters, UnknownParam
+from longmi.errors import BadConfig, DegenerateSeries, TooFewClusters, UnknownParam
 from longmi.jm import (
     ChainTrace,
     JmSpec,
+    _draw_missing,
     _in_region,
+    _MlmmSampler,
+    _MvnSampler,
     autocorr,
     decode_latent,
     encode_latent,
     run_jm,
     trace_stats,
 )
-from longmi.rng import RngStream
+from longmi.rng import MvnParams, RngStream, conditional_mvn
 from longmi.table import ColumnSpec, Dataset
 
 
@@ -142,7 +145,8 @@ class TestMvnSampler:
                     imp.column(col)[obs], d.column(col)[obs]
                 )
 
-    def test_latent_regions_hold_and_omega_spd(self):
+    @pytest.mark.parametrize("sampler", ["mvn", "cluster-specific"])
+    def test_latent_regions_hold_and_omega_spd(self, sampler):
         rng = RngStream(11)
         n = 300
         c = rng.integers(0, 4, n).astype(float)
@@ -152,10 +156,19 @@ class TestMvnSampler:
             [("a", "continuous", None), ("c", "categorical", ("1", "2", "3", "4"))],
             {"a": a, "c": c},
         )
-        from longmi.jm import _MvnSampler
-
-        spec = JmSpec(y_cols=("a", "c"), nburn=10, nbetween=1, nimp=1)
-        sampler = _MvnSampler(RngStream(12), spec, d)
+        if sampler == "mvn":
+            spec = JmSpec(y_cols=("a", "c"), nburn=10, nbetween=1, nimp=1)
+            sampler = _MvnSampler(RngStream(12), spec, d)
+        else:
+            d = Dataset.build(
+                [*d.columns, ColumnSpec("g", "continuous", "cluster-id")],
+                {**{col.name: d.column(col.name) for col in d.columns},
+                 "g": np.repeat(np.arange(10), n // 10)},
+                shape_kind="wide",
+            )
+            spec = JmSpec(y_cols=("a", "c"), clus="g", cov_mode="cluster-specific",
+                          nburn=10, nbetween=1, nimp=1)
+            sampler = _MlmmSampler(RngStream(12), spec, d)
         obs = ~np.isnan(c)
         for _ in range(25):
             sampler.sweep(RngStream(13).substream(_))
@@ -163,6 +176,45 @@ class TestMvnSampler:
             slot = sampler.layout.slots[1]
             z = sampler.Y[obs, slot.cols]
             assert _in_region(z, c[obs]).all()
+
+
+class TestDrawKernel:
+    def test_matches_conditional_mvn(self):
+        # one row per case, each replicated: all cells unknown, one
+        # unknown, two unknown around a known one, none unknown
+        gen = np.random.default_rng(3)
+        r, G, reps = 3, 3, 20_000
+        covs = []
+        for _ in range(G):
+            a = gen.normal(size=(r, r))
+            covs.append(a @ a.T + r * np.eye(r))
+        Q = np.linalg.inv(np.array(covs))
+        base_unknown = np.array(
+            [[True, True, True], [False, True, False],
+             [True, False, True], [False, False, False]]
+        )
+        base_group = np.array([0, 1, 2, 0])
+        base_y = gen.normal(size=(4, r))
+        base_mu = gen.normal(size=(4, r))
+        unknown = np.tile(base_unknown, (reps, 1))
+        group = np.tile(base_group, reps)
+        Y = np.tile(base_y, (reps, 1))
+        Y[unknown] = 0.0
+        mu = np.tile(base_mu, (reps, 1))
+        before = Y.copy()
+        _draw_missing(RngStream(4), Y, mu, Q, group, unknown)
+        np.testing.assert_array_equal(Y[~unknown], before[~unknown])
+        for k in range(3):
+            mis = np.flatnonzero(base_unknown[k])
+            obs = np.flatnonzero(~base_unknown[k])
+            full = MvnParams(base_mu[k], covs[base_group[k]])
+            law = full if obs.size == 0 else conditional_mvn(full, obs, base_y[k, obs])
+            draws = Y[k::4][:, mis]
+            se = np.sqrt(np.diag(law.cov) / reps)
+            assert (np.abs(draws.mean(axis=0) - law.mean) < 5 * se).all()
+            sd = np.sqrt(np.diag(law.cov))
+            got = np.atleast_2d(np.cov(draws, rowvar=False))
+            assert (np.abs(got - law.cov) <= 0.05 * np.outer(sd, sd)).all()
 
 
 class TestMlmmSampler:
@@ -200,8 +252,6 @@ class TestMlmmSampler:
         # with the random-effect block pinned at zero the two-level sweep
         # must match the single-level sampler distributionally
         d, _ = self.make_two_level(seed=16, C=30, per=5, icc=0.0, miss=0.2)
-        from longmi.jm import _MlmmSampler, _MvnSampler
-
         spec2 = JmSpec(y_cols=("a", "b"), clus="g", nburn=1, nbetween=1, nimp=1)
         spec1 = JmSpec(y_cols=("a", "b"), nburn=1, nbetween=1, nimp=1)
         target = int(np.where(np.isnan(d.column("a")))[0][0])
@@ -258,6 +308,31 @@ class TestMlmmSampler:
             axis=0,
         )
         assert np.corrcoef(imp_means, w[miss_c])[0, 1] > 0.9
+
+    @pytest.mark.parametrize("second", [np.nan, 2.0])
+    def test_cluster_constant_block_must_be_constant(self, second):
+        # a cluster-level column observed in one row of a cluster and
+        # missing (or different) in another is a configuration error
+        C, per = 6, 4
+        clus = np.repeat(np.arange(C), per)
+        w = np.repeat(np.arange(C, dtype=float), per)
+        w[clus == 0] = np.nan
+        w[per + 1] = second
+        d = Dataset.build(
+            [
+                ColumnSpec("id", "continuous", "unit-id"),
+                ColumnSpec("g", "continuous", "cluster-id"),
+                ColumnSpec("y", "continuous", "analysis"),
+                ColumnSpec("w2", "continuous", "analysis"),
+            ],
+            {"id": np.arange(C * per), "g": clus,
+             "y": RngStream(29).normal(size=C * per), "w2": w},
+            shape_kind="wide",
+        )
+        spec = JmSpec(y_cols=("y",), y2_cols=("w2",), clus="g",
+                      nburn=1, nbetween=1, nimp=1)
+        with pytest.raises(BadConfig, match="'w2' is not constant within cluster 1"):
+            run_jm(RngStream(30), spec, d)
 
     def test_cluster_specific_covariance_runs(self):
         d, _ = self.make_two_level(seed=22, C=40, per=8)
@@ -345,8 +420,6 @@ class TestRandomSlopeRecovery:
             y_cols=("y",), x_cols=("t",), z_cols=("t",), clus="g",
             nburn=1, nbetween=1, nimp=1,
         )
-        from longmi.jm import _MlmmSampler
-
         s = _MlmmSampler(RngStream(78), spec, d)
         rs = RngStream(79)
         psi_acc = np.zeros((2, 2))

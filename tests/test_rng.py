@@ -10,6 +10,7 @@ from longmi.errors import (
 from longmi.rng import (
     MvnParams,
     RngStream,
+    chol,
     conditional_mvn,
     inv_wishart_draw,
     mvn_draw,
@@ -146,6 +147,31 @@ class TestInvWishart:
     def test_invalid_dof(self):
         with pytest.raises(InvalidDof):
             inv_wishart_draw(RngStream(0), np.eye(3), 1.5)
+
+    def test_stacked_scales_per_entry_dof(self):
+        rng = RngStream(8)
+        gen = np.random.default_rng(1)
+        scales = np.array([random_spd(gen, 2) for _ in range(3)])
+        dofs = np.array([6.0, 9.0, 14.0])
+        reps = 40_000
+        draws = inv_wishart_draw(
+            rng, np.tile(scales, (reps, 1, 1)), np.tile(dofs, reps)
+        ).reshape(reps, 3, 2, 2)
+        expected = scales / (dofs - 2 - 1)[:, None, None]
+        np.testing.assert_allclose(draws.mean(axis=0), expected, rtol=0.05)
+
+    def test_stacked_invalid_dof(self):
+        with pytest.raises(InvalidDof):
+            inv_wishart_draw(
+                RngStream(0), np.tile(np.eye(3), (3, 1, 1)), np.array([5.0, 2.0, 5.0])
+            )
+
+
+class TestChol:
+    def test_stack_message_names_matrix_size(self):
+        bad = np.tile(-np.eye(3), (5, 1, 1))
+        with pytest.raises(NotPositiveDefinite, match="3x3"):
+            chol(bad)
 
 
 class TestTruncNormal:
