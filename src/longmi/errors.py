@@ -78,6 +78,10 @@ class ParseError(LongmiError):
         self.position = position
 
 
+class UnsupportedNesting(LongmiError):
+    """Random intercepts need one or two nested groupings."""
+
+
 class IncompleteModelData(LongmiError):
     """Model variables contain masked cells; filter or impute first."""
 

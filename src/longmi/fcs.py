@@ -525,9 +525,10 @@ def adaptive_round(imputed: np.ndarray, completed: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _factorize(values: np.ndarray) -> tuple[np.ndarray, int]:
-    uniq, codes = np.unique(values, return_inverse=True)
-    return codes.astype(int), len(uniq)
+def _factorize(values: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
+    """Integer codes, the number of distinct values and each one's first row."""
+    uniq, first, codes = np.unique(values, return_index=True, return_inverse=True)
+    return codes.astype(int), len(uniq), first
 
 
 class _Chain:
@@ -585,7 +586,7 @@ class _Chain:
                     raise ValueError(
                         f"code 3 for {col!r} needs a cluster variable in row {target!r}"
                     )
-                codes, n_g = _factorize(self.d.column(cluster_col))
+                codes, n_g, _ = _factorize(self.d.column(cluster_col))
                 means = np.zeros((n_g, block.shape[1]))
                 counts = np.bincount(codes, minlength=n_g).astype(float)
                 for b in range(block.shape[1]):
@@ -599,17 +600,11 @@ class _Chain:
 
     def _collapse(self, level_col: str, X: np.ndarray, y, miss, target=None):
         """One row per level value; predictors averaged, target first-row."""
-        codes, n_g = _factorize(self.d.column(level_col))
+        codes, n_g, first = _factorize(self.d.column(level_col))
         counts = np.bincount(codes, minlength=n_g).astype(float)
         Xc = np.zeros((n_g, X.shape[1]))
         for b in range(X.shape[1]):
             Xc[:, b] = np.bincount(codes, weights=X[:, b], minlength=n_g) / counts
-        first = np.zeros(n_g, dtype=int)
-        seen = np.zeros(n_g, dtype=bool)
-        for i, c in enumerate(codes):
-            if not seen[c]:
-                first[c] = i
-                seen[c] = True
         obs = ~miss
         if obs.any() and (
             (y[obs] != y[first][codes[obs]]).any()
@@ -619,7 +614,7 @@ class _Chain:
                 f"{target or 'target'} is not constant within {level_col!r}; "
                 "cluster-level imputation needs one value per cluster"
             )
-        return codes, Xc, y[first], miss[first]
+        return codes, first, Xc, y[first], miss[first]
 
     def visit(self, col: str):
         method = self.methods[col]
@@ -639,7 +634,9 @@ class _Chain:
             )
             if level_col is None:
                 raise ValueError(f"{method} for {col!r} needs a cluster variable")
-            codes, Xc, yc, missc = self._collapse(level_col, X, y, miss, target=col)
+            codes, first, Xc, yc, missc = self._collapse(
+                level_col, X, y, miss, target=col
+            )
             if method in ONLY_METHODS:
                 core = "norm" if method == "2lonly.norm" else "pmm"
                 prob = UnivariateProblem(
@@ -648,7 +645,7 @@ class _Chain:
             else:
                 core = method
                 groups = self.levels.clusters.get(col, ())
-                nested, sizes = self._nested_codes(groups, codes, level_col)
+                nested, sizes = self._nested_codes(groups, first)
                 prob = UnivariateProblem(
                     yc, missc, Xc, sp.kind, sp.n_levels,
                     nested=nested, nested_sizes=sizes,
@@ -665,14 +662,14 @@ class _Chain:
         if method in SLOPE_METHODS:
             if cluster_col is None:
                 raise ValueError(f"{method} for {col!r} needs a -2 cluster column")
-            group, n_g = _factorize(self.d.column(cluster_col))
+            group, n_g, _ = _factorize(self.d.column(cluster_col))
             prob = UnivariateProblem(
                 y, miss, X, sp.kind, sp.n_levels, Z=Z, group=group, n_groups=n_g,
                 z_to_x=tuple(z_to_x),
             )
         elif method in NESTED_METHODS:
             groups = self.levels.clusters.get(col, ())
-            nested, sizes = self._nested_codes(groups, None, None)
+            nested, sizes = self._nested_codes(groups)
             prob = UnivariateProblem(
                 y, miss, X, sp.kind, sp.n_levels, nested=nested, nested_sizes=sizes
             )
@@ -684,22 +681,14 @@ class _Chain:
         self.state[col] = st
         self.completed[miss, j] = vals
 
-    def _nested_codes(self, groups, codes, level_col):
+    def _nested_codes(self, groups, first=None):
+        """Codes of each grouping; on collapsed rows (``first`` holds each
+        level unit's first row) the grouping's value at that row."""
         nested = []
         sizes = []
         for g in groups:
-            if codes is None:
-                c, s = _factorize(self.d.column(g))
-            else:
-                # grouping of the collapsed rows: value of g at each level unit
-                lev_codes, n_g = _factorize(self.d.column(level_col))
-                first = np.zeros(n_g, dtype=int)
-                seen = np.zeros(n_g, dtype=bool)
-                for i, cc in enumerate(lev_codes):
-                    if not seen[cc]:
-                        first[cc] = i
-                        seen[cc] = True
-                c, s = _factorize(self.d.column(g)[first])
+            values = self.d.column(g)
+            c, s, _ = _factorize(values if first is None else values[first])
             nested.append(c)
             sizes.append(s)
         return tuple(nested), tuple(sizes)

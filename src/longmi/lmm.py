@@ -2,9 +2,15 @@
 
 Variance components are estimated by EM (via Henderson's mixed-model
 equations) followed by a Newton polish of the exact ML or REML
-deviance. All linear algebra runs per outer group through the Woodbury
-identity, so V is never materialized: a group contributes only its
-(random-effect count) x (random-effect count) capacitance matrix.
+deviance. V is never materialized: through the Woodbury identity
+everything runs on the capacitance matrix M = Z'Z + diag(sigma_e /
+sigma_k). With random intercepts each outer group's block of M is an
+arrowhead (the outer intercept over a diagonal of its inner groups), so
+its determinant, solves and inverse diagonal have a closed form in
+per-group sums: a Schur complement on the inner diagonal, the structure
+behind Henderson's mixed-model equations and lme4's profiled deviance
+(Bates, Maechler, Bolker & Walker, J. Stat. Softw. 67(1), 2015). A
+one-level model is the same path without the outer row.
 
 Components that collapse onto the boundary are pinned at zero and
 flagged; non-convergence returns the best point found with
@@ -13,13 +19,14 @@ flagged; non-convergence returns the best point found with
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .errors import RankDeficient
+from .errors import RankDeficient, UnsupportedNesting
 from .formula import ModelFormula, build_design, grouping_codes, parse_formula
 from .table import Dataset
 
@@ -52,114 +59,99 @@ class LmmFit:
 
 
 class _Blocks:
-    """Per-outer-group design pieces for nested random intercepts.
+    """Per-group sums of the data for nested random intercepts.
 
-    Single-level models get a vectorized representation (one scalar
-    capacitance per group); nested models keep small per-group dense
-    blocks.
+    ``counts[k]`` and ``sums[k]`` hold each level-k group's row count and
+    its column sums of F = [X | y], outermost level first. An inner group
+    is an (outer, inner) label pair, so inner labels reused across outer
+    groups still nest. With two levels the inner groups are sorted by
+    outer group: ``up`` maps each to its outer group and ``starts`` marks
+    where each outer group's run begins.
     """
 
-    def __init__(
-        self, X: np.ndarray, y: np.ndarray, codes: list[np.ndarray],
-        force_generic: bool = False,
-    ):
-        self.n, self.p = X.shape
-        self.levels = len(codes)
-        self.XtX = X.T @ X
-        self.Xty = X.T @ y
-        self.yty = float(y @ y)
-        self.var_y = float(np.var(y))
-        self.scalar = self.levels == 1 and not force_generic
-        outer = codes[0]
-        if self.scalar:
-            _, code = np.unique(outer, return_inverse=True)
-            q = code.max() + 1
-            self.q_level = np.array([q])
-            self.ng = np.bincount(code).astype(float)
-            self.GX = np.zeros((q, self.p))
-            np.add.at(self.GX, code, X)
-            self.Gy = np.bincount(code, weights=y)
-            self.code = code
-            self.Xmat, self.yvec = X, y
-            self.q_total = int(q)
-            return
-        self.groups = []
-        self.q_level = np.zeros(self.levels, dtype=int)
-        for g in np.unique(outer):
-            rows = np.where(outer == g)[0]
-            zcols = []
-            col_level = []
-            for k, ck in enumerate(codes):
-                local = ck[rows]
-                for u in np.unique(local):
-                    zcols.append((local == u).astype(float))
-                    col_level.append(k)
-                self.q_level[k] += len(np.unique(local))
-            Z = np.column_stack(zcols)
-            Xg, yg = X[rows], y[rows]
-            self.groups.append(
-                dict(
-                    rows=rows,
-                    Z=Z,
-                    N=Z.T @ Z,
-                    ZtX=Z.T @ Xg,
-                    Zty=Z.T @ yg,
-                    X=Xg,
-                    y=yg,
-                    col_level=np.asarray(col_level),
-                )
+    def __init__(self, X: np.ndarray, y: np.ndarray, codes: list[np.ndarray]):
+        if not 1 <= len(codes) <= 2:
+            raise UnsupportedNesting(
+                f"random intercepts take 1 or 2 nested groupings, got {len(codes)}"
             )
-        self.q_total = int(self.q_level.sum())
+        self.n, self.p = X.shape
+        F = np.column_stack([X, y])
+        self.FtF = F.T @ F
+        self.XtX = self.FtF[:-1, :-1]
+        self.Xty = self.FtF[:-1, -1]
+        self.yty = float(self.FtF[-1, -1])
+        self.var_y = float(np.var(y))
+        key = codes[0]
+        if len(codes) == 2:
+            _, outer = np.unique(codes[0], return_inverse=True)
+            _, inner = np.unique(codes[1], return_inverse=True)
+            key = outer * (inner.max() + 1) + inner
+        _, first, code = np.unique(key, return_index=True, return_inverse=True)
+        order = np.argsort(code, kind="stable")
+        inner_n = np.bincount(code).astype(float)
+        inner_F = np.add.reduceat(F[order], _run_starts(code[order]), axis=0)
+        self.counts, self.sums = [inner_n], [inner_F]
+        self.up = self.starts = None
+        if len(codes) == 2:
+            self.up = outer[first]
+            self.starts = _run_starts(self.up)
+            self.counts.insert(0, np.add.reduceat(inner_n, self.starts))
+            self.sums.insert(0, np.add.reduceat(inner_F, self.starts, axis=0))
+        self.q_level = np.array([len(c) for c in self.counts])
 
 
-def _assemble(blocks: _Blocks, sig: np.ndarray, sig_e: float):
-    """Solve every group's capacitance system once for the current theta.
+def _run_starts(sorted_codes: np.ndarray) -> np.ndarray:
+    return np.flatnonzero(np.diff(sorted_codes, prepend=-1))
 
-    Returns the profiled pieces (S, c, logdet terms) plus per-group
-    solves reused by the deviance, gradient and EM updates.
+
+def _restrict_blocks(blocks: _Blocks, keep: np.ndarray) -> _Blocks:
+    """The one-level blocks of the single kept level."""
+    (k,) = np.flatnonzero(keep)
+    sub = copy.copy(blocks)
+    sub.counts, sub.sums = [blocks.counts[k]], [blocks.sums[k]]
+    sub.up = sub.starts = None
+    sub.q_level = blocks.q_level[[k]]
+    return sub
+
+
+def _solve(blocks: _Blocks, lam: np.ndarray):
+    """Closed-form pieces of M = Z'Z + diag(lam) for the current theta.
+
+    Each outer group's block of M is an arrowhead: the outer row over a
+    diagonal d_j = n_j + lam_1 of its inner groups. With the Schur
+    complement t_s = lam_0 + lam_1 * sum_j n_j / d_j, log det M is
+    sum log d + sum log t, and M^-1 b solves x_s = (b_s - sum_j n_j b_j /
+    d_j) / t_s, then x_j = (b_j - n_j x_s) / d_j. Returns log det M,
+    F'Z M^-1 Z'F, and per level M^-1 Z'F and the diagonal of M^-1.
     """
-    lam = sig_e / sig
-    S = blocks.XtX.copy()
-    c = blocks.Xty.copy()
-    yty_adj = blocks.yty
-    logdetM = 0.0
-    per_group = []
-    for g in blocks.groups:
-        D = lam[g["col_level"]]
-        M = g["N"] + np.diag(D)
-        cf = cho_factor(M, lower=True)
-        logdetM += 2.0 * np.sum(np.log(np.diag(cf[0])))
-        A = cho_solve(cf, g["ZtX"])
-        a = cho_solve(cf, g["Zty"])
-        S -= g["ZtX"].T @ A
-        c -= g["ZtX"].T @ a
-        yty_adj -= float(g["Zty"] @ a)
-        per_group.append((cf, A, a))
-    return S, c, yty_adj, logdetM, per_group
-
-
-def _assemble_scalar(blocks: _Blocks, sig1: float, sig_e: float):
-    lam = sig_e / sig1
-    m = blocks.ng + lam
-    S = blocks.XtX - blocks.GX.T @ (blocks.GX / m[:, None])
-    c = blocks.Xty - blocks.GX.T @ (blocks.Gy / m)
-    yty_adj = blocks.yty - float(blocks.Gy @ (blocks.Gy / m))
-    logdetM = float(np.sum(np.log(m)))
-    return S, c, yty_adj, logdetM, m
+    n1, F1 = blocks.counts[-1], blocks.sums[-1]
+    d = n1 + lam[-1]
+    sol1 = F1 / d[:, None]
+    diag1 = 1.0 / d
+    logdet = float(np.sum(np.log(d)))
+    K = F1.T @ sol1
+    if blocks.starts is None:
+        return logdet, K, [sol1], [diag1]
+    f = n1 * diag1
+    t = lam[0] + lam[1] * np.add.reduceat(f, blocks.starts)
+    R = blocks.sums[0] - np.add.reduceat(f[:, None] * F1, blocks.starts, axis=0)
+    sol0 = R / t[:, None]
+    K += R.T @ sol0
+    logdet += float(np.sum(np.log(t)))
+    sol1 -= f[:, None] * sol0[blocks.up]
+    diag1 += f**2 / t[blocks.up]
+    return logdet, K, [sol0, sol1], [1.0 / t, diag1]
 
 
 def _deviance_core(blocks: _Blocks, sig: np.ndarray, sig_e: float, criterion: str):
     n, p = blocks.n, blocks.p
-    if blocks.scalar:
-        S, c, yty_adj, logdetM, m = _assemble_scalar(blocks, sig[0], sig_e)
-        per_group = m
-    else:
-        S, c, yty_adj, logdetM, per_group = _assemble(blocks, sig, sig_e)
-    S_cf = cho_factor(S, lower=True)
-    beta = cho_solve(S_cf, c)
-    rvr = (yty_adj - float(beta @ c)) / sig_e
+    logdetM, K, sol, diag = _solve(blocks, sig_e / sig)
+    A = blocks.FtF - K  # [S c; c' y'y_adj], profiled over the random effects
+    S_cf = cho_factor(A[:p, :p], lower=True)
+    beta = cho_solve(S_cf, A[:p, p])
+    rvr = (A[p, p] - float(beta @ A[:p, p])) / sig_e
     logdetV = (
-        (n - blocks.q_total) * math.log(sig_e)
+        (n - blocks.q_level.sum()) * math.log(sig_e)
         + float(np.sum(blocks.q_level * np.log(sig)))
         + logdetM
     )
@@ -168,143 +160,66 @@ def _deviance_core(blocks: _Blocks, sig: np.ndarray, sig_e: float, criterion: st
         dev = (n - p) * _LOG2PI + logdetV + logdetS - p * math.log(sig_e) + rvr
     else:
         dev = n * _LOG2PI + logdetV + rvr
-    return dev, beta, S_cf, per_group
+    return dev, beta, S_cf, sol, diag
 
 
 def _deviance(blocks, theta, criterion):
     return _deviance_core(blocks, theta[:-1], theta[-1], criterion)[0]
 
 
-def _gradient_scalar(blocks: _Blocks, theta: np.ndarray, criterion: str) -> np.ndarray:
-    sig1, sig_e = theta[0], theta[1]
-    dev, beta, S_cf, m = _deviance_core(blocks, theta[:1], sig_e, criterion)
-    reml = criterion == "REML"
-    ng, GX, Gy = blocks.ng, blocks.GX, blocks.Gy
-    zr = Gy - GX @ beta
-    shrink = 1.0 - ng / m
-    w = zr * shrink / sig_e
-    quad1 = float(w @ w)
-    trV1 = float(np.sum((ng - ng**2 / m)) / sig_e)
-    trV_e = (blocks.n - float(np.sum(ng / m))) / sig_e
-    rtr = (
-        blocks.yty - 2.0 * float(beta @ blocks.Xty)
-        + float(beta @ (blocks.XtX @ beta))
-    )
-    quad_e = (
-        rtr - float(np.sum(zr**2 * (2.0 / m - ng / m**2)))
-    ) / sig_e**2
-    corr1 = corr_e = 0.0
-    if reml:
-        B = GX * (shrink / sig_e)[:, None]
-        SinvB = cho_solve(S_cf, B.T).T * sig_e
-        corr1 = float(np.einsum("qp,qp->", B, SinvB))
-        E_acc = blocks.XtX - GX.T @ (GX * (2.0 / m - ng / m**2)[:, None])
-        corr_e = float(np.trace(cho_solve(S_cf, E_acc))) / sig_e
-    return np.array([trV1 - corr1 - quad1, trV_e - corr_e - quad_e])
+def _level_terms(blocks: _Blocks, theta: np.ndarray, criterion: str):
+    """Sums shared by the gradient and the EM update.
+
+    With u = M^-1 Z'(y - X beta) and W = M^-1 Z'X, returns beta and, per
+    level k, sum u_k^2, the sum of diag(M^-1) over k, tr(S^-1 W_k'W_k),
+    plus u'Z'y and u'Z'X beta over all levels.
+    """
+    _, beta, S_cf, sol, diag = _deviance_core(blocks, theta[:-1], theta[-1], criterion)
+    p = blocks.p
+    usq, dsum, tw = np.empty((3, len(sol)))
+    uzy = uzxb = 0.0
+    for k, (s, dg, F) in enumerate(zip(sol, diag, blocks.sums)):
+        W = s[:, :p]
+        u = s[:, p] - W @ beta
+        usq[k] = u @ u
+        dsum[k] = dg.sum()
+        tw[k] = np.trace(cho_solve(S_cf, W.T @ W))
+        uzy += float(u @ F[:, p])
+        uzxb += float(u @ (F[:, :p] @ beta))
+    return beta, usq, dsum, tw, uzy, uzxb
 
 
 def _gradient(blocks: _Blocks, theta: np.ndarray, criterion: str) -> np.ndarray:
-    """d(deviance)/d(sigma^2) for each component, residual last."""
-    if blocks.scalar:
-        return _gradient_scalar(blocks, theta, criterion)
+    """d(deviance)/d(sigma^2) for each component, residual last.
+
+    Z'V^-1 = diag(lam) M^-1 Z' / sig_e and Z'V^-1 Z = (lam - lam^2 M^-1) / sig_e
+    turn the trace and quadratic terms into the per-level sums.
+    """
     sig, sig_e = theta[:-1], theta[-1]
-    dev, beta, S_cf, per_group = _deviance_core(blocks, sig, sig_e, criterion)
-    L = blocks.levels
+    beta, usq, dsum, tw, uzy, uzxb = _level_terms(blocks, theta, criterion)
+    lam = sig_e / sig
     reml = criterion == "REML"
-    trV = np.zeros(L)
-    quad = np.zeros(L)
-    corr = np.zeros(L)
-    trV_e = 0.0
-    quad_e = 0.0
-    E_acc = np.zeros((blocks.p, blocks.p))
-    for g, (cf, A, a) in zip(blocks.groups, per_group):
-        lvl = g["col_level"]
-        C = cho_solve(cf, g["N"])
-        diag_T = (np.diag(g["N"]) - np.einsum("ij,ji->i", g["N"], C)) / sig_e
-        zr = g["Zty"] - g["ZtX"] @ beta
-        w = (zr - g["N"] @ cho_solve(cf, zr)) / sig_e
-        for k in range(L):
-            sel = lvl == k
-            trV[k] += diag_T[sel].sum()
-            quad[k] += float(w[sel] @ w[sel])
-        trV_e += (len(g["rows"]) - np.trace(C)) / sig_e
-        rg = g["y"] - g["X"] @ beta
-        vr = (rg - g["Z"] @ cho_solve(cf, zr)) / sig_e
-        quad_e += float(vr @ vr)
-        if reml:
-            B = (g["ZtX"].T - g["ZtX"].T @ C) / sig_e
-            SinvB = cho_solve(S_cf, B) * sig_e
-            col_q = np.einsum("pj,pj->j", B, SinvB)
-            for k in range(L):
-                corr[k] += col_q[lvl == k].sum()
-            Eg = g["X"] - g["Z"] @ A
-            E_acc += Eg.T @ Eg
-    grad = np.empty(L + 1)
-    for k in range(L):
-        grad[k] = trV[k] - (corr[k] if reml else 0.0) - quad[k]
-    corr_e = float(np.trace(cho_solve(S_cf, E_acc))) / sig_e if reml else 0.0
-    grad[L] = trV_e - corr_e - quad_e
-    return grad
-
-
-def _em_step_scalar(blocks: _Blocks, theta: np.ndarray) -> np.ndarray:
-    sig1, sig_e = theta[0], theta[1]
-    S, c, yty_adj, _, m = _assemble_scalar(blocks, sig1, sig_e)
-    S_cf = cho_factor(S, lower=True)
-    beta = cho_solve(S_cf, c)
-    zr = blocks.Gy - blocks.GX @ beta
-    u = zr / m
-    W = blocks.GX / m[:, None]
-    mid = cho_solve(S_cf, W.T)
-    diag_c = 1.0 / m + np.einsum("qp,pq->q", W, mid)
-    new_sig1 = (float(u @ u) + sig_e * float(diag_c.sum())) / len(m)
-    new_sig_e = (
-        blocks.yty - float(beta @ blocks.Xty) - float(blocks.Gy @ u)
-    ) / (blocks.n - blocks.p)
-    return np.array([new_sig1, max(new_sig_e, 1e-300)])
+    grad_sig = blocks.q_level / sig - (sig_e * (dsum + reml * tw) + usq) / sig**2
+    rtr = blocks.yty - 2.0 * float(beta @ blocks.Xty) + float(beta @ blocks.XtX @ beta)
+    corr_e = reml * (blocks.p - float(lam @ tw))
+    trV_e = blocks.n - blocks.q_level.sum() + float(lam @ dsum)
+    quad_e = rtr - (uzy - uzxb) - float(lam @ usq)
+    return np.append(grad_sig, (trV_e - corr_e) / sig_e - quad_e / sig_e**2)
 
 
 def _em_step(blocks: _Blocks, theta: np.ndarray) -> np.ndarray:
     """One REML EM update through the mixed-model equations."""
-    if blocks.scalar:
-        return _em_step_scalar(blocks, theta)
-    sig, sig_e = theta[:-1], theta[-1]
-    S, c, yty_adj, _, per_group = _assemble(blocks, sig, sig_e)
-    S_cf = cho_factor(S, lower=True)
-    beta = cho_solve(S_cf, c)
-    L = blocks.levels
-    ussq = np.zeros(L)
-    trace = np.zeros(L)
-    ztyu = 0.0
-    for g, (cf, A, a) in zip(blocks.groups, per_group):
-        lvl = g["col_level"]
-        zr = g["Zty"] - g["ZtX"] @ beta
-        u = cho_solve(cf, zr)
-        ztyu += float(g["Zty"] @ u)
-        Minv = cho_solve(cf, np.eye(len(zr)))
-        W = cho_solve(cf, g["ZtX"])
-        mid = cho_solve(S_cf, W.T)
-        diag_c = np.diag(Minv) + np.einsum("qp,pq->q", W, mid)
-        for k in range(L):
-            sel = lvl == k
-            ussq[k] += float(u[sel] @ u[sel])
-            trace[k] += diag_c[sel].sum()
-    new_sig = (ussq + sig_e * trace) / blocks.q_level
-    new_sig_e = (blocks.yty - float(beta @ blocks.Xty) - ztyu) / (
-        blocks.n - blocks.p
-    )
-    return np.concatenate([new_sig, [max(new_sig_e, 1e-300)]])
+    beta, usq, dsum, tw, uzy, _ = _level_terms(blocks, theta, "REML")
+    new_sig = (usq + theta[-1] * (dsum + tw)) / blocks.q_level
+    new_sig_e = (blocks.yty - float(beta @ blocks.Xty) - uzy) / (blocks.n - blocks.p)
+    return np.append(new_sig, max(new_sig_e, 1e-300))
 
 
-def _fit_components(
-    blocks: _Blocks, criterion: str, active: np.ndarray | None = None
-):
+def _fit_components(blocks: _Blocks, criterion: str):
     """EM warm start then Newton on log-variances; returns
     (theta, deviance, converged, n_iter, boundary_mask)."""
     var_y = max(blocks.var_y, 1e-12)
-    L = blocks.levels
-    if active is None:
-        active = np.ones(L, dtype=bool)
+    L = len(blocks.q_level)
     floor = 1e-7 * var_y
 
     def drop_and_refit(keep: np.ndarray):
@@ -414,37 +329,6 @@ def _fit_components(
     return theta, dev, converged, it, boundary
 
 
-def _restrict_blocks(blocks: _Blocks, keep: np.ndarray) -> "_Blocks":
-    """Blocks with the dropped levels' columns removed."""
-    sub = _Blocks.__new__(_Blocks)
-    sub.n, sub.p = blocks.n, blocks.p
-    sub.scalar = False
-    sub.var_y = blocks.var_y
-    keep_idx = np.where(keep)[0]
-    remap = {old: new for new, old in enumerate(keep_idx)}
-    sub.levels = len(keep_idx)
-    sub.q_level = blocks.q_level[keep_idx]
-    sub.groups = []
-    for g in blocks.groups:
-        sel = np.isin(g["col_level"], keep_idx)
-        Z = g["Z"][:, sel]
-        sub.groups.append(
-            dict(
-                rows=g["rows"],
-                Z=Z,
-                N=g["N"][np.ix_(sel, sel)],
-                ZtX=g["ZtX"][sel],
-                Zty=g["Zty"][sel],
-                X=g["X"],
-                y=g["y"],
-                col_level=np.array([remap[k] for k in g["col_level"][sel]]),
-            )
-        )
-    sub.XtX, sub.Xty, sub.yty = blocks.XtX, blocks.Xty, blocks.yty
-    sub.q_total = int(sub.q_level.sum())
-    return sub
-
-
 def _ols_fit(y, X, names, criterion, n_obs) -> LmmFit:
     n, p = X.shape
     q, r = np.linalg.qr(X)
@@ -527,12 +411,9 @@ def fit_lmm_arrays(
         cov = np.linalg.inv(blocks.XtX) * theta[-1]
     else:
         sub = blocks if live.all() else _restrict_blocks(blocks, live)
-        if sub.scalar:
-            S, c, *_ = _assemble_scalar(sub, theta[:-1][live][0], theta[-1])
-        else:
-            S, c, *_ = _assemble(sub, theta[:-1][live], theta[-1])
-        S_cf = cho_factor(S, lower=True)
-        beta = cho_solve(S_cf, c)
+        _, beta, S_cf, *_ = _deviance_core(
+            sub, theta[:-1][live], theta[-1], criterion
+        )
         cov = cho_solve(S_cf, np.eye(p)) * theta[-1]
     se = np.sqrt(np.maximum(np.diag(cov), 0.0))
     comps = {f"level{k}": float(theta[k]) for k in range(len(codes))}

@@ -8,6 +8,7 @@ from longmi.errors import (
     ParseError,
     PerfectSeparation,
     RankDeficient,
+    UnsupportedNesting,
 )
 from longmi.fitters import (
     fit_linear_and_draw,
@@ -250,6 +251,151 @@ class TestLmm:
         for _ in range(50):
             probe = rng.uniform(0.01, 3.0, size=2)
             assert dev_fit <= deviance(y, X, [grp], probe, "ML") + 1e-9
+
+
+def nested_data(rng, sizes, sd_school, sd_student, sd_e):
+    """Unbalanced schools of students with 1-3 rows each; student labels
+    restart at 0 in every school, so they are reused across schools."""
+    school, student = [], []
+    for s, k in enumerate(sizes):
+        rows = rng.integers(1, 4, k)
+        school.append(np.full(rows.sum(), s))
+        student.append(np.repeat(np.arange(k), rows))
+    school, student = np.concatenate(school), np.concatenate(student)
+    n = len(school)
+    pair = np.unique(np.column_stack([school, student]), axis=0, return_inverse=True)[1]
+    X = np.column_stack([np.ones(n), rng.normal(size=n), rng.integers(0, 2, n)])
+    y = (
+        X @ [0.5, 1.0, -0.4]
+        + rng.normal(0, sd_school, len(sizes))[school]
+        + rng.normal(0, sd_student, pair.max() + 1)[pair]
+        + rng.normal(0, sd_e, n)
+    )
+    return y, X, school, student, pair
+
+
+def dense_deviance(y, X, Zs, theta, criterion):
+    """-2 log (restricted) likelihood from an explicit V."""
+    n, p = X.shape
+    V = theta[-1] * np.eye(n) + sum(s * Z @ Z.T for s, Z in zip(theta, Zs))
+    Vi = np.linalg.inv(V)
+    XtViX = X.T @ Vi @ X
+    beta = np.linalg.solve(XtViX, X.T @ Vi @ y)
+    r = y - X @ beta
+    dev = np.linalg.slogdet(V)[1] + r @ Vi @ r
+    if criterion == "REML":
+        return dev + (n - p) * np.log(2 * np.pi) + np.linalg.slogdet(XtViX)[1]
+    return dev + n * np.log(2 * np.pi)
+
+
+def indicators(codes):
+    return (codes[:, None] == np.arange(codes.max() + 1)).astype(float)
+
+
+class TestNestedLmm:
+    def test_deviance_matches_dense_v(self):
+        rng = np.random.default_rng(21)
+        y, X, school, student, pair = nested_data(rng, [4, 1, 6, 3, 5], 0.6, 0.8, 0.5)
+        assert (np.bincount(pair) == 1).any()  # singleton students
+        Zs = [indicators(school), indicators(pair)]
+        for theta in ([0.3, 0.7, 0.25], [1e-3, 2.0, 0.4], [4.0, 1e-2, 0.9]):
+            for crit in ("ML", "REML"):
+                ref = dense_deviance(y, X, Zs, theta, crit)
+                got = deviance(y, X, [school, student], np.array(theta), crit)
+                assert got == pytest.approx(ref, rel=1e-10)
+                one = deviance(y, X, [pair], np.array(theta[1:]), crit)
+                assert one == pytest.approx(
+                    dense_deviance(y, X, Zs[1:], theta[1:], crit), rel=1e-10
+                )
+
+    @pytest.mark.parametrize("crit", ["ML", "REML"])
+    def test_gradient_matches_central_differences(self, crit):
+        from longmi import lmm
+
+        rng = np.random.default_rng(22)
+        y, X, school, student, _ = nested_data(rng, [5, 2, 7, 4, 6, 3], 0.6, 0.8, 0.5)
+        blocks = lmm._Blocks(X, y, [school, student])
+        theta = np.array([0.35, 0.5, 0.3])
+        grad = lmm._gradient(blocks, theta, crit)
+        for k in range(3):
+            h = np.zeros(3)
+            h[k] = 1e-5 * theta[k]
+            fd = (
+                lmm._deviance(blocks, theta + h, crit)
+                - lmm._deviance(blocks, theta - h, crit)
+            ) / (2 * h[k])
+            assert grad[k] == pytest.approx(fd, rel=1e-6, abs=1e-6)
+
+    def test_school_variance_on_boundary_equals_one_level_fit(self):
+        rng = np.random.default_rng(23)
+        # every school holds the same students' values: identical school means
+        per_school, rows = 5, 3
+        y1 = np.repeat(rng.normal(0, 0.8, per_school), rows) + rng.normal(
+            0, 0.5, per_school * rows
+        )
+        x1 = rng.normal(size=per_school * rows)
+        y, x = np.tile(y1, 8), np.tile(x1, 8)
+        school = np.repeat(np.arange(8), per_school * rows)
+        student = np.tile(np.repeat(np.arange(per_school), rows), 8)
+        X = np.column_stack([np.ones(len(y)), x])
+        fit = fit_lmm_arrays(y, X, [school, student], "REML")
+        assert fit.boundary == ("level0",)
+        assert fit.var_components["level0"] == 0.0
+        one = fit_lmm_arrays(y, X, [school * per_school + student], "REML")
+        assert one.boundary == ()
+        np.testing.assert_allclose(fit.beta, one.beta, atol=1e-10)
+        np.testing.assert_allclose(fit.se, one.se, atol=1e-10)
+        assert fit.var_components["level1"] == pytest.approx(
+            one.var_components["level0"], rel=1e-10
+        )
+        assert fit.var_components["residual"] == pytest.approx(
+            one.var_components["residual"], rel=1e-10
+        )
+        assert fit.loglik == pytest.approx(one.loglik, abs=1e-9)
+
+    def test_student_variance_on_boundary(self):
+        rng = np.random.default_rng(24)
+        # within a school every student gets a permutation of the same
+        # values, so student means never differ inside a school
+        n_school, per_school, rows = 10, 4, 3
+        base = rng.normal(0, 0.5, (n_school, rows))
+        y = np.concatenate([
+            s_eff + rng.permuted(np.tile(base[s], (per_school, 1)), axis=1).ravel()
+            for s, s_eff in enumerate(rng.normal(2.0, 1.0, n_school))
+        ])
+        school = np.repeat(np.arange(n_school), per_school * rows)
+        student = np.tile(np.repeat(np.arange(per_school), rows), n_school)
+        fit = fit_lmm_arrays(y, np.ones((len(y), 1)), [school, student], "REML")
+        assert fit.boundary == ("level1",)
+        assert fit.var_components["level1"] == 0.0
+        assert fit.var_components["level0"] > 0.0
+
+    def test_row_permutation_and_relabelling_invariance(self):
+        rng = np.random.default_rng(25)
+        y, X, school, _, pair = nested_data(rng, [6, 3, 8, 5, 4, 7], 0.5, 0.7, 0.5)
+        # globally unique student ids in shuffled order ...
+        ids = rng.permutation(pair.max() + 1)[pair]
+        a = fit_lmm_arrays(y, X, [school, ids], "REML")
+        # ... against rows permuted and students relabelled 0..k per school
+        perm = rng.permutation(len(y))
+        local = np.empty_like(ids)
+        for s in np.unique(school):
+            rows = school == s
+            local[rows] = np.unique(ids[rows], return_inverse=True)[1]
+        b = fit_lmm_arrays(y[perm], X[perm], [school[perm], local[perm]], "REML")
+        np.testing.assert_allclose(a.beta, b.beta, atol=1e-8)
+        np.testing.assert_allclose(a.se, b.se, atol=1e-8)
+        for k, v in a.var_components.items():
+            assert b.var_components[k] == pytest.approx(v, abs=1e-8)
+        assert a.loglik == pytest.approx(b.loglik, abs=1e-8)
+
+    def test_three_groupings_rejected(self):
+        rng = np.random.default_rng(26)
+        y, X, grp = one_way(rng, 6, 4, 0.5, 1.0)
+        with pytest.raises(UnsupportedNesting):
+            fit_lmm_arrays(y, X, [grp // 2, grp, np.arange(len(y))], "REML")
+        with pytest.raises(UnsupportedNesting):
+            deviance(y, X, [grp // 2, grp, grp], np.ones(4), "REML")
 
 
 class TestFitLmmFormulaInterface:
