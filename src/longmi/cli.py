@@ -145,6 +145,18 @@ def cmd_sim(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _write_trace(path, trace) -> None:
+    """Long ``iteration,parameter,value`` CSV, built a column at a time."""
+    mat = trace.matrix()
+    n_iter, n_par = mat.shape
+    columns = (
+        np.repeat(np.arange(1, n_iter + 1), n_par).tolist(),
+        np.tile(np.array(trace.names, dtype=object), n_iter).tolist(),
+        list(map(_fmt, mat.ravel().tolist())),
+    )
+    _atomic_rows(path, ["iteration", "parameter", "value"], zip(*columns))
+
+
 def cmd_impute(args) -> int:
     t0 = time.time()
     _check_upstream(args.input)
@@ -187,13 +199,7 @@ def cmd_impute(args) -> int:
     paths.append(spec_path)
     if result.trace is not None:
         trace_path = os.path.join(args.out_dir, "trace.csv")
-        mat = result.trace.matrix()
-        rows = (
-            (it + 1, name, _fmt(mat[it, j]))
-            for it in range(mat.shape[0])
-            for j, name in enumerate(result.trace.names)
-        )
-        _atomic_rows(trace_path, ["iteration", "parameter", "value"], rows)
+        _write_trace(trace_path, result.trace)
         paths.append(trace_path)
     if result.chain_stats is not None:
         stats_path = os.path.join(args.out_dir, "chain_stats.csv")

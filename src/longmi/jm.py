@@ -261,6 +261,17 @@ def _cho_solve(L, b):
     return x
 
 
+def _precision_draw(rng, lam, b):
+    """One draw from N(inv(lam) b, inv(lam)) for each entry of the stack.
+
+    With lam = L L', inv(L L') (b + L z) is the mean inv(lam) b plus the
+    noise inv(L') z, so one Cholesky factor serves both.
+    """
+    L = chol(lam)
+    z = rng.normal(size=b.shape)
+    return _cho_solve(L, b + np.einsum("gij,gj->gi", L, z))
+
+
 def _draw_missing(rng, Y, mu, Q, group, unknown):
     """Redraw the unknown cells of each row from its conditional normal.
 
@@ -626,14 +637,8 @@ class _MlmmSampler:
             prior_prec = np.linalg.inv(P_u_given_v)
             V = self._v_resid()
             prior_mean = V @ gain_uv.T if self.r2 else np.zeros((C, qr))
-            lam = prior_prec[None] + K
-            cov = sym(np.linalg.inv(lam))
-            mean = np.einsum(
-                "gij,gj->gi", cov, lin + prior_mean @ prior_prec
-            )
-            L = chol(cov)
-            u_flat = mean + np.einsum(
-                "gij,gj->gi", L, rng.normal(size=(C, qr))
+            u_flat = _precision_draw(
+                rng, sym(prior_prec[None] + K), lin + prior_mean @ prior_prec
             )
             # response-major flat vector -> (q, r) coefficient matrix
             self.U = u_flat.reshape(C, r, q).transpose(0, 2, 1)

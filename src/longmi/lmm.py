@@ -241,17 +241,18 @@ def _fit_components(blocks: _Blocks, criterion: str):
                 dv = n * _LOG2PI + n * math.log(s2) + rss / s2
             theta_full = np.zeros(L + 1)
             theta_full[-1] = s2
-            return theta_full, dv, True, 0, np.ones(L, dtype=bool)
+            return theta_full, dv, True, it, np.ones(L, dtype=bool)
         keep_idx = np.where(keep)[0]
         sub = _restrict_blocks(blocks, keep)
-        th, dv, cv, it, bd = _fit_components(sub, criterion)
+        th, dv, cv, sub_it, bd = _fit_components(sub, criterion)
         theta_full = np.zeros(L + 1)
         theta_full[-1] = th[-1]
         theta_full[:L][keep] = th[:-1]
         boundary = ~keep
         boundary[keep_idx[bd]] = True
         theta_full[:L][boundary] = 0.0
-        return theta_full, dv, cv, it, boundary
+        # iterations before the drop count too
+        return theta_full, dv, cv, it + sub_it, boundary
 
     theta = np.concatenate([np.full(L, 0.5 * var_y / max(L, 1)), [0.5 * var_y]])
     it = 0

@@ -82,8 +82,9 @@ def detect_map(d: Dataset, time_varying: list[str] | None = None) -> DataMap:
     time = d.time_col()
     if time is None:
         raise ValueError("long dataset needs a time column")
-    uvals = d.column(unit)
-    _, codes = np.unique(uvals, return_inverse=True)
+    # rows sorted by unit; ``starts`` opens each unit's run
+    order = np.argsort(d.column(unit), kind="stable")
+    _, starts = np.unique(d.column(unit)[order], return_index=True)
     varying, fixed = [], []
     for c in d.columns:
         if c.role not in ("analysis", "auxiliary"):
@@ -91,14 +92,11 @@ def detect_map(d: Dataset, time_varying: list[str] | None = None) -> DataMap:
         if time_varying is not None:
             (varying if c.name in time_varying else fixed).append(c.name)
             continue
-        x = d.column(c.name)
-        is_varying = False
-        for g in np.unique(codes):
-            vals = x[codes == g]
-            vals = vals[~np.isnan(vals)]
-            if len(np.unique(vals)) > 1:
-                is_varying = True
-                break
+        # a unit varies when its largest observed value exceeds its smallest
+        x = d.column(c.name)[order]
+        is_varying = bool(
+            (np.fmax.reduceat(x, starts) > np.fmin.reduceat(x, starts)).any()
+        )
         (varying if is_varying else fixed).append(c.name)
     times = tuple(int(t) for t in np.unique(d.column(time)))
     rmap = ReshapeMap(tuple(varying), times, tuple(fixed), time_col=time)

@@ -10,15 +10,18 @@ one, so sharing across threads is safe.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import os
 import warnings
 from dataclasses import dataclass
+from itertools import chain, islice
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import (
+    BadConfig,
     DuplicateTimePoint,
     MalformedWideName,
     MissingInFactor,
@@ -110,6 +113,12 @@ class ReshapeMap:
         raise UnknownStub(f"{name!r} is neither a declared stub.time nor time-fixed")
 
 
+def _has_duplicate_keys(key: list[np.ndarray]) -> bool:
+    """Whether two rows agree on every key column (NaN matches nothing)."""
+    rows = np.column_stack(key)[np.lexsort(key[::-1])]
+    return bool((rows[1:] == rows[:-1]).all(axis=1).any())
+
+
 class Dataset:
     """Immutable typed table with missingness mask.
 
@@ -195,14 +204,13 @@ class Dataset:
         if "Imputation" in self._index:
             key.insert(0, self.values[:, self._index["Imputation"]])
         if self.shape_kind == "wide":
-            if len(np.unique(np.column_stack(key), axis=0)) != len(unit):
+            if _has_duplicate_keys(key):
                 raise ValueError("unit-id not unique in wide shape")
         else:
             tcols = [c for c in self.columns if c.role == "time"]
             if tcols:
                 key.append(self.values[:, self._index[tcols[0].name]])
-                pairs = np.column_stack(key)
-                if len(np.unique(pairs, axis=0)) != len(pairs):
+                if _has_duplicate_keys(key):
                     raise DuplicateTimePoint("duplicate (unit, time) rows")
 
     # -- accessors --------------------------------------------------------
@@ -337,14 +345,29 @@ def reshape_long_to_wide(d: Dataset, m: ReshapeMap) -> Dataset:
 
     unit = d.column(d.unit_col())
     times = d.column(tcol).astype(int)
-    units, first_rows = np.unique(unit, return_index=True)
+    # units in order of first appearance; ``ui`` is each row's unit position
+    units, first_rows, code = np.unique(unit, return_index=True, return_inverse=True)
     order = np.argsort(first_rows, kind="stable")
-    units = units[order]
-    unit_pos = {u: i for i, u in enumerate(units)}
-    time_pos = {t: i for i, t in enumerate(m.times)}
-    n_u, n_t = len(units), len(m.times)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    ui = rank[code]
+    n_u, n_t, n_s = len(units), len(m.times), len(m.stubs)
 
-    seen = np.zeros((n_u, n_t), dtype=bool)
+    # the first row with an undeclared time or a repeated (unit, time)
+    # cell stops the reshape, as a row-by-row pass would
+    declared = np.isin(times, m.times)
+    stop = int(np.argmin(declared)) if not declared.all() else d.n_rows
+    wave_order = np.argsort(m.times)
+    ti = wave_order[np.searchsorted(np.asarray(m.times)[wave_order], times[:stop])]
+    _, first = np.unique(ui[:stop] * n_t + ti, return_index=True)
+    if len(first) < stop:
+        repeat = np.ones(stop, dtype=bool)
+        repeat[first] = False
+        r = int(np.argmax(repeat))
+        raise DuplicateTimePoint(f"unit {unit[r]:g} repeats time {times[r]}")
+    if stop < d.n_rows:
+        raise MalformedWideName(f"time value {times[stop]} not in reshape map")
+
     out_cols: list[ColumnSpec] = [
         ColumnSpec(c.name, c.kind, c.role, c.levels) for c in carried
     ]
@@ -356,24 +379,19 @@ def reshape_long_to_wide(d: Dataset, m: ReshapeMap) -> Dataset:
     values = np.full((n_u, len(out_cols)), np.nan)
     mask = np.ones((n_u, len(out_cols)), dtype=bool)
 
+    # carried columns come from each unit's last row
+    _, last_from_end = np.unique(unit[::-1], return_index=True)
+    last = (d.n_rows - 1 - last_from_end)[order]
     carried_idx = [d.col_index(c.name) for c in carried]
-    stub_idx = [d.col_index(s) for s in m.stubs]
     n_fixed = len(carried)
-    for r in range(d.n_rows):
-        t = int(times[r])
-        if t not in time_pos:
-            raise MalformedWideName(f"time value {t} not in reshape map")
-        ui, ti = unit_pos[unit[r]], time_pos[t]
-        if seen[ui, ti]:
-            raise DuplicateTimePoint(f"unit {unit[r]:g} repeats time {t}")
-        seen[ui, ti] = True
-        values[ui, :n_fixed] = d.values[r, carried_idx]
-        mask[ui, :n_fixed] = d.mask[r, carried_idx]
-        dest = n_fixed + ti * len(m.stubs)
-        values[ui, dest : dest + len(m.stubs)] = d.values[r, stub_idx]
-        mask[ui, dest : dest + len(m.stubs)] = d.mask[r, stub_idx]
+    values[:, :n_fixed] = d.values[np.ix_(last, carried_idx)]
+    mask[:, :n_fixed] = d.mask[np.ix_(last, carried_idx)]
+    stub_idx = [d.col_index(s) for s in m.stubs]
+    dest = n_fixed + ti[:, None] * n_s + np.arange(n_s)
+    values[ui[:, None], dest] = d.values[:, stub_idx]
+    mask[ui[:, None], dest] = d.mask[:, stub_idx]
 
-    if not seen.all():
+    if d.n_rows < n_u * n_t:
         warnings.warn(
             "unbalanced long input: absent waves materialized as missing cells",
             stacklevel=2,
@@ -533,16 +551,37 @@ def incomplete_fraction(
 # ---------------------------------------------------------------------------
 
 MISSING_TOKEN = "NA"
+# Rows per block of the CSV codec: bounds its working memory on long stacks.
+BLOCK_ROWS = 4096
 
 
-def _format_cell(spec: ColumnSpec, value: float, masked: bool) -> str:
-    if masked:
-        return MISSING_TOKEN
-    if spec.levels is not None:
-        return spec.levels[int(value)]
-    if float(value).is_integer() and abs(value) < 1e15:
-        return str(int(value))
-    return repr(float(value))
+def _csv_fields(labels: Sequence[str], lone: bool) -> list[str]:
+    """Each label as ``csv.writer`` writes it, alone on its row if ``lone``."""
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    out = []
+    for label in labels:
+        buf.seek(0)
+        buf.truncate()
+        w.writerow([label] if lone else [label, ""])
+        text = buf.getvalue()[:-2]
+        out.append(text if lone else text[:-1])
+    return out
+
+
+def _format_column(x: np.ndarray, masked: np.ndarray, quoted) -> list[str]:
+    """One column's cells as text: ``NA``, a quoted label, an int or a repr."""
+    out = np.full(len(x), MISSING_TOKEN, dtype=object)
+    v = x[~masked]
+    if quoted is not None:
+        text = quoted[v.astype(np.intp)]
+    else:
+        whole = (v == np.trunc(v)) & (np.abs(v) < 1e15)
+        text = np.empty(len(v), dtype=object)
+        text[whole] = list(map(str, v[whole].astype(np.int64).tolist()))
+        text[~whole] = list(map(repr, v[~whole].tolist()))
+    out[~masked] = text
+    return out.tolist()
 
 
 def sidecar_path(csv_path: str) -> str:
@@ -551,16 +590,29 @@ def sidecar_path(csv_path: str) -> str:
 
 
 def write_csv(d: Dataset, path: str) -> None:
-    """Write data plus a JSON metadata sidecar, atomically."""
+    """Write data plus a JSON metadata sidecar, atomically.
+
+    Cells are formatted one column at a time over blocks of
+    ``BLOCK_ROWS`` rows: masked cells as ``NA``, levels by label,
+    integer-valued floats below 1e15 as ints, other floats by ``repr``.
+    """
+    lone = len(d.columns) == 1
+    quoted = [
+        None if c.levels is None
+        else np.array(_csv_fields(c.levels, lone), dtype=object)
+        for c in d.columns
+    ]
     tmp = path + ".tmp"
     with open(tmp, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(d.col_names)
-        for r in range(d.n_rows):
-            w.writerow(
-                _format_cell(c, d.values[r, j], d.mask[r, j])
-                for j, c in enumerate(d.columns)
-            )
+        csv.writer(fh).writerow(d.col_names)
+        for start in range(0, d.n_rows, BLOCK_ROWS):
+            block = slice(start, start + BLOCK_ROWS)
+            cols = [
+                _format_column(d.values[block, j], d.mask[block, j], quoted[j])
+                for j in range(len(d.columns))
+            ]
+            fh.write("\r\n".join(map(",".join, zip(*cols))))
+            fh.write("\r\n")
     os.replace(tmp, path)
     meta = {
         "shape": d.shape_kind,
@@ -577,11 +629,66 @@ def write_csv(d: Dataset, path: str) -> None:
     os.replace(tmp, sidecar_path(path))
 
 
+def _parse_floats(tokens: list[str]) -> np.ndarray:
+    """Floats from tokens; ``NA`` and empty (after stripping) are NaN."""
+    try:
+        return np.array(tokens, dtype=float)
+    except ValueError:
+        text = np.char.strip(np.array(tokens, dtype=str))
+        missing = (text == MISSING_TOKEN) | (text == "")
+        return np.where(missing, "nan", text).astype(float)
+
+
+def _level_parser(spec: ColumnSpec):
+    """Parser from labels to level codes; ``NA`` and empty are NaN.
+
+    A token is looked up as written, then stripped; a stripped token
+    that names no level raises ``UnknownLevel``.
+    """
+    codes = {label: float(i) for i, label in enumerate(spec.levels)}
+    codes.update({MISSING_TOKEN: np.nan, "": np.nan})
+
+    def code(token: str) -> float:
+        t = token if token in codes else token.strip()
+        return codes[t] if t in codes else spec.level_index(t)
+
+    def parse(tokens: list[str]) -> np.ndarray:
+        table = {t: code(t) for t in dict.fromkeys(tokens)}
+        return np.array(list(map(table.__getitem__, tokens)), dtype=float)
+
+    return parse
+
+
+def _is_number(token: str) -> bool:
+    try:
+        _parse_floats([token])
+    except ValueError:
+        return False
+    return True
+
+
+def _line_of(path: str, record: int) -> int:
+    """Line on which data record ``record`` (0-based, after the header) ends."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        for _ in islice(reader, record + 2):
+            pass
+        return reader.line_num
+
+
 def read_csv(path: str, meta_path: str | None = None) -> Dataset:
-    """Read a CSV written by :func:`write_csv` (empty cell == NA)."""
+    """Read a CSV written by :func:`write_csv` (empty cell == NA).
+
+    Rows are parsed in blocks of ``BLOCK_ROWS``, one column at a time. A
+    missing sidecar, a header that does not match it and a row with the
+    wrong number of fields raise ``BadConfig`` naming the file and line.
+    """
     meta_path = meta_path or sidecar_path(path)
-    with open(meta_path) as fh:
-        meta = json.load(fh)
+    try:
+        with open(meta_path) as fh:
+            meta = json.load(fh)
+    except FileNotFoundError:
+        raise BadConfig(f"{path}: metadata sidecar {meta_path} not found") from None
     specs = [
         ColumnSpec(
             c["name"], c["kind"], c["role"],
@@ -592,19 +699,40 @@ def read_csv(path: str, meta_path: str | None = None) -> Dataset:
     by_name = {s.name: s for s in specs}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        if set(header) != set(by_name):
-            raise ValueError("CSV header does not match sidecar metadata")
+        header = next(reader, [])
+        if sorted(header) != sorted(by_name):
+            raise BadConfig(
+                f"{path}, line 1: header {header} does not match the "
+                f"columns {list(by_name)} of {meta_path}"
+            )
         ordered = [by_name[h] for h in header]
-        rows = list(reader)
-    values = np.full((len(rows), len(ordered)), np.nan)
-    for r, row in enumerate(rows):
-        for j, (spec, tok) in enumerate(zip(ordered, row)):
-            tok = tok.strip()
-            if tok in ("", MISSING_TOKEN):
-                continue
-            if spec.levels is not None:
-                values[r, j] = spec.level_index(tok)
-            else:
-                values[r, j] = float(tok)
+        k = len(ordered)
+        parsers = [
+            _parse_floats if s.levels is None else _level_parser(s) for s in ordered
+        ]
+        blocks = []
+        done = 0
+        while rows := list(islice(reader, BLOCK_ROWS)):
+            wrong = np.fromiter(map(len, rows), int, len(rows)) != k
+            if wrong.any():
+                bad = int(np.argmax(wrong))
+                raise BadConfig(
+                    f"{path}, line {_line_of(path, done + bad)}: "
+                    f"{len(rows[bad])} fields, the header has {k}"
+                )
+            flat = list(chain.from_iterable(rows))
+            block = np.empty((len(rows), k))
+            for j, (spec, parse) in enumerate(zip(ordered, parsers)):
+                tokens = flat[j::k]
+                try:
+                    block[:, j] = parse(tokens)
+                except ValueError:
+                    bad = list(map(_is_number, tokens)).index(False)
+                    raise BadConfig(
+                        f"{path}, line {_line_of(path, done + bad)}: "
+                        f"{tokens[bad]!r} in column {spec.name!r} is not a number"
+                    ) from None
+            blocks.append(block)
+            done += len(rows)
+    values = np.concatenate(blocks) if blocks else np.empty((0, k))
     return Dataset(ordered, values, shape_kind=meta["shape"])

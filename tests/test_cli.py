@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -5,7 +6,8 @@ import os
 import numpy as np
 import pytest
 
-from longmi.cli import main
+from longmi.cli import _fmt, _write_trace, main
+from longmi.jm import ChainTrace
 
 EQ1 = (
     "numeracy_score ~ prev_dep + time + age + numeracy_scorew1 + sex"
@@ -169,6 +171,45 @@ class TestAnalyzePool:
             "--out-dir", str(tmp_path / "x"),
         ) == 2
 
+    def _broken_copy(self, sim_dir, tmp_path, edit):
+        """observed.csv and its sidecar copied, the CSV text passed through edit."""
+        src = sim_dir / "observed.csv"
+        dst = tmp_path / "in" / "observed.csv"
+        dst.parent.mkdir()
+        dst.write_bytes(edit(src.read_bytes()))
+        (tmp_path / "in" / "observed.meta.json").write_bytes(
+            (sim_dir / "observed.meta.json").read_bytes()
+        )
+        return dst
+
+    def _analyze(self, path, tmp_path):
+        return run("analyze", "--input", str(path), "--formula", EQ1, "--aca",
+                   "--out-dir", str(tmp_path / "fits"))
+
+    def test_header_mismatch_exit(self, sim_dir, tmp_path, capsys):
+        path = self._broken_copy(
+            sim_dir, tmp_path, lambda b: b.replace(b"age", b"agee", 1)
+        )
+        assert self._analyze(path, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert f"{path}, line 1: header" in err and "Traceback" not in err
+
+    def test_short_row_exit(self, sim_dir, tmp_path, capsys):
+        def drop_last_field_of_row_3(b):
+            lines = b.split(b"\r\n")
+            lines[2] = lines[2].rpartition(b",")[0]
+            return b"\r\n".join(lines)
+
+        path = self._broken_copy(sim_dir, tmp_path, drop_last_field_of_row_3)
+        assert self._analyze(path, tmp_path) == 2
+        assert f"{path}, line 3: " in capsys.readouterr().err
+
+    def test_missing_sidecar_exit(self, sim_dir, tmp_path, capsys):
+        path = self._broken_copy(sim_dir, tmp_path, lambda b: b)
+        os.remove(tmp_path / "in" / "observed.meta.json")
+        assert self._analyze(path, tmp_path) == 2
+        assert "observed.meta.json not found" in capsys.readouterr().err
+
     def test_pool_hand_example(self, tmp_path):
         fits = tmp_path / "fits"
         fits.mkdir()
@@ -207,6 +248,23 @@ class TestAnalyzePool:
             "analyze", "--input", str(clone / "observed.csv"),
             "--formula", EQ1, "--aca", "--out-dir", str(tmp_path / "x"),
         ) == 2
+
+
+def test_trace_writer_matches_row_generator(tmp_path):
+    trace = ChainTrace(["beta.a", 'psi."x",y', "omega.b"])
+    for row in ([0.1, -0.0, 3.0], [np.inf, -np.inf, np.nan], [1e-300, 2.0**53, -7.5]):
+        trace.record(np.array(row))
+    _write_trace(str(tmp_path / "new.csv"), trace)
+    mat = trace.matrix()
+    with open(tmp_path / "old.csv", "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["iteration", "parameter", "value"])
+        w.writerows(
+            (it + 1, name, _fmt(mat[it, j]))
+            for it in range(mat.shape[0])
+            for j, name in enumerate(trace.names)
+        )
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
 class TestDiag:

@@ -352,6 +352,8 @@ class TestNestedLmm:
             one.var_components["residual"], rel=1e-10
         )
         assert fit.loglik == pytest.approx(one.loglik, abs=1e-9)
+        # the nested fit's EM steps before dropping the school level count
+        assert fit.n_iter > one.n_iter
 
     def test_student_variance_on_boundary(self):
         rng = np.random.default_rng(24)

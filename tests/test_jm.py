@@ -9,6 +9,7 @@ from longmi.jm import (
     _in_region,
     _MlmmSampler,
     _MvnSampler,
+    _precision_draw,
     autocorr,
     decode_latent,
     encode_latent,
@@ -215,6 +216,28 @@ class TestDrawKernel:
             sd = np.sqrt(np.diag(law.cov))
             got = np.atleast_2d(np.cov(draws, rowvar=False))
             assert (np.abs(got - law.cov) <= 0.05 * np.outer(sd, sd)).all()
+
+
+class TestPrecisionDraw:
+    def test_matches_normal_with_inverse_precision(self):
+        # the U step's law: N(inv(lam) b, inv(lam)) per cluster
+        gen = np.random.default_rng(8)
+        qr, G, reps = 4, 3, 20_000
+        lams = []
+        for _ in range(G):
+            a = gen.normal(size=(qr, qr))
+            lams.append(a @ a.T + qr * np.eye(qr))
+        lam, b = np.array(lams), gen.normal(size=(G, qr))
+        draws = _precision_draw(
+            RngStream(9), np.tile(lam, (reps, 1, 1)), np.tile(b, (reps, 1))
+        )
+        for g in range(G):
+            cov = np.linalg.inv(lam[g])
+            sd = np.sqrt(np.diag(cov))
+            x = draws[g::G]
+            assert (np.abs(x.mean(axis=0) - cov @ b[g]) < 5 * sd / np.sqrt(reps)).all()
+            got = np.cov(x, rowvar=False)
+            assert (np.abs(got - cov) <= 0.05 * np.outer(sd, sd)).all()
 
 
 class TestMlmmSampler:

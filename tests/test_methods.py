@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from longmi.errors import UnsupportedMethod
 from longmi.fcs import default_predictor_matrix, mtw_predictor_matrix
@@ -9,7 +11,7 @@ from longmi.methods import METHOD_NAMES, build_and_run, detect_map
 from longmi.rng import RngStream
 from longmi.simulate import CATS_MAP, SimConfig, simulate
 from longmi.stack import ImputedStack
-from longmi.table import reshape_long_to_wide
+from longmi.table import ColumnSpec, Dataset, reshape_long_to_wide
 
 
 @pytest.fixture(scope="module")
@@ -25,6 +27,30 @@ class TestDetectMap:
         assert set(dm.time_varying) == {"prev_dep", "numeracy_score", "prev_sdq"}
         assert set(dm.time_fixed) == {"age", "sex", "ses", "numeracy_scorew1"}
         assert dm.reshape.times == (3, 5, 7)
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_unit_loop(self, data):
+        n = data.draw(st.integers(0, 20))
+        cell = st.sampled_from([np.nan, -0.0, 0.0, 1.0, 2.5, np.inf, -np.inf])
+        rows = [
+            [data.draw(st.sampled_from([3.0, 1.0, 2.0])), float(t)]
+            + [data.draw(cell) for _ in range(3)]
+            for t in range(n)
+        ]
+        cols = [ColumnSpec("id", "continuous", "unit-id"),
+                ColumnSpec("time", "continuous", "time")]
+        cols += [ColumnSpec(f"x{j}", "continuous", "analysis") for j in range(3)]
+        d = Dataset(cols, np.array(rows).reshape(n, 5), shape_kind="long")
+        # the per-unit loop detect_map used to run
+        codes = np.unique(d.column("id"), return_inverse=True)[1]
+        expected = []
+        for name in ("x0", "x1", "x2"):
+            x = d.column(name)
+            per_unit = [x[codes == g][~np.isnan(x[codes == g])] for g in np.unique(codes)]
+            if any(len(np.unique(v)) > 1 for v in per_unit):
+                expected.append(name)
+        assert detect_map(d).time_varying == expected
 
     def test_override(self, small_sim):
         dm = detect_map(small_sim.observed, time_varying=["prev_dep"])

@@ -1,15 +1,22 @@
+import csv
+import io
+import json
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from longmi.errors import (
+    BadConfig,
     DuplicateTimePoint,
     MalformedWideName,
     MissingInFactor,
     UnknownStub,
 )
 from longmi.table import (
+    BLOCK_ROWS,
     ColumnSpec,
     Dataset,
     ReshapeMap,
@@ -390,3 +397,268 @@ def test_dataset_is_immutable():
         d.values[0, 0] = 99.0
     with pytest.raises(ValueError, match="read-only"):
         d.mask[0, 0] = True
+
+
+# -- the codec against the per-cell writer and reader it replaced -------------
+
+
+def percell_write(d, path):
+    """Frozen copy of the per-cell CSV writer (sidecar left to write_csv)."""
+
+    def cell(spec, value, masked):
+        if masked:
+            return "NA"
+        if spec.levels is not None:
+            return spec.levels[int(value)]
+        if float(value).is_integer() and abs(value) < 1e15:
+            return str(int(value))
+        return repr(float(value))
+
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(d.col_names)
+        for r in range(d.n_rows):
+            w.writerow(
+                cell(c, d.values[r, j], d.mask[r, j]) for j, c in enumerate(d.columns)
+            )
+
+
+def percell_read(path, meta_path):
+    """Frozen copy of the per-cell CSV reader: (values, mask)."""
+    with open(meta_path) as fh:
+        meta = json.load(fh)
+    by_name = {
+        c["name"]: ColumnSpec(c["name"], c["kind"], c["role"],
+                              tuple(c["levels"]) if c.get("levels") else None)
+        for c in meta["columns"]
+    }
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        ordered = [by_name[h] for h in next(reader)]
+        rows = list(reader)
+    values = np.full((len(rows), len(ordered)), np.nan)
+    for r, row in enumerate(rows):
+        for j, (spec, tok) in enumerate(zip(ordered, row)):
+            tok = tok.strip()
+            if tok in ("", "NA"):
+                continue
+            values[r, j] = spec.level_index(tok) if spec.levels else float(tok)
+    return values, np.isnan(values)
+
+
+AWKWARD_FLOATS = [
+    -0.0, 0.0, np.inf, -np.inf, 1e15 - 1, 1e15, 1e15 + 1, -(1e15 - 1), -1e15,
+    2.0**53, 2.0**53 + 2, 5e-324, 2.2250738585072014e-308 / 3, 0.1 + 0.2,
+    -7.0, 1e300, 0.5,
+]
+LABEL_TEXT = st.text(alphabet='ab,"\n NA', min_size=0, max_size=4).filter(
+    lambda s: s == s.strip()
+)
+
+
+@st.composite
+def codec_datasets(draw, n):
+    labels = draw(st.lists(LABEL_TEXT, min_size=3, max_size=4, unique=True))
+    floats = draw(st.lists(st.floats(allow_nan=False), min_size=1, max_size=6))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p_miss = draw(st.sampled_from([0.0, 0.3, 1.0]))
+    pool = np.array(AWKWARD_FLOATS + floats)
+    cols = [
+        ColumnSpec("id", "continuous", "unit-id"),
+        ColumnSpec("x", "continuous", "analysis"),
+        ColumnSpec("c" + labels[0], "categorical", "analysis", tuple(labels)),
+        ColumnSpec("b", "binary", "auxiliary", tuple(labels[1:3])),
+    ]
+    values = np.column_stack([
+        gen.permutation(n) - n // 2,
+        gen.choice(pool, n),
+        gen.integers(0, len(labels), n),
+        gen.integers(0, 2, n),
+    ]).astype(float).reshape(n, 4)
+    mask = np.zeros_like(values, dtype=bool)
+    mask[:, 1:] = gen.random((n, 3)) < p_miss
+    return Dataset(cols, values, mask, shape_kind="wide")
+
+
+@pytest.mark.parametrize(
+    "n", [0, 1, 5, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1]
+)
+@given(data=st.data())
+@settings(max_examples=8, deadline=None)
+def test_codec_matches_percell_oracle(tmp_path_factory, n, data):
+    d = data.draw(codec_datasets(n))
+    tmp = tmp_path_factory.mktemp("codec")
+    new, old = str(tmp / "new.csv"), str(tmp / "old.csv")
+    write_csv(d, new)
+    percell_write(d, old)
+    assert open(new, "rb").read() == open(old, "rb").read()
+    values, mask = percell_read(new, str(tmp / "new.meta.json"))
+    back = read_csv(new)
+    assert back.col_names == d.col_names
+    np.testing.assert_array_equal(back.mask, mask)
+    np.testing.assert_array_equal(back.values.view(np.int64), values.view(np.int64))
+
+
+def test_codec_single_column_empty_label(tmp_path):
+    d = Dataset(
+        [ColumnSpec("id", "categorical", "unit-id", ("", "a,b", 'q"'))],
+        np.array([[1.0], [2.0], [0.0]]),
+        shape_kind="wide",
+        validate=False,
+    )
+    write_csv(d, str(tmp_path / "new.csv"))
+    percell_write(d, str(tmp_path / "old.csv"))
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_read_strips_padded_and_missing_tokens(tmp_path):
+    d = Dataset.build(
+        [ColumnSpec("id", "continuous", "unit-id"),
+         ColumnSpec("g", "categorical", "analysis", ("lo", "hi", " pad")),
+         ColumnSpec("x", "continuous", "analysis")],
+        {"id": [1, 2, 3, 4], "g": [0, 1, 2, 0], "x": [1.5, 2.0, 3.0, 4.0]},
+        shape_kind="wide",
+    )
+    path = tmp_path / "d.csv"
+    write_csv(d, str(path))
+    path.write_text(
+        "id,g,x\r\n1, lo ,1.5\r\n2,hi, \r\n3, pad,NA\r\n4,,  4\r\n"
+    )
+    back = read_csv(str(path))
+    np.testing.assert_array_equal(back.column("g")[:3], [0, 1, 2])
+    assert back.column_mask("g").tolist() == [False, False, False, True]
+    np.testing.assert_array_equal(back.column("x")[[0, 3]], [1.5, 4.0])
+    assert back.column_mask("x").tolist() == [False, True, True, False]
+
+
+def _write_pair(tmp_path, text):
+    d = Dataset.build(
+        [ColumnSpec("id", "continuous", "unit-id"),
+         ColumnSpec("x", "continuous", "analysis")],
+        {"id": [1.0], "x": [2.0]},
+        shape_kind="wide",
+    )
+    path = tmp_path / "d.csv"
+    write_csv(d, str(path))
+    path.write_text(text)
+    return str(path)
+
+
+@pytest.mark.parametrize("text, line", [
+    ("id,x\r\n1,2\r\n2\r\n", 3),
+    ("id,x\r\n1,2,3\r\n", 2),
+    ('id,x\r\n1,"a\r\nb"\r\n2,3,4\r\n', 4),
+    ("id,x\r\n1,2\r\n\r\n", 3),
+])
+def test_row_width_mismatch_names_line(tmp_path, text, line):
+    path = _write_pair(tmp_path, text)
+    with pytest.raises(BadConfig, match=f"d.csv, line {line}: "):
+        read_csv(path)
+
+
+@pytest.mark.parametrize("text", ["id,y\r\n1,2\r\n", "id\r\n1\r\n",
+                                  "id,x,x\r\n1,2,3\r\n", ""])
+def test_header_mismatch(tmp_path, text):
+    path = _write_pair(tmp_path, text)
+    with pytest.raises(BadConfig, match="d.csv, line 1: header"):
+        read_csv(path)
+
+
+def test_non_number_names_line(tmp_path):
+    path = _write_pair(tmp_path, "id,x\r\n1,2\r\n2,abc\r\n")
+    with pytest.raises(BadConfig, match="line 3: 'abc' in column 'x'"):
+        read_csv(path)
+
+
+def test_missing_sidecar(tmp_path):
+    (tmp_path / "d.csv").write_text("id,x\r\n1,2\r\n")
+    with pytest.raises(BadConfig, match="d.meta.json not found"):
+        read_csv(str(tmp_path / "d.csv"))
+
+
+# -- vectorised reshape against the row loop it replaced ----------------------
+
+
+def loop_long_to_wide(d, m):
+    """Frozen row loop of reshape_long_to_wide: (values, mask) or the error."""
+    carried = [c for c in d.columns
+               if c.role in ("unit-id", "cluster-id") or c.name in m.time_fixed]
+    unit = d.column(d.unit_col())
+    times = d.column(d.time_col()).astype(int)
+    units, first_rows = np.unique(unit, return_index=True)
+    units = units[np.argsort(first_rows, kind="stable")]
+    unit_pos = {u: i for i, u in enumerate(units)}
+    time_pos = {t: i for i, t in enumerate(m.times)}
+    n_fixed, n_s = len(carried), len(m.stubs)
+    width = n_fixed + len(m.times) * n_s
+    values = np.full((len(units), width), np.nan)
+    mask = np.ones((len(units), width), dtype=bool)
+    seen = set()
+    carried_idx = [d.col_index(c.name) for c in carried]
+    stub_idx = [d.col_index(s) for s in m.stubs]
+    for r in range(d.n_rows):
+        t = int(times[r])
+        if t not in time_pos:
+            return MalformedWideName(f"time value {t} not in reshape map")
+        ui, ti = unit_pos[unit[r]], time_pos[t]
+        if (ui, ti) in seen:
+            return DuplicateTimePoint(f"unit {unit[r]:g} repeats time {t}")
+        seen.add((ui, ti))
+        values[ui, :n_fixed] = d.values[r, carried_idx]
+        mask[ui, :n_fixed] = d.mask[r, carried_idx]
+        dest = n_fixed + ti * n_s
+        values[ui, dest:dest + n_s] = d.values[r, stub_idx]
+        mask[ui, dest:dest + n_s] = d.mask[r, stub_idx]
+    return values, mask
+
+
+@st.composite
+def messy_long_datasets(draw):
+    """Shuffled, unbalanced long rows; time-fixed cells may disagree."""
+    n = draw(st.integers(0, 25))
+    cell = st.one_of(st.none(), st.integers(-3, 3).map(float))
+    rows = [
+        (draw(st.sampled_from([4.0, 1.0, 7.0, 2.0])),
+         draw(st.sampled_from([3, 5, 7, 7, 5, 9] if draw(st.booleans()) else [3, 5, 7])),
+         draw(cell), draw(cell), draw(cell))
+        for _ in range(n)
+    ]
+    cols = [
+        ColumnSpec("id", "continuous", "unit-id"),
+        ColumnSpec("time", "continuous", "time"),
+        ColumnSpec("base", "continuous", "analysis"),
+        ColumnSpec("u", "continuous", "analysis"),
+        ColumnSpec("v", "continuous", "analysis"),
+    ]
+    values = np.array([[np.nan if v is None else v for v in r] for r in rows],
+                      dtype=float).reshape(n, 5)
+    d = Dataset(cols, values, shape_kind="long", validate=False)
+    times = tuple(draw(st.permutations([7, 3, 5])))
+    return d, ReshapeMap(("u", "v"), times, ("base",))
+
+
+@given(messy_long_datasets())
+@settings(max_examples=200, deadline=None)
+def test_reshape_matches_row_loop(case):
+    d, m = case
+    expected = loop_long_to_wide(d, m)
+    if isinstance(expected, Exception):
+        with pytest.raises(type(expected), match=f"^{expected}$"):
+            reshape_long_to_wide(d, m)
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        w = reshape_long_to_wide(d, m)
+    np.testing.assert_array_equal(w.mask, expected[1])
+    np.testing.assert_array_equal(w.values, np.where(expected[1], np.nan, expected[0]))
+
+
+def test_duplicate_keys_rejected_on_validation():
+    cols = [ColumnSpec("id", "continuous", "unit-id"),
+            ColumnSpec("time", "continuous", "time")]
+    ok = np.array([[1, 3], [2, 3], [1, 5], [2, 5]], dtype=float)
+    Dataset(cols, ok, shape_kind="long")
+    with pytest.raises(DuplicateTimePoint):
+        Dataset(cols, np.vstack([ok, [[2, 3]]]), shape_kind="long")
+    with pytest.raises(ValueError, match="unit-id not unique"):
+        Dataset(cols[:1], np.array([[1.0], [2.0], [1.0]]), shape_kind="wide")
