@@ -98,8 +98,6 @@ def _check_upstream(path):
 
 
 def _fmt(x: float) -> str:
-    if isinstance(x, float) and math.isinf(x):
-        return "inf"
     return repr(float(x))
 
 

@@ -143,23 +143,36 @@ def fit_logistic(X: np.ndarray, y: np.ndarray, max_iter: int = 100) -> GlmFit:
     return GlmFit(beta, (cov + cov.T) / 2.0, converged, it, ll_final)
 
 
-def _polr_loglik_score(X, yk, K, cut, beta):
-    """Log-likelihood and analytic score in natural (cut, beta) coords."""
-    eta = X @ beta
+def _polr_terms(X, yk, K, cut, beta):
+    """Log-likelihood, score and observed information in (cut, beta) coords.
+
+    Row i adds log pi, pi = F(a_u) - F(a_l) with a = cut - x beta at its
+    upper cutpoint y and lower one y - 1 (F(a_u) = 1 on the top level,
+    F(a_l) = 0 on the bottom one), F = expit, f = F(1 - F), f' = f(1 - 2F).
+    With s = f / pi and r = f' / pi, minus the Hessian of log pi in
+    (a_u, a_l) is [[s_u^2 - r_u, -s_u s_l], [-s_u s_l, s_l^2 + r_l]]
+    (McCullagh 1980); d a / d beta = -x.
+    """
+    p = X.shape[1]
     k1 = K - 1
-    up_idx = np.minimum(yk, k1 - 1)
-    lo_idx = np.maximum(yk - 1, 0)
-    gu = np.where(yk < k1, _expit(cut[up_idx] - eta), 1.0)
-    gl = np.where(yk > 0, _expit(cut[lo_idx] - eta), 0.0)
+    gu, gl = _expit(np.concatenate([[-np.inf], cut, [np.inf]])[[yk + 1, yk]] - X @ beta)
     pi = np.maximum(gu - gl, 1e-300)
     ll = float(np.sum(np.log(pi)))
-    fu = np.where(yk < k1, gu * (1 - gu), 0.0)
-    fl = np.where(yk > 0, gl * (1 - gl), 0.0)
-    g_cut = np.zeros(k1)
-    np.add.at(g_cut, up_idx, np.where(yk < k1, fu / pi, 0.0))
-    np.add.at(g_cut, lo_idx, np.where(yk > 0, -fl / pi, 0.0))
-    g_beta = X.T @ ((fl - fu) / pi)
-    return ll, np.concatenate([g_cut, g_beta])
+    su = gu * (1 - gu) / pi  # 0 on the top level
+    sl = gl * (1 - gl) / pi  # 0 on the bottom level
+    w_uu = su * (su - (1 - 2 * gu))
+    w_ll = sl * (sl + (1 - 2 * gl))
+    w_ul = -su * sl
+    level = (yk == np.arange(K)[:, None]).astype(float)
+    up, lo = level[:k1], level[1:]  # rows whose upper / lower cutpoint is j
+    off = (lo @ w_ul)[:-1]
+    info = np.empty((k1 + p, k1 + p))
+    info[:k1, :k1] = np.diag(up @ w_uu + lo @ w_ll) + np.diag(off, 1) + np.diag(off, -1)
+    info[:k1, k1:] = -((up * (w_uu + w_ul)) @ X + (lo * (w_ul + w_ll)) @ X)
+    info[k1:, :k1] = info[:k1, k1:].T
+    info[k1:, k1:] = (X * (w_uu + 2 * w_ul + w_ll)[:, None]).T @ X
+    score = np.concatenate([up @ su - lo @ sl, X.T @ (sl - su)])
+    return ll, score, info
 
 
 def _polr_theta_to_nat(theta, k1):
@@ -168,17 +181,22 @@ def _polr_theta_to_nat(theta, k1):
     return cut, theta[k1:]
 
 
-def _polr_score_theta(X, yk, K, theta):
+def _polr_theta_terms(X, yk, K, theta):
+    """-loglik with its gradient and Hessian in theta = (c1, log gaps, beta).
+
+    J = d(cut, beta) / d theta maps the score and information; since
+    d2 cut_i / d theta_j^2 = exp(theta_j) for i >= j, each log gap's own
+    gradient is added to its diagonal entry.
+    """
     k1 = K - 1
-    cut, beta = _polr_theta_to_nat(theta, k1)
-    ll, g_nat = _polr_loglik_score(X, yk, K, cut, beta)
-    g = np.empty_like(theta)
-    g_cut = g_nat[:k1]
-    g[0] = g_cut.sum()
-    for j in range(1, k1):
-        g[j] = np.exp(theta[j]) * g_cut[j:].sum()
-    g[k1:] = g_nat[k1:]
-    return ll, g
+    ll, score, info = _polr_terms(X, yk, K, *_polr_theta_to_nat(theta, k1))
+    gaps = np.arange(1, k1)
+    J = np.eye(theta.size)
+    J[:k1, :k1] = np.tril(np.ones((k1, k1))) * np.exp(np.r_[0.0, theta[gaps]])
+    g = -J.T @ score
+    H = J.T @ info @ J
+    H[gaps, gaps] += g[gaps]
+    return -ll, g, H
 
 
 def fit_polr(X: np.ndarray, y: np.ndarray, max_iter: int = 100) -> GlmFit:
@@ -186,8 +204,11 @@ def fit_polr(X: np.ndarray, y: np.ndarray, max_iter: int = 100) -> GlmFit:
 
     ``y`` holds 0-based ordinal codes; every level must be observed.
     Newton in (first cutpoint, log gaps, beta) coordinates with the
-    analytic score, a finite-difference Hessian of that score, and
-    step-halving; the log-gap transform keeps cutpoints increasing.
+    analytic score and observed information (mapped by the chain rule),
+    and step-halving; the log-gap transform keeps cutpoints increasing.
+    The covariance is the inverse information in (cut, beta) coordinates;
+    an information that is not positive definite at the optimum raises
+    ``PerfectSeparation``.
     """
     X = np.asarray(X, dtype=float)
     yk = np.asarray(y).astype(int)
@@ -201,69 +222,45 @@ def fit_polr(X: np.ndarray, y: np.ndarray, max_iter: int = 100) -> GlmFit:
     _qr_check_rank(np.column_stack([np.ones(len(yk)), Xr]))
     p = Xr.shape[1]
     k1 = K - 1
+    m = k1 + p
     cum = np.cumsum(counts)[:-1] / len(yk)
     cut0 = np.log(cum / (1 - cum))
     theta = np.concatenate([[cut0[0]], np.log(np.diff(cut0))]) if k1 > 1 else cut0.copy()
     theta = np.concatenate([theta, np.zeros(p)])
-
-    def fg(th):
-        ll, g = _polr_score_theta(Xr, yk, K, th)
-        return -ll, -g
-
-    f, g = fg(theta)
+    f, g, H = _polr_theta_terms(Xr, yk, K, theta)
     it = 0
     converged = False
     for it in range(1, max_iter + 1):
         if np.max(np.abs(g)) < 1e-8:
             converged = True
             break
-        m = theta.size
-        H = np.empty((m, m))
-        h = 1e-6
-        for j in range(m):
-            e = np.zeros(m)
-            e[j] = h
-            H[:, j] = (fg(theta + e)[1] - fg(theta - e)[1]) / (2 * h)
-        H = (H + H.T) / 2.0
         try:
             step = np.linalg.solve(H + 1e-10 * np.eye(m), -g)
         except np.linalg.LinAlgError:
             step = -g
-        new_f, new_g = fg(theta + step)
+        new = _polr_theta_terms(Xr, yk, K, theta + step)
         halvings = 0
-        while not np.isfinite(new_f) or new_f > f:
+        while not np.isfinite(new[0]) or new[0] > f:
             step /= 2.0
-            new_f, new_g = fg(theta + step)
+            new = _polr_theta_terms(Xr, yk, K, theta + step)
             halvings += 1
             if halvings > 40:
                 break
         theta = theta + step
-        if abs(f - new_f) < 1e-12 * (abs(f) + 1e-12):
-            f, g = new_f, new_g
-            converged = np.max(np.abs(new_g)) < 1e-6
+        stalled = abs(f - new[0]) < 1e-12 * (abs(f) + 1e-12)
+        f, g, H = new
+        if stalled:
+            converged = np.max(np.abs(g)) < 1e-6
             break
-        f, g = new_f, new_g
         if np.max(np.abs(theta)) > 40:
             raise PerfectSeparation("ordinal fit diverging; data separated")
     cut, beta = _polr_theta_to_nat(theta, k1)
     assert (np.diff(cut) > 0).all(), "cutpoints must be strictly increasing"
-
-    # observed information in natural coordinates via FD of the score
-    nat = np.concatenate([cut, beta])
-    m = nat.size
-    H = np.empty((m, m))
-    h = 1e-6
-    for j in range(m):
-        e = np.zeros(m)
-        e[j] = h
-        _, gp = _polr_loglik_score(Xr, yk, K, (nat + e)[:k1], (nat + e)[k1:])
-        _, gm = _polr_loglik_score(Xr, yk, K, (nat - e)[:k1], (nat - e)[k1:])
-        H[:, j] = -(gp - gm) / (2 * h)
-    H = (H + H.T) / 2.0
+    ll_final, _, info = _polr_terms(Xr, yk, K, cut, beta)
     try:
-        cov = np.linalg.inv(H)
-    except np.linalg.LinAlgError:
-        cov = np.linalg.pinv(H)
+        cov = cho_solve(cho_factor(info), np.eye(m))
+    except (np.linalg.LinAlgError, ValueError):  # not positive definite / not finite
+        raise PerfectSeparation("information matrix singular at optimum") from None
 
     # re-expand beta over the original column set (zeros for dropped columns)
     full_beta = np.zeros(X.shape[1])
@@ -272,7 +269,6 @@ def fit_polr(X: np.ndarray, y: np.ndarray, max_iter: int = 100) -> GlmFit:
     full_cov = np.zeros((packed.size, packed.size))
     live = np.concatenate([np.ones(k1, bool), keep])
     full_cov[np.ix_(live, live)] = (cov + cov.T) / 2.0
-    ll_final, _ = _polr_loglik_score(Xr, yk, K, cut, beta)
     return GlmFit(packed, full_cov, converged, it, ll_final, n_cutpoints=k1)
 
 

@@ -60,6 +60,10 @@ class ColumnSpec:
             raise ValueError(f"continuous column {self.name!r} cannot declare levels")
         if self.levels is not None and len(set(self.levels)) != len(self.levels):
             raise ValueError(f"duplicate levels on {self.name!r}")
+        if self.levels is not None and {"", MISSING_TOKEN} & set(self.levels):
+            raise ValueError(
+                f"level '' or {MISSING_TOKEN!r} on {self.name!r} would read back as missing"
+            )
 
     @property
     def n_levels(self) -> int:
@@ -555,17 +559,16 @@ MISSING_TOKEN = "NA"
 BLOCK_ROWS = 4096
 
 
-def _csv_fields(labels: Sequence[str], lone: bool) -> list[str]:
-    """Each label as ``csv.writer`` writes it, alone on its row if ``lone``."""
+def _csv_fields(labels: Sequence[str]) -> list[str]:
+    """Each label as ``csv.writer`` writes it (levels are never empty)."""
     buf = io.StringIO()
     w = csv.writer(buf)
     out = []
     for label in labels:
         buf.seek(0)
         buf.truncate()
-        w.writerow([label] if lone else [label, ""])
-        text = buf.getvalue()[:-2]
-        out.append(text if lone else text[:-1])
+        w.writerow([label])
+        out.append(buf.getvalue()[:-2])
     return out
 
 
@@ -596,10 +599,8 @@ def write_csv(d: Dataset, path: str) -> None:
     ``BLOCK_ROWS`` rows: masked cells as ``NA``, levels by label,
     integer-valued floats below 1e15 as ints, other floats by ``repr``.
     """
-    lone = len(d.columns) == 1
     quoted = [
-        None if c.levels is None
-        else np.array(_csv_fields(c.levels, lone), dtype=object)
+        None if c.levels is None else np.array(_csv_fields(c.levels), dtype=object)
         for c in d.columns
     ]
     tmp = path + ".tmp"
@@ -659,10 +660,10 @@ def _level_parser(spec: ColumnSpec):
     return parse
 
 
-def _is_number(token: str) -> bool:
+def _parses(parse, token: str) -> bool:
     try:
-        _parse_floats([token])
-    except ValueError:
+        parse([token])
+    except (ValueError, UnknownLevel):
         return False
     return True
 
@@ -680,8 +681,9 @@ def read_csv(path: str, meta_path: str | None = None) -> Dataset:
     """Read a CSV written by :func:`write_csv` (empty cell == NA).
 
     Rows are parsed in blocks of ``BLOCK_ROWS``, one column at a time. A
-    missing sidecar, a header that does not match it and a row with the
-    wrong number of fields raise ``BadConfig`` naming the file and line.
+    missing or invalid sidecar, a header that does not match it, a row
+    with the wrong number of fields and a token that is not a number or
+    not a level of its column raise ``BadConfig`` naming the file and line.
     """
     meta_path = meta_path or sidecar_path(path)
     try:
@@ -689,13 +691,16 @@ def read_csv(path: str, meta_path: str | None = None) -> Dataset:
             meta = json.load(fh)
     except FileNotFoundError:
         raise BadConfig(f"{path}: metadata sidecar {meta_path} not found") from None
-    specs = [
-        ColumnSpec(
-            c["name"], c["kind"], c["role"],
-            tuple(c["levels"]) if c.get("levels") else None,
-        )
-        for c in meta["columns"]
-    ]
+    try:
+        specs = [
+            ColumnSpec(
+                c["name"], c["kind"], c["role"],
+                tuple(c["levels"]) if c.get("levels") else None,
+            )
+            for c in meta["columns"]
+        ]
+    except (KeyError, TypeError, ValueError) as e:
+        raise BadConfig(f"{meta_path}: invalid column declaration: {e}") from None
     by_name = {s.name: s for s in specs}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -726,11 +731,12 @@ def read_csv(path: str, meta_path: str | None = None) -> Dataset:
                 tokens = flat[j::k]
                 try:
                     block[:, j] = parse(tokens)
-                except ValueError:
-                    bad = list(map(_is_number, tokens)).index(False)
+                except (ValueError, UnknownLevel):
+                    bad = [_parses(parse, t) for t in tokens].index(False)
+                    what = "a number" if spec.levels is None else "one of its levels"
                     raise BadConfig(
                         f"{path}, line {_line_of(path, done + bad)}: "
-                        f"{tokens[bad]!r} in column {spec.name!r} is not a number"
+                        f"{tokens[bad]!r} in column {spec.name!r} is not {what}"
                     ) from None
             blocks.append(block)
             done += len(rows)

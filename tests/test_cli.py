@@ -204,6 +204,32 @@ class TestAnalyzePool:
         assert self._analyze(path, tmp_path) == 2
         assert f"{path}, line 3: " in capsys.readouterr().err
 
+    def test_unknown_level_exit(self, sim_dir, tmp_path, capsys):
+        def ses_9_on_row_3(b):
+            lines = b.split(b"\r\n")
+            col = lines[0].split(b",").index(b"ses")
+            fields = lines[2].split(b",")
+            fields[col] = b"9"
+            lines[2] = b",".join(fields)
+            return b"\r\n".join(lines)
+
+        path = self._broken_copy(sim_dir, tmp_path, ses_9_on_row_3)
+        assert self._analyze(path, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert f"{path}, line 3: '9' in column 'ses'" in err
+
+    def test_invalid_sidecar_level_exit(self, sim_dir, tmp_path, capsys):
+        path = self._broken_copy(sim_dir, tmp_path, lambda b: b)
+        meta_path = tmp_path / "in" / "observed.meta.json"
+        meta = json.loads(meta_path.read_text())
+        ses = next(c for c in meta["columns"] if c["name"] == "ses")
+        ses["levels"][-1] = "NA"
+        meta_path.write_text(json.dumps(meta))
+        assert self._analyze(path, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert f"{meta_path}: invalid column declaration" in err
+        assert "Traceback" not in err
+
     def test_missing_sidecar_exit(self, sim_dir, tmp_path, capsys):
         path = self._broken_copy(sim_dir, tmp_path, lambda b: b)
         os.remove(tmp_path / "in" / "observed.meta.json")
@@ -265,6 +291,17 @@ def test_trace_writer_matches_row_generator(tmp_path):
             for j, name in enumerate(trace.names)
         )
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_trace_infinities_round_trip(tmp_path):
+    trace = ChainTrace(["a", "b"])
+    trace.record(np.array([np.inf, -np.inf]))
+    trace.record(np.array([-np.inf, 1.5]))
+    _write_trace(str(tmp_path / "trace.csv"), trace)
+    with open(tmp_path / "trace.csv", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    back = np.array([float(v) for _, _, v in rows]).reshape(trace.matrix().shape)
+    np.testing.assert_array_equal(back, trace.matrix())
 
 
 class TestDiag:

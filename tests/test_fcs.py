@@ -164,6 +164,26 @@ class TestImputeUnivariate:
         assert set(vals) <= {0.0, 1.0, 2.0}
 
 
+    def test_polr_singular_information_falls_back_to_pmm(self):
+        # z is nonzero only on two rows whose levels are certain, so its
+        # slope has no information
+        rng = np.random.default_rng(0)
+        n = 400
+        x = rng.normal(size=n)
+        y = ((x + rng.logistic(size=n))[:, None] > [-1.0, 1.0]).sum(axis=1)
+        miss = np.r_[rng.random(n) < 0.2, False, False]
+        prob = UnivariateProblem(
+            y=np.r_[y, 0, 2].astype(float), miss=miss,
+            X=np.column_stack([np.ones(n + 2), np.r_[x, -100.0, 100.0],
+                               np.r_[np.zeros(n), 1.0, 1.0]]),
+            kind="categorical", n_levels=3,
+        )
+        with pytest.raises(PerfectSeparation):
+            impute_univariate(RngStream(6), "polr", prob)
+        vals, _ = impute_univariate(RngStream(6), "polr", prob, fallback_pmm=True)
+        assert set(vals) <= {0.0, 1.0, 2.0}
+
+
 class TestRunFcs:
     def test_no_missing_yields_identical_copies(self):
         d, *_ = flat_dataset(miss=0.0)

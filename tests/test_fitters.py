@@ -11,6 +11,8 @@ from longmi.errors import (
     UnsupportedNesting,
 )
 from longmi.fitters import (
+    _polr_terms,
+    _polr_theta_terms,
     fit_linear_and_draw,
     fit_logistic,
     fit_polr,
@@ -113,7 +115,75 @@ class TestLogistic:
         np.linalg.cholesky(fit.cov_hat)
 
 
+def polr_data(rng, n, K, const):
+    """Codes from P(y <= k) = expit(cut_k - x beta), two slopes; a leading
+    constant column (which fit_polr drops) if ``const``."""
+    x = rng.normal(size=(n, 2))
+    cuts = np.linspace(-1.0, 1.0, K - 1)
+    y = ((x @ [0.8, -0.5] + rng.logistic(size=n))[:, None] > cuts).sum(axis=1)
+    return (np.column_stack([np.ones(n), x]) if const else x), y
+
+
+def fd_jacobian(grad, x, h=1e-6):
+    """Symmetrised central differences of ``grad`` at ``x``."""
+    H = np.empty((x.size, x.size))
+    for j in range(x.size):
+        e = np.zeros(x.size)
+        e[j] = h
+        H[:, j] = (grad(x + e) - grad(x - e)) / (2 * h)
+    return (H + H.T) / 2.0
+
+
+def fd_polr_information(X, yk, K, nat):
+    """Central differences of the analytic score at (cut, beta) = nat."""
+    k1 = K - 1
+    return -fd_jacobian(lambda v: _polr_terms(X, yk, K, v[:k1], v[k1:])[1], nat)
+
+
 class TestPolr:
+    @pytest.mark.parametrize("const", [False, True])
+    @pytest.mark.parametrize("K", [2, 3, 5])
+    def test_information_matches_score_differences(self, K, const):
+        rng = np.random.default_rng(100 + K)
+        X, y = polr_data(rng, 400, K, const)
+        for _ in range(3):
+            cut = np.sort(rng.normal(0.0, 1.5, K - 1))
+            beta = rng.normal(size=X.shape[1])
+            _, _, info = _polr_terms(X, y, K, cut, beta)
+            fd = fd_polr_information(X, y, K, np.concatenate([cut, beta]))
+            assert np.abs(info - fd).max() <= 1e-6 * np.abs(fd).max()
+            # the Newton Hessian in (c1, log gaps, beta)
+            theta = np.concatenate([cut[:1], np.log(np.diff(cut)), beta])
+            _, _, H = _polr_theta_terms(X, y, K, theta)
+            fd = fd_jacobian(lambda t: _polr_theta_terms(X, y, K, t)[1], theta)
+            assert np.abs(H - fd).max() <= 1e-6 * np.abs(fd).max()
+
+    @pytest.mark.parametrize("const", [False, True])
+    @pytest.mark.parametrize("K", [2, 3, 5])
+    def test_cov_matches_finite_difference_reference(self, K, const):
+        rng = np.random.default_rng(200 + K)
+        X, y = polr_data(rng, 600, K, const)
+        fit = fit_polr(X, y)
+        live = np.concatenate([np.ones(K - 1, bool), ~np.all(X == X[0], axis=0)])
+        ref = np.linalg.inv(
+            fd_polr_information(X[:, live[K - 1:]], y, K, fit.beta_hat[live])
+        )
+        got = fit.cov_hat[np.ix_(live, live)]
+        assert np.abs(got - ref).max() <= 1e-5 * np.abs(ref).max()
+        assert not fit.cov_hat[~live].any() and not fit.cov_hat[:, ~live].any()
+
+    def test_unidentified_slope_is_separation(self):
+        # z is nonzero only on two rows so far out along x that their levels
+        # are certain: its information is exactly zero at the optimum
+        rng = np.random.default_rng(0)
+        n = 400
+        x = rng.normal(size=n)
+        y = ((x + rng.logistic(size=n))[:, None] > [-1.0, 1.0]).sum(axis=1)
+        X = np.column_stack([np.ones(n + 2), np.r_[x, -100.0, 100.0],
+                             np.r_[np.zeros(n), 1.0, 1.0]])
+        with pytest.raises(PerfectSeparation, match="singular at optimum"):
+            fit_polr(X, np.r_[y, 0, 2])
+
     def test_binary_matches_logistic(self):
         rng = np.random.default_rng(9)
         n = 2000
@@ -127,6 +197,7 @@ class TestPolr:
         assert po.n_cutpoints == 1
         assert po.beta_hat[0] == pytest.approx(-lg.beta_hat[0], abs=1e-6)
         assert po.beta_hat[2] == pytest.approx(lg.beta_hat[1], abs=1e-6)
+        assert po.cov_hat[2, 2] == pytest.approx(lg.cov_hat[1, 1], rel=1e-6)
 
     def test_intercept_only_cutpoints(self):
         y = np.repeat([0, 1, 2], [200, 300, 500])

@@ -451,8 +451,9 @@ AWKWARD_FLOATS = [
     2.0**53, 2.0**53 + 2, 5e-324, 2.2250738585072014e-308 / 3, 0.1 + 0.2,
     -7.0, 1e300, 0.5,
 ]
+# "" and "NA" are not valid levels (they read back as missing)
 LABEL_TEXT = st.text(alphabet='ab,"\n NA', min_size=0, max_size=4).filter(
-    lambda s: s == s.strip()
+    lambda s: s == s.strip() and s not in ("", "NA")
 )
 
 
@@ -499,9 +500,9 @@ def test_codec_matches_percell_oracle(tmp_path_factory, n, data):
     np.testing.assert_array_equal(back.values.view(np.int64), values.view(np.int64))
 
 
-def test_codec_single_column_empty_label(tmp_path):
+def test_codec_single_column_quoted_labels(tmp_path):
     d = Dataset(
-        [ColumnSpec("id", "categorical", "unit-id", ("", "a,b", 'q"'))],
+        [ColumnSpec("id", "categorical", "unit-id", (" ", "a,b", 'q"'))],
         np.array([[1.0], [2.0], [0.0]]),
         shape_kind="wide",
         validate=False,
@@ -567,6 +568,44 @@ def test_header_mismatch(tmp_path, text):
 def test_non_number_names_line(tmp_path):
     path = _write_pair(tmp_path, "id,x\r\n1,2\r\n2,abc\r\n")
     with pytest.raises(BadConfig, match="line 3: 'abc' in column 'x'"):
+        read_csv(path)
+
+
+def test_unknown_level_names_line(tmp_path):
+    d = Dataset.build(
+        [ColumnSpec("id", "continuous", "unit-id"),
+         ColumnSpec("g", "categorical", "analysis", ("lo", "h\r\ni"))],
+        {"id": [1, 2, 3], "g": [0, 1, 0]},
+        shape_kind="wide",
+    )
+    path = tmp_path / "d.csv"
+    write_csv(d, str(path))
+    path.write_text('id,g\r\n1,lo\r\n2,"h\r\ni"\r\n3,mid\r\n4,lo\r\n')
+    with pytest.raises(BadConfig, match="d.csv, line 5: 'mid' in column 'g' is not one"):
+        read_csv(str(path))
+
+
+@pytest.mark.parametrize("label", ["", "NA"])
+def test_missing_token_level_rejected(label):
+    with pytest.raises(ValueError, match="would read back as missing"):
+        ColumnSpec("g", "categorical", "analysis", ("lo", label))
+    with pytest.raises(ValueError, match="would read back as missing"):
+        ColumnSpec("b", "binary", "analysis", (label, "yes"))
+
+
+@pytest.mark.parametrize("column", [
+    {"name": "g", "kind": "categorical", "role": "analysis", "levels": ["lo", "NA"]},
+    {"name": "g", "kind": "ordinal", "role": "analysis"},
+    {"name": "g", "kind": "continuous"},
+    ["g", "continuous", "analysis"],
+])
+def test_invalid_sidecar_column_names_sidecar(tmp_path, column):
+    path = _write_pair(tmp_path, "id,g\r\n1,2\r\n")
+    meta = tmp_path / "d.meta.json"
+    spec = json.loads(meta.read_text())
+    spec["columns"][1] = column
+    meta.write_text(json.dumps(spec))
+    with pytest.raises(BadConfig, match="d.meta.json: invalid column declaration"):
         read_csv(path)
 
 
