@@ -689,9 +689,6 @@ def read_csv(path: str, meta_path: str | None = None) -> Dataset:
     try:
         with open(meta_path) as fh:
             meta = json.load(fh)
-    except FileNotFoundError:
-        raise BadConfig(f"{path}: metadata sidecar {meta_path} not found") from None
-    try:
         specs = [
             ColumnSpec(
                 c["name"], c["kind"], c["role"],
@@ -699,8 +696,11 @@ def read_csv(path: str, meta_path: str | None = None) -> Dataset:
             )
             for c in meta["columns"]
         ]
-    except (KeyError, TypeError, ValueError) as e:
-        raise BadConfig(f"{meta_path}: invalid column declaration: {e}") from None
+        shape = meta["shape"]
+    except FileNotFoundError:
+        raise BadConfig(f"{path}: metadata sidecar {meta_path} not found") from None
+    except (KeyError, TypeError, ValueError) as e:  # ValueError covers bad JSON
+        raise BadConfig(f"{meta_path}: invalid sidecar: {e!r}") from None
     by_name = {s.name: s for s in specs}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -741,4 +741,4 @@ def read_csv(path: str, meta_path: str | None = None) -> Dataset:
             blocks.append(block)
             done += len(rows)
     values = np.concatenate(blocks) if blocks else np.empty((0, k))
-    return Dataset(ordered, values, shape_kind=meta["shape"])
+    return Dataset(ordered, values, shape_kind=shape)

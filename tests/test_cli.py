@@ -227,7 +227,7 @@ class TestAnalyzePool:
         meta_path.write_text(json.dumps(meta))
         assert self._analyze(path, tmp_path) == 2
         err = capsys.readouterr().err
-        assert f"{meta_path}: invalid column declaration" in err
+        assert f"{meta_path}: invalid sidecar" in err
         assert "Traceback" not in err
 
     def test_missing_sidecar_exit(self, sim_dir, tmp_path, capsys):

@@ -594,18 +594,26 @@ def test_missing_token_level_rejected(label):
 
 
 @pytest.mark.parametrize("column", [
-    {"name": "g", "kind": "categorical", "role": "analysis", "levels": ["lo", "NA"]},
-    {"name": "g", "kind": "ordinal", "role": "analysis"},
-    {"name": "g", "kind": "continuous"},
-    ["g", "continuous", "analysis"],
+    {"name": "x", "kind": "categorical", "role": "analysis", "levels": ["lo", "NA"]},
+    {"name": "x", "kind": "ordinal", "role": "analysis"},
+    {"name": "x", "kind": "continuous"},
+    ["x", "continuous", "analysis"],
 ])
 def test_invalid_sidecar_column_names_sidecar(tmp_path, column):
-    path = _write_pair(tmp_path, "id,g\r\n1,2\r\n")
+    path = _write_pair(tmp_path, "id,x\r\n1,2\r\n")
     meta = tmp_path / "d.meta.json"
     spec = json.loads(meta.read_text())
     spec["columns"][1] = column
     meta.write_text(json.dumps(spec))
-    with pytest.raises(BadConfig, match="d.meta.json: invalid column declaration"):
+    with pytest.raises(BadConfig, match="d.meta.json: invalid sidecar"):
+        read_csv(path)
+
+
+@pytest.mark.parametrize("text", ['{"shape": "wide", "columns": [', '{"columns": []}', "[]"])
+def test_malformed_sidecar_names_sidecar(tmp_path, text):
+    path = _write_pair(tmp_path, "id,x\r\n1,2\r\n")
+    (tmp_path / "d.meta.json").write_text(text)
+    with pytest.raises(BadConfig, match="d.meta.json: invalid sidecar"):
         read_csv(path)
 
 
