@@ -40,7 +40,6 @@ from .jm import (  # noqa: F401
     decode_latent,
     encode_latent,
     run_jm,
-    trace_stats,
 )
 from .fcs import (  # noqa: F401
     LevelsSpec,

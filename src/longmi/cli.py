@@ -41,6 +41,7 @@ from .stack import IMPUTATION_COL, ImputedStack
 from .table import (
     Dataset,
     available_case_filter,
+    csv_fields,
     incomplete_fraction,
     read_csv,
     write_csv,
@@ -144,15 +145,22 @@ def cmd_sim(args) -> int:
 
 
 def _write_trace(path, trace) -> None:
-    """Long ``iteration,parameter,value`` CSV, built a column at a time."""
+    """Long ``iteration,parameter,value`` CSV, as ``csv.writer`` writes it.
+
+    Each name is quoted once and each line is ``iteration,name,`` plus
+    the value, so the text is built without a writer call per row.
+    """
     mat = trace.matrix()
-    n_iter, n_par = mat.shape
-    columns = (
-        np.repeat(np.arange(1, n_iter + 1), n_par).tolist(),
-        np.tile(np.array(trace.names, dtype=object), n_iter).tolist(),
-        list(map(_fmt, mat.ravel().tolist())),
-    )
-    _atomic_rows(path, ["iteration", "parameter", "value"], zip(*columns))
+    names = csv_fields(trace.names)
+    heads = [f"{it},{name}," for it in range(1, len(mat) + 1) for name in names]
+    lines = map(str.__add__, heads, map(_fmt, mat.ravel().tolist()))
+    tmp = path + ".tmp"
+    with open(tmp, "w", newline="") as fh:
+        fh.write("iteration,parameter,value\r\n")
+        if heads:
+            fh.write("\r\n".join(lines))
+            fh.write("\r\n")
+    os.replace(tmp, path)
 
 
 def cmd_impute(args) -> int:

@@ -20,6 +20,18 @@ from .rng import RngStream
 _SIGMA2_FLOOR = 1e-10
 
 
+def _settled(step) -> bool:
+    """Whether the Newton step a fit stops on is small enough to call it
+    converged.
+
+    Under quasi-separation the score, the likelihood change and the
+    information all fade like exp(-|coefficient|) while the Newton step
+    stays near 1, so those stopping rules fire on a fit that is still
+    diverging; only the step tells the two apart.
+    """
+    return bool(np.max(np.abs(step), initial=0.0) < 1e-3)
+
+
 def _expit(x):
     return 0.5 * (1.0 + np.tanh(0.5 * x))
 
@@ -87,8 +99,9 @@ def _logistic_loglik(X, y, beta):
 def fit_logistic(X: np.ndarray, y: np.ndarray, max_iter: int = 100) -> GlmFit:
     """Logistic MLE by iteratively reweighted least squares.
 
-    Convergence: max |score| < 1e-8 or relative log-likelihood change
-    < 1e-10. Step-halving keeps the likelihood monotone. Divergence of
+    Stops when max |score| < 1e-8 or the relative log-likelihood change
+    is < 1e-10, and counts as converged only if the Newton step there is
+    below 1e-3. Step-halving keeps the likelihood monotone. Divergence of
     the coefficients (|beta| > 30 while the score still points outward)
     is reported as separation.
     """
@@ -106,14 +119,14 @@ def fit_logistic(X: np.ndarray, y: np.ndarray, max_iter: int = 100) -> GlmFit:
         mu = _expit(X @ beta)
         w = mu * (1 - mu)
         score = X.T @ (y - mu)
-        if np.max(np.abs(score)) < 1e-8:
-            converged = True
-            break
         info = (X * w[:, None]).T @ X
         try:
             step = np.linalg.solve(info + 1e-12 * np.eye(p), score)
         except np.linalg.LinAlgError:
             raise PerfectSeparation("information matrix singular") from None
+        if np.max(np.abs(score)) < 1e-8:
+            converged = _settled(step)
+            break
         new_ll = _logistic_loglik(X, y, beta + step)
         halvings = 0
         while new_ll < ll and halvings < 30:
@@ -126,7 +139,7 @@ def fit_logistic(X: np.ndarray, y: np.ndarray, max_iter: int = 100) -> GlmFit:
             raise PerfectSeparation("coefficients diverging; data separated")
         if abs(new_ll - ll) < 1e-10 * (abs(ll) + 1e-10):
             ll = new_ll
-            converged = True
+            converged = _settled(step)
             break
         ll = new_ll
     ll_final = _logistic_loglik(X, y, beta)
@@ -206,6 +219,8 @@ def fit_polr(X: np.ndarray, y: np.ndarray, max_iter: int = 100) -> GlmFit:
     Newton in (first cutpoint, log gaps, beta) coordinates with the
     analytic score and observed information (mapped by the chain rule),
     and step-halving; the log-gap transform keeps cutpoints increasing.
+    As in ``fit_logistic``, a stop with a Newton step of 1e-3 or more is
+    not converged.
     The covariance is the inverse information in (cut, beta) coordinates;
     an information that is not positive definite at the optimum raises
     ``PerfectSeparation``.
@@ -231,13 +246,13 @@ def fit_polr(X: np.ndarray, y: np.ndarray, max_iter: int = 100) -> GlmFit:
     it = 0
     converged = False
     for it in range(1, max_iter + 1):
-        if np.max(np.abs(g)) < 1e-8:
-            converged = True
-            break
         try:
             step = np.linalg.solve(H + 1e-10 * np.eye(m), -g)
         except np.linalg.LinAlgError:
             step = -g
+        if np.max(np.abs(g)) < 1e-8:
+            converged = _settled(step)
+            break
         new = _polr_theta_terms(Xr, yk, K, theta + step)
         halvings = 0
         while not np.isfinite(new[0]) or new[0] > f:
@@ -250,7 +265,7 @@ def fit_polr(X: np.ndarray, y: np.ndarray, max_iter: int = 100) -> GlmFit:
         stalled = abs(f - new[0]) < 1e-12 * (abs(f) + 1e-12)
         f, g, H = new
         if stalled:
-            converged = np.max(np.abs(g)) < 1e-6
+            converged = np.max(np.abs(g)) < 1e-6 and _settled(step)
             break
         if np.max(np.abs(theta)) > 40:
             raise PerfectSeparation("ordinal fit diverging; data separated")

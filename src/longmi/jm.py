@@ -8,15 +8,23 @@ are drawn jointly with the random effects.
 
 Residual covariances come in groups: a common covariance is the
 one-group case, and a cluster-specific one gives every cluster its own
-group. Missing cells are drawn by one kernel that takes the stack of
-group precisions and each row's group, whatever its missingness
-pattern.
+group. The samplers carry precisions: each inverse-Wishart draw of Omega
+(per group) or Psi returns the precision with the covariance, and every
+conditional is written in the precision, so no sweep inverts a
+covariance. Per-cluster and per-group sums of row products are batched
+matrix products over rows laid out by label once (``_Blocks``), and the
+fixed-effect precision sum_g Q_g (x) X_g'X_g is one GEMM.
+
+Missing cells are drawn by one kernel that takes the stack of group
+precisions and a plan of the incomplete rows, built once per sampler,
+whatever their missingness patterns.
 
 Discrete variables ride along as thresholded latent normals: a K-level
 variable contributes K-1 latent columns; a cell's level is the index
 of the largest positive latent, or the last level when none is
 positive. Latents of observed cells are refreshed by a random-walk
-Metropolis step confined to the cell's level region.
+Metropolis step confined to the cell's level region, over a plan of
+each variable's observed rows, also built once.
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
+from scipy.linalg import cho_solve, solve_triangular
 
 from .errors import (
     BadConfig,
@@ -38,9 +46,9 @@ from .rng import (
     RngStream,
     chol,
     conditional_mvn,
-    inv_wishart_draw,
     mvn_draw,
     sym,
+    wishart_precision_draw,
 )
 from .stack import ImputedStack
 from .table import Dataset
@@ -218,10 +226,6 @@ class ChainTrace:
         return self.matrix()[:, j]
 
 
-def trace_stats(trace: ChainTrace, param: str) -> np.ndarray:
-    return trace.series(param)
-
-
 def autocorr(series: np.ndarray, lag: int) -> float:
     """Lag-k sample autocorrelation in [-1, 1]."""
     x = np.asarray(series, dtype=float)
@@ -239,10 +243,10 @@ def autocorr(series: np.ndarray, lag: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _matrix_normal_draw(rng, b_hat, sqrt_row, omega):
-    """Draw from MN(b_hat, sqrt_row sqrt_row', omega)."""
+def _matrix_normal_draw(rng, b_hat, sqrt_row, col_factor):
+    """Draw from MN(b_hat, sqrt_row sqrt_row', col_factor col_factor')."""
     E = rng.normal(size=b_hat.shape)
-    return b_hat + sqrt_row @ E @ chol(omega).T
+    return b_hat + sqrt_row @ E @ col_factor.T
 
 
 def _cho_solve(L, b):
@@ -272,8 +276,63 @@ def _precision_draw(rng, lam, b):
     return _cho_solve(L, b + np.einsum("gij,gj->gi", L, z))
 
 
-def _draw_missing(rng, Y, mu, Q, group, unknown):
-    """Redraw the unknown cells of each row from its conditional normal.
+def _kron_sum(A, B):
+    """sum_g kron(A[g], B[g]) over stacks (G, r, r) and (G, f, f), as one
+    (r*r, G) x (G, f*f) GEMM and a transpose to (r*f, r*f)."""
+    G, r, f = A.shape[0], A.shape[-1], B.shape[-1]
+    out = A.reshape(G, r * r).T @ B.reshape(G, f * f)
+    return out.reshape(r, r, f, f).transpose(0, 2, 1, 3).reshape(r * f, r * f)
+
+
+class _Blocks:
+    """Rows laid out by label, for per-label sums as batched products.
+
+    ``index[g]`` lists the rows labelled g in order, padded to the
+    largest label's count with ``n``; gathering through it from the rows
+    plus one appended zero row gives a (labels, width, ...) block whose
+    padding adds nothing to a sum.
+    """
+
+    def __init__(self, labels: np.ndarray, n_labels: int):
+        n = len(labels)
+        order = np.argsort(labels, kind="stable")
+        counts = np.bincount(labels, minlength=n_labels)
+        pos = np.arange(n) - np.repeat(np.cumsum(counts) - counts, counts)
+        self.index = np.full((n_labels, counts.max(initial=1)), n)
+        self.index[labels[order], pos] = order
+
+    def gather(self, x: np.ndarray) -> np.ndarray:
+        return np.concatenate([x, np.zeros((1,) + x.shape[1:])])[self.index]
+
+    def cross(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Per-label a'b: (labels, a cols, b cols) from gathered ``a``
+        and row-level ``b``."""
+        return np.swapaxes(a, 1, 2) @ self.gather(b)
+
+
+@dataclass(frozen=True)
+class _DrawPlan:
+    """What the missing-cell draw needs that no sweep changes."""
+
+    rows: np.ndarray  # rows with an unknown cell
+    unknown: np.ndarray  # their unknown cells
+    both: np.ndarray  # (rows, r, r): both coordinates unknown
+    eye_known: np.ndarray  # (rows, r, r): identity on the known coordinates
+    group: np.ndarray  # their covariance groups
+
+    @classmethod
+    def build(cls, unknown: np.ndarray, group: np.ndarray) -> "_DrawPlan":
+        rows = np.flatnonzero(unknown.any(axis=1))
+        unk = unknown[rows]
+        r = unk.shape[1]
+        eye_known = np.zeros((rows.size, r, r))
+        eye_known[:, np.arange(r), np.arange(r)] = ~unk
+        return cls(rows, unk, unk[:, :, None] & unk[:, None, :], eye_known,
+                   group[rows])
+
+
+def _draw_missing(rng, Y, mu, Q, plan: _DrawPlan):
+    """Redraw the unknown cells of each planned row from its conditional.
 
     Row i follows N(mu_i, inv(Q[group[i]])). Given its known cells the
     unknown block has precision Q_MM and mean
@@ -283,40 +342,52 @@ def _draw_missing(rng, Y, mu, Q, group, unknown):
     shift plus the noise inv(L') z. Entries on known coordinates are
     discarded.
     """
-    rows = np.flatnonzero(unknown.any(axis=1))
-    unk, y, m = unknown[rows], Y[rows], mu[rows]
-    r = unk.shape[1]
-    Qg = Q[group[rows]]
-    pad = np.where(unk[:, :, None] & unk[:, None, :], Qg, 0.0)
-    pad[:, np.arange(r), np.arange(r)] += ~unk
-    L = chol(pad)
-    dev = np.where(unk, 0.0, y - m)
-    z = rng.normal(size=(rows.size, r))
+    y, m = Y[plan.rows], mu[plan.rows]
+    Qg = Q[plan.group]
+    L = chol(np.where(plan.both, Qg, plan.eye_known))
+    dev = np.where(plan.unknown, 0.0, y - m)
+    z = rng.normal(size=y.shape)
     rhs = np.einsum("nij,nj->ni", L, z) - np.einsum("nij,nj->ni", Qg, dev)
-    Y[rows] = np.where(unk, m + _cho_solve(L, rhs), y)
+    Y[plan.rows] = np.where(plan.unknown, m + _cho_solve(L, rhs), y)
 
 
-def _mh_refresh(rng, Y, mu, Q, group, layout: _Layout, d: Dataset):
+@dataclass(frozen=True)
+class _SlotPlan:
+    """One discrete variable's observed cells, for the Metropolis refresh."""
+
+    cols: slice  # its latent columns
+    rows: np.ndarray  # rows where it is observed
+    codes: np.ndarray  # their level codes
+    group: np.ndarray  # their covariance groups
+
+
+def _mh_plan(layout: _Layout, d: Dataset, group: np.ndarray) -> list[_SlotPlan]:
+    plan = []
+    for s in layout.slots:
+        if s.n_levels and not s.missing.all():
+            rows = np.flatnonzero(~s.missing)
+            codes = d.column(s.name)[layout.rows[rows]]
+            plan.append(_SlotPlan(s.cols, rows, codes, group[rows]))
+    return plan
+
+
+def _mh_refresh(rng, Y, mu, Q, plan: list[_SlotPlan]):
     """Metropolis refresh of latent cells for observed discrete values.
 
     A block's conditional precision is Q_bb, so a move by delta changes
     the log density by -delta' (Q (y - mu))_b - delta' Q_bb delta / 2.
     """
-    for s in layout.slots:
-        if s.n_levels == 0 or s.missing.all():
-            continue
-        rows = np.flatnonzero(~s.missing)
-        codes = d.column(s.name)[layout.rows[rows]]
-        Qb = Q[:, s.cols][group[rows]]
-        grad = np.einsum("nij,nj->ni", Qb, Y[rows] - mu[rows])
-        step = _MH_STEP * rng.normal(size=(rows.size, Qb.shape[1]))
-        zp = Y[rows, s.cols] + step
-        ok = _in_region(zp, codes)
+    for p in plan:
+        Qb = Q[:, p.cols][p.group]
+        grad = np.einsum("nij,nj->ni", Qb, Y[p.rows] - mu[p.rows])
+        step = _MH_STEP * rng.normal(size=(p.rows.size, Qb.shape[1]))
+        zp = Y[p.rows, p.cols] + step
+        ok = _in_region(zp, p.codes)
         log_alpha = -np.einsum("ni,ni->n", step, grad) - 0.5 * np.einsum(
-            "ni,nij,nj->n", step, Qb[:, :, s.cols], step
+            "ni,nij,nj->n", step, Qb[:, :, p.cols], step
         )
-        accept = ok & (np.log(rng.random(rows.size)) < log_alpha)
-        Y[rows[accept], s.cols] = zp[accept]
+        accept = ok & (np.log(rng.random(p.rows.size)) < log_alpha)
+        Y[p.rows[accept], p.cols] = zp[accept]
 
 
 # ---------------------------------------------------------------------------
@@ -368,8 +439,12 @@ def _design_block(d: Dataset, cols, rows=None) -> tuple[np.ndarray, list[str]]:
     mats = [np.ones(len(rows))]
     names = ["_intercept"]
     for nm in cols:
-        if d.column_mask(nm).any():
-            raise ValueError(f"predictor column {nm!r} has missing cells")
+        hole = d.column_mask(nm)
+        if hole.any():
+            raise BadConfig(
+                f"predictor column {nm!r} has a missing cell "
+                f"(row {np.argmax(hole) + 1})"
+            )
         mats.append(d.column(nm)[rows])
         names.append(nm)
     return np.column_stack(mats), names
@@ -393,8 +468,9 @@ class _MvnSampler:
         Cx = chol(self.X.T @ self.X)
         self._xtx_chol = Cx
         self._sqrt_xtx_inv = np.linalg.solve(Cx.T, np.eye(self.f))
-        self.unknown = self.layout.unknown_mask()
-        self.group = np.zeros(self.n, dtype=int)
+        group = np.zeros(self.n, dtype=int)
+        self.plan = _DrawPlan.build(self.layout.unknown_mask(), group)
+        self.mh_plan = _mh_plan(self.layout, d, group)
         self._prior_dof = self.r + 1
         self._prior_scale = np.eye(self.r)
         self.trace_names = [
@@ -414,16 +490,18 @@ class _MvnSampler:
         b_hat = np.linalg.solve(
             self._xtx_chol.T, np.linalg.solve(self._xtx_chol, self.X.T @ self.Y)
         )
-        self.B = _matrix_normal_draw(rng, b_hat, self._sqrt_xtx_inv, self.Omega)
+        self.B = _matrix_normal_draw(
+            rng, b_hat, self._sqrt_xtx_inv, chol(self.Omega)
+        )
         # Omega | Y, B
         resid = self.Y - self.X @ self.B
-        self.Omega = inv_wishart_draw(
-            rng, self._prior_scale + resid.T @ resid, self._prior_dof + self.n
+        Q, Omega = wishart_precision_draw(
+            rng, (self._prior_scale + resid.T @ resid)[None], self._prior_dof + self.n
         )
+        self.Omega = Omega[0]
         mu = self.X @ self.B
-        Q = sym(np.linalg.inv(self.Omega))[None]
-        _draw_missing(rng, self.Y, mu, Q, self.group, self.unknown)
-        _mh_refresh(rng, self.Y, mu, Q, self.group, self.layout, self.d)
+        _draw_missing(rng, self.Y, mu, Q, self.plan)
+        _mh_refresh(rng, self.Y, mu, Q, self.mh_plan)
 
     def snapshot(self) -> Dataset:
         values = self.d.values.copy()
@@ -489,7 +567,9 @@ class _MlmmSampler:
             C2 = chol(self.X2.T @ self.X2)
             self._x2_chol = C2
             self._sqrt_x2_inv = np.linalg.solve(C2.T, np.eye(self.f2))
-            self.unknown2 = self.layout2.unknown_mask()
+            one = np.zeros(self.C, dtype=int)
+            self.plan2 = _DrawPlan.build(self.layout2.unknown_mask(), one)
+            self.mh_plan2 = _mh_plan(self.layout2, d, one)
         else:
             self.layout2 = None
             self.Y2 = np.zeros((self.C, 0))
@@ -499,24 +579,23 @@ class _MlmmSampler:
         self.qr = self.q * self.r
         self.dim_psi = self.qr + self.r2
         self.U = np.zeros((self.C, self.q, self.r))
+        # covariances and the precisions drawn with them: Psi_prec is
+        # inv(Psi), Q[g] is inv(Omega[g])
         self.Psi = np.eye(self.dim_psi)
+        self.Psi_prec = np.eye(self.dim_psi)
         self.B = np.zeros((self.f, self.r))
         self.Omega = np.tile(np.eye(self.r), (self.G, 1, 1))
+        self.Q = self.Omega.copy()
         self.psi_fixed_zero = False  # test hook: collapses to single level
 
-        self.unknown = self.layout.unknown_mask()
-        # sparse row -> cluster and row -> group summing matrices
-        rows = np.arange(self.n)
-        self._by_clus = csr_matrix(
-            (np.ones(self.n), (self.clus, rows)), shape=(self.C, self.n)
-        )
-        self._by_group = csr_matrix(
-            (np.ones(self.n), (self.group, rows)), shape=(self.G, self.n)
-        )
-        self.ZtZ = self._sum(self._by_clus, self.Z[:, :, None] * self.Z[:, None, :])
-        self.XtX_g = self._sum(
-            self._by_group, self.X[:, :, None] * self.X[:, None, :]
-        )
+        self.plan = _DrawPlan.build(self.layout.unknown_mask(), self.group)
+        self.mh_plan = _mh_plan(self.layout, d, self.group)
+        self._by_clus = _Blocks(self.clus, self.C)
+        self._by_group = _Blocks(self.group, self.G)
+        self._Z_clus = self._by_clus.gather(self.Z)
+        self._X_group = self._by_group.gather(self.X)
+        self.ZtZ = self._by_clus.cross(self._Z_clus, self.Z)
+        self.XtX_g = self._by_group.cross(self._X_group, self.X)
         self.n_g = np.bincount(self.group, minlength=self.G).astype(float)
         self._prior_dof = self.r + 1
         self._prior_scale = np.eye(self.r)
@@ -559,11 +638,6 @@ class _MlmmSampler:
             )
         )
 
-    @staticmethod
-    def _sum(by, x):
-        """Per-cluster or per-group sums of the row arrays ``x``."""
-        return (by @ x.reshape(len(x), -1)).reshape((by.shape[0],) + x.shape[1:])
-
     def _trace_row(self):
         iu_r = np.triu_indices(self.r)
         iu_p = np.triu_indices(self.dim_psi)
@@ -573,19 +647,6 @@ class _MlmmSampler:
         return np.concatenate(parts)
 
     # -- conditional pieces -------------------------------------------------
-
-    def _psi_blocks(self):
-        qr = self.qr
-        P_uu = self.Psi[:qr, :qr]
-        if self.r2 == 0:
-            return P_uu, None, None, None
-        P_uv = self.Psi[:qr, qr:]
-        P_vv = self.Psi[qr:, qr:]
-        gain_uv = np.linalg.solve(P_vv, P_uv.T).T  # qr x r2
-        P_u_given_v = sym(P_uu - gain_uv @ P_uv.T)
-        gain_vu = np.linalg.solve(P_uu, P_uv)  # qr x r2, for V | U
-        S_v_given_u = sym(P_vv - P_uv.T @ gain_vu)
-        return P_u_given_v, gain_uv, gain_vu, S_v_given_u
 
     def _v_resid(self):
         return self.Y2 - self.X2 @ self.B2 if self.r2 else np.zeros((self.C, 0))
@@ -622,24 +683,23 @@ class _MlmmSampler:
             self.B2[0] += shift[qr:]
 
     def sweep(self, rng: RngStream):
-        qr, r, q, C, f = self.qr, self.r, self.q, self.C, self.f
-        P_u_given_v, gain_uv, gain_vu, S_v_given_u = self._psi_blocks()
+        qr, r, q, C, f, G = self.qr, self.r, self.q, self.C, self.f, self.G
 
-        # --- random effects U | rest ---
+        # --- random effects U | rest: the prior precision of U given the
+        # level-2 residuals V is the uu block of inv(Psi), and its mean
+        # term is minus the uv block times V ---
         R = self.Y - self.X @ self.B
-        ZtR = self._sum(self._by_clus, self.Z[:, :, None] * R[:, None, :])
-        o_inv = np.linalg.inv(self.Omega)[self.clus_group]
-        K = np.einsum("gcd,gab->gcadb", o_inv, self.ZtZ).reshape(C, qr, qr)
-        lin = np.einsum("gab,gbc->gca", ZtR, o_inv).reshape(C, qr)
+        ZtR = self._by_clus.cross(self._Z_clus, R)
+        Qc = self.Q[self.clus_group]
+        K = np.einsum("gcd,gab->gcadb", Qc, self.ZtZ).reshape(C, qr, qr)
+        lin = (ZtR @ Qc).transpose(0, 2, 1).reshape(C, qr)
         if self.psi_fixed_zero:
             self.U = np.zeros((C, q, r))
         else:
-            prior_prec = np.linalg.inv(P_u_given_v)
-            V = self._v_resid()
-            prior_mean = V @ gain_uv.T if self.r2 else np.zeros((C, qr))
-            u_flat = _precision_draw(
-                rng, sym(prior_prec[None] + K), lin + prior_mean @ prior_prec
-            )
+            P = self.Psi_prec
+            if self.r2:
+                lin = lin - self._v_resid() @ P[qr:, :qr]
+            u_flat = _precision_draw(rng, sym(P[:qr, :qr][None] + K), lin)
             # response-major flat vector -> (q, r) coefficient matrix
             self.U = u_flat.reshape(C, r, q).transpose(0, 2, 1)
 
@@ -653,54 +713,57 @@ class _MlmmSampler:
             W = self.U.transpose(0, 2, 1).reshape(C, qr)
             if self.r2:
                 W = np.concatenate([W, self._v_resid()], axis=1)
-            self.Psi = inv_wishart_draw(
-                rng,
-                np.eye(self.dim_psi) + W.T @ W,
-                self.dim_psi + 1 + C,
+            P, Psi = wishart_precision_draw(
+                rng, (np.eye(self.dim_psi) + W.T @ W)[None], self.dim_psi + 1 + C
             )
-            P_u_given_v, gain_uv, gain_vu, S_v_given_u = self._psi_blocks()
+            self.Psi_prec, self.Psi = P[0], Psi[0]
 
         # --- Omega | residuals, one inverse-Wishart per group ---
         offset = np.einsum("nq,nqr->nr", self.Z, self.U[self.clus])
-        E = self.Y - self.X @ self.B - offset
-        EtE = self._sum(self._by_group, E[:, :, None] * E[:, None, :])
-        self.Omega = inv_wishart_draw(
+        T = self.Y - offset
+        E = T - self.X @ self.B
+        EtE = self._by_group.cross(self._by_group.gather(E), E)
+        self.Q, self.Omega = wishart_precision_draw(
             rng, self._prior_scale[None] + EtE, self._prior_dof + self.n_g
         )
-        Q = sym(np.linalg.inv(self.Omega))
+        Q = self.Q
 
-        # --- B | rest: normal with the Kronecker-sum precision ---
-        T = self.Y - offset
+        # --- B | rest: normal with precision sum_g Q_g (x) X_g'X_g over
+        # response-major vec(B) ---
         fr = f * r
-        lam = np.einsum("gcd,gab->cadb", Q, self.XtX_g).reshape(fr, fr)
-        XtT = self._sum(self._by_group, self.X[:, :, None] * T[:, None, :])
-        lin = np.einsum("gab,gbc->ca", XtT, Q).reshape(fr)
-        cov = sym(np.linalg.inv(lam))
-        draw = cov @ lin + chol(cov) @ rng.normal(size=fr)
+        XtT = self._by_group.cross(self._X_group, T)  # (G, f, r)
+        lin = XtT.transpose(1, 0, 2).reshape(f, G * r) @ Q.reshape(G * r, r)
+        L = chol(_kron_sum(Q, self.XtX_g))
+        draw = solve_triangular(L, lin.T.reshape(fr), lower=True)
+        draw = solve_triangular(
+            L, draw + rng.normal(size=fr), lower=True, trans="T"
+        )
         self.B = draw.reshape(r, f).T
 
-        # --- level-2 block: B2 and missing Y2 ---
+        # --- level-2 block: B2 and missing Y2. Given U, V has precision
+        # the vv block of inv(Psi) and mean -inv(P_vv) P_vu u ---
         if self.r2:
+            P = self.Psi_prec
+            Lv = chol(P[qr:, qr:])
             u_flat = self.U.transpose(0, 2, 1).reshape(C, qr)
-            m_v = u_flat @ gain_vu  # E[V | U] per cluster
+            m_v = -cho_solve((Lv, True), P[qr:, :qr] @ u_flat.T).T
             T2 = self.Y2 - m_v
             b2_hat = np.linalg.solve(
                 self._x2_chol.T, np.linalg.solve(self._x2_chol, self.X2.T @ T2)
             )
-            self.B2 = _matrix_normal_draw(
-                rng, b2_hat, self._sqrt_x2_inv, S_v_given_u
-            )
+            # inv(Lv)' is a factor of the covariance inv(P_vv)
+            col_factor = solve_triangular(Lv, np.eye(self.r2), lower=True).T
+            self.B2 = _matrix_normal_draw(rng, b2_hat, self._sqrt_x2_inv, col_factor)
             mu2 = self.X2 @ self.B2 + m_v
-            Q2 = sym(np.linalg.inv(S_v_given_u))[None]
-            one = np.zeros(C, dtype=int)
-            _draw_missing(rng, self.Y2, mu2, Q2, one, self.unknown2)
-            _mh_refresh(rng, self.Y2, mu2, Q2, one, self.layout2, self.d)
+            Q2 = P[qr:, qr:][None]
+            _draw_missing(rng, self.Y2, mu2, Q2, self.plan2)
+            _mh_refresh(rng, self.Y2, mu2, Q2, self.mh_plan2)
 
         # --- missing level-1 cells and latent refresh ---
         offset = np.einsum("nq,nqr->nr", self.Z, self.U[self.clus])
         mu = self.X @ self.B + offset
-        _draw_missing(rng, self.Y, mu, Q, self.group, self.unknown)
-        _mh_refresh(rng, self.Y, mu, Q, self.group, self.layout, self.d)
+        _draw_missing(rng, self.Y, mu, Q, self.plan)
+        _mh_refresh(rng, self.Y, mu, Q, self.mh_plan)
 
     def snapshot(self) -> Dataset:
         values = self.d.values.copy()

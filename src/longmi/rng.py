@@ -132,6 +132,18 @@ def conditional_mvn(
     return MvnParams(mean, sym(cov))
 
 
+def _bartlett(rng: RngStream, dof: np.ndarray, n: int, p: int) -> np.ndarray:
+    """Lower-triangular T per draw with T T' ~ Wishart(dof, I_p)."""
+    if (dof <= p - 1).any():
+        raise InvalidDof(f"dof must exceed p - 1 = {p - 1}")
+    T = np.zeros((n, p, p))
+    for i in range(p):
+        T[:, i, i] = np.sqrt(rng.chisquare(dof - i, size=n))
+        if i:
+            T[:, i, :i] = rng.normal(size=(n, i))
+    return T
+
+
 def inv_wishart_draw(
     rng: RngStream, scale: np.ndarray, dof, size: int | None = None
 ) -> np.ndarray:
@@ -145,21 +157,35 @@ def inv_wishart_draw(
     stacked = scale.ndim == 3
     scale = scale if stacked else np.atleast_2d(scale)[None]
     n, p = scale.shape[0], scale.shape[-1]
-    dof = np.asarray(dof, dtype=float)
-    if (dof <= p - 1).any():
-        raise InvalidDof(f"dof must exceed p - 1 = {p - 1}")
     if not stacked and size is not None:
         n = size
+    T = _bartlett(rng, np.asarray(dof, dtype=float), n, p)
     # Bartlett decomposition of the Wishart draw on the inverted scale
-    L = chol(np.linalg.inv(sym(scale)))
-    T = np.zeros((n, p, p))
-    for i in range(p):
-        T[:, i, i] = np.sqrt(rng.chisquare(dof - i, size=n))
-        if i:
-            T[:, i, :i] = rng.normal(size=(n, i))
-    A = L @ T
+    A = chol(np.linalg.inv(sym(scale))) @ T
     out = sym(np.linalg.inv(A @ np.swapaxes(A, -1, -2)))
     return out if stacked or size is not None else out[0]
+
+
+def wishart_precision_draw(
+    rng: RngStream, scale: np.ndarray, dof
+) -> tuple[np.ndarray, np.ndarray]:
+    """One inverse-Wishart draw per entry of a (G, p, p) scale stack, as
+    (precision, covariance).
+
+    The covariance follows ``inv_wishart_draw``'s law and the precision
+    is its inverse, a Wishart(dof, inv(scale)) draw, E = dof inv(scale).
+    With scale = C C', the factor inv(C)' of inv(scale) times a Bartlett
+    factor T gives the precision A A' for A = inv(C)' T, and the
+    covariance is K' K for K = inv(A) = inv(T) C': only triangular
+    factors are inverted.
+    """
+    scale = np.asarray(scale, dtype=float)
+    n, p = scale.shape[0], scale.shape[-1]
+    T = _bartlett(rng, np.asarray(dof, dtype=float), n, p)
+    C = chol(sym(scale))
+    A = np.swapaxes(np.linalg.inv(C), -1, -2) @ T
+    K = np.linalg.inv(T) @ np.swapaxes(C, -1, -2)
+    return sym(A @ np.swapaxes(A, -1, -2)), sym(np.swapaxes(K, -1, -2) @ K)
 
 
 _FAR_TAIL = 4.0

@@ -32,6 +32,7 @@ from .errors import (
 
 KINDS = ("continuous", "binary", "categorical")
 ROLES = ("unit-id", "cluster-id", "time", "analysis", "auxiliary")
+KEY_ROLES = ("unit-id", "cluster-id", "time")
 
 
 @dataclass(frozen=True)
@@ -117,6 +118,15 @@ class ReshapeMap:
         raise UnknownStub(f"{name!r} is neither a declared stub.time nor time-fixed")
 
 
+def _missing_key(columns, mask) -> tuple[ColumnSpec, int] | None:
+    """The first unit-id, cluster-id or time column with a missing cell,
+    and the row of its first such cell."""
+    for j, c in enumerate(columns):
+        if c.role in KEY_ROLES and mask[:, j].any():
+            return c, int(np.argmax(mask[:, j]))
+    return None
+
+
 def _has_duplicate_keys(key: list[np.ndarray]) -> bool:
     """Whether two rows agree on every key column (NaN matches nothing)."""
     rows = np.column_stack(key)[np.lexsort(key[::-1])]
@@ -190,10 +200,14 @@ class Dataset:
             raise ValueError("exactly one unit-id column required")
         if sum(c.role == "time" for c in self.columns) > 1:
             raise ValueError("at most one time column allowed")
+        hole = _missing_key(self.columns, self.mask)
+        if hole:
+            c, row = hole
+            raise BadConfig(
+                f"{c.role} column {c.name!r} has a missing cell (row {row + 1})"
+            )
         for c in self.columns:
             j = self._index[c.name]
-            if c.role in ("unit-id", "cluster-id", "time") and self.mask[:, j].any():
-                raise ValueError(f"{c.role} column {c.name!r} has missing cells")
             if c.levels is not None:
                 vals = self.values[~self.mask[:, j], j]
                 if vals.size and (
@@ -493,7 +507,8 @@ def cluster_aggregate(d: Dataset, group: str, variables: Sequence[str]) -> Datas
     """
     g = d.column(group)
     if d.column_mask(group).any():
-        raise ValueError(f"group column {group!r} has missing cells")
+        row = int(np.argmax(d.column_mask(group)))
+        raise BadConfig(f"group column {group!r} has a missing cell (row {row + 1})")
     sorted_groups, first_rows, sorted_codes = np.unique(
         g, return_index=True, return_inverse=True
     )
@@ -559,8 +574,8 @@ MISSING_TOKEN = "NA"
 BLOCK_ROWS = 4096
 
 
-def _csv_fields(labels: Sequence[str]) -> list[str]:
-    """Each label as ``csv.writer`` writes it (levels are never empty)."""
+def csv_fields(labels: Sequence[str]) -> list[str]:
+    """Each label as ``csv.writer`` writes it (labels are never empty)."""
     buf = io.StringIO()
     w = csv.writer(buf)
     out = []
@@ -600,7 +615,7 @@ def write_csv(d: Dataset, path: str) -> None:
     integer-valued floats below 1e15 as ints, other floats by ``repr``.
     """
     quoted = [
-        None if c.levels is None else np.array(_csv_fields(c.levels), dtype=object)
+        None if c.levels is None else np.array(csv_fields(c.levels), dtype=object)
         for c in d.columns
     ]
     tmp = path + ".tmp"
@@ -741,4 +756,11 @@ def read_csv(path: str, meta_path: str | None = None) -> Dataset:
             blocks.append(block)
             done += len(rows)
     values = np.concatenate(blocks) if blocks else np.empty((0, k))
+    hole = _missing_key(ordered, np.isnan(values))
+    if hole:
+        c, row = hole
+        raise BadConfig(
+            f"{path}, line {_line_of(path, row)}: {c.role} column {c.name!r} "
+            "has a missing cell"
+        )
     return Dataset(ordered, values, shape_kind=shape)

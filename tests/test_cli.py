@@ -218,6 +218,34 @@ class TestAnalyzePool:
         err = capsys.readouterr().err
         assert f"{path}, line 3: '9' in column 'ses'" in err
 
+    @pytest.mark.parametrize("command, column, role", [
+        ("impute", "school", "cluster-id"),
+        ("analyze", "school", "cluster-id"),
+        ("analyze", "id", "unit-id"),
+        ("impute", "time", "time"),
+    ])
+    def test_missing_key_cell_exit(self, sim_dir, tmp_path, capsys, command,
+                                   column, role):
+        def na_on_row_4(b):
+            lines = b.split(b"\r\n")
+            col = lines[0].split(b",").index(column.encode())
+            fields = lines[3].split(b",")
+            fields[col] = b"NA"
+            lines[3] = b",".join(fields)
+            return b"\r\n".join(lines)
+
+        path = self._broken_copy(sim_dir, tmp_path, na_on_row_4)
+        if command == "impute":
+            code = run("impute", "--input", str(path), "--method", "jm-2l-wide",
+                       "--m", "2", "--nburn", "5", "--nbetween", "100",
+                       "--out-dir", str(tmp_path / "imp"))
+        else:
+            code = self._analyze(path, tmp_path)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{path}, line 4: {role} column '{column}' has a missing cell" in err
+        assert "Traceback" not in err
+
     def test_invalid_sidecar_level_exit(self, sim_dir, tmp_path, capsys):
         path = self._broken_copy(sim_dir, tmp_path, lambda b: b)
         meta_path = tmp_path / "in" / "observed.meta.json"
@@ -274,6 +302,21 @@ class TestAnalyzePool:
             "analyze", "--input", str(clone / "observed.csv"),
             "--formula", EQ1, "--aca", "--out-dir", str(tmp_path / "x"),
         ) == 2
+
+
+@pytest.mark.parametrize(
+    "method", ["jm-1l-wide", "jm-1l-di-wide", "jm-2l-wide", "jm-2l", "jm-2l-di"]
+)
+def test_jm_same_seed_byte_identical(sim_dir, tmp_path, method):
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        assert run(
+            "impute", "--input", str(sim_dir / "observed.csv"),
+            "--method", method, "--m", "2", "--nburn", "10",
+            "--nbetween", "100", "--seed", "12", "--out-dir", str(out),
+        ) == 0
+    for name in ("imputations.csv", "trace.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
 def test_trace_writer_matches_row_generator(tmp_path):

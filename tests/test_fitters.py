@@ -237,6 +237,37 @@ class TestPolr:
             fit_polr(np.ones((10, 1)), np.repeat([0, 2], 5))
 
 
+def quasi_separated(seed=0, count=45):
+    """Fits whose last covariate is nonzero only on 1-5 top-level rows, so
+    its MLE is infinite while the other parameters stay finite."""
+    gen = np.random.default_rng(seed)
+    for _ in range(count):
+        n, K, marked = int(gen.integers(30, 201)), int(gen.integers(2, 5)), int(gen.integers(1, 6))
+        y = gen.integers(0, K, n)
+        y[:K] = np.arange(K)
+        top = np.flatnonzero(y == K - 1)
+        rows = gen.choice(top, size=min(marked, top.size), replace=False)
+        sep = np.zeros(n)
+        sep[rows] = gen.uniform(0.5, 1.5, rows.size)
+        yield np.column_stack([gen.normal(size=n), sep]), y, K
+
+
+@pytest.mark.parametrize("family", ["logistic", "polr"])
+def test_quasi_separation_is_not_convergence(family):
+    # the score and the likelihood change vanish long before the slope
+    # stops growing; a fit that stops there must not claim convergence
+    for X, y, K in quasi_separated():
+        try:
+            if family == "logistic":
+                fit = fit_logistic(np.column_stack([np.ones(len(y)), X]),
+                                   (y == K - 1).astype(float))
+            else:
+                fit = fit_polr(X, y)
+        except PerfectSeparation:
+            continue
+        assert not fit.converged, (family, len(y), K, fit.beta_hat[-1])
+
+
 def one_way(rng, groups, per, sd_b, sd_e, mean=0.0):
     grp = np.repeat(np.arange(groups), per)
     y = mean + rng.normal(0, sd_b, groups)[grp] + rng.normal(0, sd_e, len(grp))

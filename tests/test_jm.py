@@ -1,20 +1,26 @@
 import numpy as np
 import pytest
+from scipy.special import ndtr
+from scipy.stats import norm
 
 from longmi.errors import BadConfig, DegenerateSeries, TooFewClusters, UnknownParam
 from longmi.jm import (
     ChainTrace,
     JmSpec,
+    _Blocks,
     _draw_missing,
+    _DrawPlan,
     _in_region,
+    _kron_sum,
+    _mh_refresh,
     _MlmmSampler,
     _MvnSampler,
     _precision_draw,
+    _SlotPlan,
     autocorr,
     decode_latent,
     encode_latent,
     run_jm,
-    trace_stats,
 )
 from longmi.rng import MvnParams, RngStream, conditional_mvn
 from longmi.table import ColumnSpec, Dataset
@@ -203,7 +209,7 @@ class TestDrawKernel:
         Y[unknown] = 0.0
         mu = np.tile(base_mu, (reps, 1))
         before = Y.copy()
-        _draw_missing(RngStream(4), Y, mu, Q, group, unknown)
+        _draw_missing(RngStream(4), Y, mu, Q, _DrawPlan.build(unknown, group))
         np.testing.assert_array_equal(Y[~unknown], before[~unknown])
         for k in range(3):
             mis = np.flatnonzero(base_unknown[k])
@@ -216,6 +222,59 @@ class TestDrawKernel:
             sd = np.sqrt(np.diag(law.cov))
             got = np.atleast_2d(np.cov(draws, rowvar=False))
             assert (np.abs(got - law.cov) <= 0.05 * np.outer(sd, sd)).all()
+
+
+    def test_metropolis_keeps_truncated_conditional(self):
+        # one binary variable beside a continuous one, two covariance
+        # groups: observed at level 0 its latent stays positive, and after
+        # many refreshes its law is the conditional normal cut at zero
+        Q = np.array([[[2.0, 0.8], [0.8, 1.0]], [[1.0, -0.3], [-0.3, 0.5]]])
+        reps = 20_000
+        group = np.tile([0, 1], reps)
+        mu = np.tile([[0.3, -0.2], [-0.5, 0.4]], (reps, 1))
+        Y = mu.copy()
+        Y[:, 0] = 1.0  # continuous cell, held fixed
+        Y[:, 1] = 0.5  # latent of level 0
+        plan = [_SlotPlan(slice(1, 2), np.arange(2 * reps), np.zeros(2 * reps),
+                          group)]
+        rng = RngStream(5)
+        for _ in range(150):
+            _mh_refresh(rng, Y, mu, Q, plan)
+        assert (Y[:, 0] == 1.0).all() and (Y[:, 1] > 0).all()
+        for g in range(2):
+            # z | y0 ~ N(m, s^2) with s^2 = 1/Q_11, m = mu_1 - Q_10 (y0 - mu_0) / Q_11
+            s = 1.0 / np.sqrt(Q[g, 1, 1])
+            m = mu[g, 1] - Q[g, 1, 0] * (1.0 - mu[g, 0]) / Q[g, 1, 1]
+            a = -m / s
+            lam = norm.pdf(a) / (1.0 - ndtr(a))
+            mean, var = m + s * lam, s**2 * (1 + a * lam - lam**2)
+            z = Y[g::2, 1]
+            assert abs(z.mean() - mean) < 5 * np.sqrt(var / reps)
+            assert z.var() == pytest.approx(var, rel=0.05)
+
+
+class TestGroupSums:
+    @pytest.mark.parametrize("labels", [
+        np.array([2, 0, 1, 2, 2, 0, 3, 1, 2]),  # unsorted, label 3 a singleton
+        np.array([1, 0, 2]),  # singletons only
+        np.zeros(7, dtype=int),  # one group
+    ])
+    def test_cross_matches_add_at(self, labels):
+        gen = np.random.default_rng(4)
+        n, G = len(labels), labels.max() + 1
+        a, b = gen.normal(size=(n, 3)), gen.normal(size=(n, 2))
+        want = np.zeros((G, 3, 2))
+        np.add.at(want, labels, a[:, :, None] * b[:, None, :])
+        blocks = _Blocks(labels, G)
+        np.testing.assert_allclose(blocks.cross(blocks.gather(a), b), want,
+                                   rtol=1e-13, atol=1e-14)
+
+    @pytest.mark.parametrize("G, r, f", [(1, 3, 4), (5, 2, 6), (40, 4, 3)])
+    def test_kron_sum_matches_einsum(self, G, r, f):
+        gen = np.random.default_rng(G)
+        A, B = gen.normal(size=(G, r, r)), gen.normal(size=(G, f, f))
+        want = np.einsum("gcd,gab->cadb", A, B).reshape(f * r, f * r)
+        np.testing.assert_allclose(_kron_sum(A, B), want, rtol=1e-12, atol=1e-12)
 
 
 class TestPrecisionDraw:
@@ -387,9 +446,9 @@ class TestTraceDiagnostics:
         t = ChainTrace(["p", "q"])
         t.record([1.0, 2.0])
         t.record([3.0, 4.0])
-        np.testing.assert_array_equal(trace_stats(t, "q"), [2.0, 4.0])
+        np.testing.assert_array_equal(t.series("q"), [2.0, 4.0])
         with pytest.raises(UnknownParam):
-            trace_stats(t, "nope")
+            t.series("nope")
 
     def test_constant_series_degenerate(self):
         with pytest.raises(DegenerateSeries):

@@ -15,6 +15,7 @@ from longmi.rng import (
     inv_wishart_draw,
     mvn_draw,
     trunc_normal_draw,
+    wishart_precision_draw,
 )
 
 
@@ -165,6 +166,36 @@ class TestInvWishart:
             inv_wishart_draw(
                 RngStream(0), np.tile(np.eye(3), (3, 1, 1)), np.array([5.0, 2.0, 5.0])
             )
+
+
+class TestWishartPrecision:
+    def test_moments_per_entry_dof(self):
+        # the precision is Wishart(dof, inv(S)), the covariance its inverse
+        rng = RngStream(9)
+        gen = np.random.default_rng(2)
+        scales = np.array([random_spd(gen, 3) for _ in range(3)])
+        dofs = np.array([9.0, 12.0, 20.0])
+        reps = 40_000
+        Q, omega = wishart_precision_draw(
+            rng, np.tile(scales, (reps, 1, 1)), np.tile(dofs, reps)
+        )
+        Q, omega = Q.reshape(reps, 3, 3, 3), omega.reshape(reps, 3, 3, 3)
+        np.testing.assert_allclose(
+            Q.mean(axis=0), dofs[:, None, None] * np.linalg.inv(scales), rtol=0.03,
+            atol=0.01 * np.abs(np.linalg.inv(scales)).max(),
+        )
+        np.testing.assert_allclose(
+            omega.mean(axis=0), scales / (dofs - 3 - 1)[:, None, None], rtol=0.05,
+            atol=0.01 * np.abs(scales).max(),
+        )
+        np.testing.assert_allclose(Q[:50] @ omega[:50], np.broadcast_to(
+            np.eye(3), (50, 3, 3, 3)), atol=1e-10)
+
+    def test_invalid_dof_and_scale(self):
+        with pytest.raises(InvalidDof):
+            wishart_precision_draw(RngStream(0), np.eye(3)[None], 1.5)
+        with pytest.raises(NotPositiveDefinite):
+            wishart_precision_draw(RngStream(0), -np.eye(3)[None], 5.0)
 
 
 class TestChol:
