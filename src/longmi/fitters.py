@@ -21,8 +21,8 @@ _SIGMA2_FLOOR = 1e-10
 
 
 def _settled(step) -> bool:
-    """Whether the Newton step a fit stops on is small enough to call it
-    converged.
+    """Whether the last Newton step a fit took before stopping is small
+    enough to call it converged.
 
     Under quasi-separation the score, the likelihood change and the
     information all fade like exp(-|coefficient|) while the Newton step
@@ -100,10 +100,10 @@ def fit_logistic(X: np.ndarray, y: np.ndarray, max_iter: int = 100) -> GlmFit:
     """Logistic MLE by iteratively reweighted least squares.
 
     Stops when max |score| < 1e-8 or the relative log-likelihood change
-    is < 1e-10, and counts as converged only if the Newton step there is
-    below 1e-3. Step-halving keeps the likelihood monotone. Divergence of
-    the coefficients (|beta| > 30 while the score still points outward)
-    is reported as separation.
+    is < 1e-10, and counts as converged only if the last Newton step
+    was below 1e-3. Step-halving keeps the likelihood monotone.
+    Divergence of the coefficients (|beta| > 30 while the score still
+    points outward) is reported as separation.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -113,20 +113,21 @@ def fit_logistic(X: np.ndarray, y: np.ndarray, max_iter: int = 100) -> GlmFit:
     n, p = X.shape
     beta = np.zeros(p)
     ll = _logistic_loglik(X, y, beta)
+    step = np.zeros(p)
     it = 0
     converged = False
     for it in range(1, max_iter + 1):
         mu = _expit(X @ beta)
         w = mu * (1 - mu)
         score = X.T @ (y - mu)
+        if np.max(np.abs(score)) < 1e-8:
+            converged = _settled(step)
+            break
         info = (X * w[:, None]).T @ X
         try:
             step = np.linalg.solve(info + 1e-12 * np.eye(p), score)
         except np.linalg.LinAlgError:
             raise PerfectSeparation("information matrix singular") from None
-        if np.max(np.abs(score)) < 1e-8:
-            converged = _settled(step)
-            break
         new_ll = _logistic_loglik(X, y, beta + step)
         halvings = 0
         while new_ll < ll and halvings < 30:
@@ -219,8 +220,8 @@ def fit_polr(X: np.ndarray, y: np.ndarray, max_iter: int = 100) -> GlmFit:
     Newton in (first cutpoint, log gaps, beta) coordinates with the
     analytic score and observed information (mapped by the chain rule),
     and step-halving; the log-gap transform keeps cutpoints increasing.
-    As in ``fit_logistic``, a stop with a Newton step of 1e-3 or more is
-    not converged.
+    As in ``fit_logistic``, a stop right after a Newton step of 1e-3 or
+    more is not converged.
     The covariance is the inverse information in (cut, beta) coordinates;
     an information that is not positive definite at the optimum raises
     ``PerfectSeparation``.
@@ -243,16 +244,17 @@ def fit_polr(X: np.ndarray, y: np.ndarray, max_iter: int = 100) -> GlmFit:
     theta = np.concatenate([[cut0[0]], np.log(np.diff(cut0))]) if k1 > 1 else cut0.copy()
     theta = np.concatenate([theta, np.zeros(p)])
     f, g, H = _polr_theta_terms(Xr, yk, K, theta)
+    step = np.zeros(m)
     it = 0
     converged = False
     for it in range(1, max_iter + 1):
+        if np.max(np.abs(g)) < 1e-8:
+            converged = _settled(step)
+            break
         try:
             step = np.linalg.solve(H + 1e-10 * np.eye(m), -g)
         except np.linalg.LinAlgError:
             step = -g
-        if np.max(np.abs(g)) < 1e-8:
-            converged = _settled(step)
-            break
         new = _polr_theta_terms(Xr, yk, K, theta + step)
         halvings = 0
         while not np.isfinite(new[0]) or new[0] > f:

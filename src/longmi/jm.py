@@ -682,26 +682,59 @@ class _MlmmSampler:
         if self.r2:
             self.B2[0] += shift[qr:]
 
-    def sweep(self, rng: RngStream):
-        qr, r, q, C, f, G = self.qr, self.r, self.q, self.C, self.f, self.G
-
-        # --- random effects U | rest: the prior precision of U given the
-        # level-2 residuals V is the uu block of inv(Psi), and its mean
-        # term is minus the uv block times V ---
-        R = self.Y - self.X @ self.B
-        ZtR = self._by_clus.cross(self._Z_clus, R)
+    def _draw_u(self, rng: RngStream):
+        """Random effects U | rest, one draw per cluster. Given the
+        level-2 residuals V, the prior precision of U is the uu block of
+        inv(Psi) and its mean term is minus the uv block times V."""
+        qr, r, q, C = self.qr, self.r, self.q, self.C
+        ZtR = self._by_clus.cross(self._Z_clus, self.Y - self.X @ self.B)
         Qc = self.Q[self.clus_group]
         K = np.einsum("gcd,gab->gcadb", Qc, self.ZtZ).reshape(C, qr, qr)
         lin = (ZtR @ Qc).transpose(0, 2, 1).reshape(C, qr)
+        P = self.Psi_prec
+        if self.r2:
+            lin = lin - self._v_resid() @ P[qr:, :qr]
+        u_flat = _precision_draw(rng, sym(P[:qr, :qr][None] + K), lin)
+        # response-major flat vector -> (q, r) coefficient matrix
+        self.U = u_flat.reshape(C, r, q).transpose(0, 2, 1)
+
+    def _draw_b(self, rng: RngStream, T: np.ndarray):
+        """B | rest given T, the responses less the random-effect offsets:
+        normal with precision sum_g Q_g (x) X_g'X_g over response-major
+        vec(B), drawn from one Cholesky factor."""
+        f, r, G, Q = self.f, self.r, self.G, self.Q
+        XtT = self._by_group.cross(self._X_group, T)  # (G, f, r)
+        lin = XtT.transpose(1, 0, 2).reshape(f, G * r) @ Q.reshape(G * r, r)
+        L = chol(_kron_sum(Q, self.XtX_g))
+        draw = solve_triangular(L, lin.T.ravel(), lower=True)
+        draw = solve_triangular(L, draw + rng.normal(size=f * r), lower=True, trans="T")
+        self.B = draw.reshape(r, f).T
+
+    def _draw_level2(self, rng: RngStream):
+        """B2 and the missing Y2 cells given U. Given U, V has precision
+        the vv block of inv(Psi) and mean -inv(P_vv) P_vu u."""
+        qr, C, P = self.qr, self.C, self.Psi_prec
+        Lv = chol(P[qr:, qr:])
+        u_flat = self.U.transpose(0, 2, 1).reshape(C, qr)
+        m_v = -cho_solve((Lv, True), P[qr:, :qr] @ u_flat.T).T
+        T2 = self.Y2 - m_v
+        b2_hat = np.linalg.solve(
+            self._x2_chol.T, np.linalg.solve(self._x2_chol, self.X2.T @ T2)
+        )
+        # inv(Lv)' is a factor of the covariance inv(P_vv)
+        col_factor = solve_triangular(Lv, np.eye(self.r2), lower=True).T
+        self.B2 = _matrix_normal_draw(rng, b2_hat, self._sqrt_x2_inv, col_factor)
+        mu2 = self.X2 @ self.B2 + m_v
+        Q2 = P[qr:, qr:][None]
+        _draw_missing(rng, self.Y2, mu2, Q2, self.plan2)
+        _mh_refresh(rng, self.Y2, mu2, Q2, self.mh_plan2)
+
+    def sweep(self, rng: RngStream):
+        qr, r, q, C = self.qr, self.r, self.q, self.C
         if self.psi_fixed_zero:
             self.U = np.zeros((C, q, r))
         else:
-            P = self.Psi_prec
-            if self.r2:
-                lin = lin - self._v_resid() @ P[qr:, :qr]
-            u_flat = _precision_draw(rng, sym(P[:qr, :qr][None] + K), lin)
-            # response-major flat vector -> (q, r) coefficient matrix
-            self.U = u_flat.reshape(C, r, q).transpose(0, 2, 1)
+            self._draw_u(rng)
 
         # --- translation interweave: move the random-effect means into the
         # matching fixed effects (likelihood-invariant split) ---
@@ -726,44 +759,17 @@ class _MlmmSampler:
         self.Q, self.Omega = wishart_precision_draw(
             rng, self._prior_scale[None] + EtE, self._prior_dof + self.n_g
         )
-        Q = self.Q
 
-        # --- B | rest: normal with precision sum_g Q_g (x) X_g'X_g over
-        # response-major vec(B) ---
-        fr = f * r
-        XtT = self._by_group.cross(self._X_group, T)  # (G, f, r)
-        lin = XtT.transpose(1, 0, 2).reshape(f, G * r) @ Q.reshape(G * r, r)
-        L = chol(_kron_sum(Q, self.XtX_g))
-        draw = solve_triangular(L, lin.T.reshape(fr), lower=True)
-        draw = solve_triangular(
-            L, draw + rng.normal(size=fr), lower=True, trans="T"
-        )
-        self.B = draw.reshape(r, f).T
+        self._draw_b(rng, T)
 
-        # --- level-2 block: B2 and missing Y2. Given U, V has precision
-        # the vv block of inv(Psi) and mean -inv(P_vv) P_vu u ---
         if self.r2:
-            P = self.Psi_prec
-            Lv = chol(P[qr:, qr:])
-            u_flat = self.U.transpose(0, 2, 1).reshape(C, qr)
-            m_v = -cho_solve((Lv, True), P[qr:, :qr] @ u_flat.T).T
-            T2 = self.Y2 - m_v
-            b2_hat = np.linalg.solve(
-                self._x2_chol.T, np.linalg.solve(self._x2_chol, self.X2.T @ T2)
-            )
-            # inv(Lv)' is a factor of the covariance inv(P_vv)
-            col_factor = solve_triangular(Lv, np.eye(self.r2), lower=True).T
-            self.B2 = _matrix_normal_draw(rng, b2_hat, self._sqrt_x2_inv, col_factor)
-            mu2 = self.X2 @ self.B2 + m_v
-            Q2 = P[qr:, qr:][None]
-            _draw_missing(rng, self.Y2, mu2, Q2, self.plan2)
-            _mh_refresh(rng, self.Y2, mu2, Q2, self.mh_plan2)
+            self._draw_level2(rng)
 
         # --- missing level-1 cells and latent refresh ---
         offset = np.einsum("nq,nqr->nr", self.Z, self.U[self.clus])
         mu = self.X @ self.B + offset
-        _draw_missing(rng, self.Y, mu, Q, self.plan)
-        _mh_refresh(rng, self.Y, mu, Q, self.mh_plan)
+        _draw_missing(rng, self.Y, mu, self.Q, self.plan)
+        _mh_refresh(rng, self.Y, mu, self.Q, self.mh_plan)
 
     def snapshot(self) -> Dataset:
         values = self.d.values.copy()

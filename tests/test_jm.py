@@ -83,6 +83,16 @@ class TestRunArithmetic:
         for imp in stack.imputations:
             assert imp.equals(d.completed(d.values))
 
+    def test_predictor_with_missing_cell_rejected(self):
+        x = np.array([0.5, 1.0, np.nan, 2.0])
+        d = wide_dataset(
+            [("y", "continuous", None), ("x", "continuous", None)],
+            {"y": np.array([1.0, np.nan, 2.0, 3.0]), "x": x},
+        )
+        spec = JmSpec(y_cols=("y",), x_cols=("x",), nburn=1, nbetween=1, nimp=1)
+        with pytest.raises(BadConfig, match=r"'x' has a missing cell \(row 3\)"):
+            _MvnSampler(RngStream(0), spec, d)
+
     def test_uncovered_incomplete_column_rejected(self):
         y = np.array([1.0, np.nan, 2.0])
         d = wide_dataset(
@@ -415,6 +425,107 @@ class TestMlmmSampler:
                       nburn=1, nbetween=1, nimp=1)
         with pytest.raises(BadConfig, match="'w2' is not constant within cluster 1"):
             run_jm(RngStream(30), spec, d)
+
+    def level2_state(self, seed=31, C=6, per=4, cov_mode="common"):
+        # two responses with a random intercept and slope, one
+        # cluster-level response and covariate, and a fixed random state
+        gen = np.random.default_rng(seed)
+        clus = np.repeat(np.arange(C), per)
+        t = np.tile(np.linspace(-1, 1, per), C)
+        cols = {"id": np.arange(C * per), "g": clus, "t": t,
+                "a": gen.normal(size=C * per), "b": gen.normal(size=C * per),
+                "w2": gen.normal(size=C)[clus], "h": gen.normal(size=C)[clus]}
+        d = Dataset.build(
+            [ColumnSpec("id", "continuous", "unit-id"),
+             ColumnSpec("g", "continuous", "cluster-id"),
+             *[ColumnSpec(nm, "continuous", "analysis") for nm in ("t", "a", "b", "w2", "h")]],
+            cols, shape_kind="wide",
+        )
+        spec = JmSpec(y_cols=("a", "b"), x_cols=("t",), z_cols=("t",),
+                      y2_cols=("w2",), x2_cols=("h",), clus="g",
+                      cov_mode=cov_mode, nburn=1, nbetween=1, nimp=1)
+        s = _MlmmSampler(RngStream(seed), spec, d)
+        s.B = gen.normal(size=s.B.shape)
+        s.B2 = gen.normal(size=s.B2.shape)
+        s.U = gen.normal(size=s.U.shape)
+        a = gen.normal(size=(s.dim_psi, s.dim_psi))
+        s.Psi = a @ a.T + np.eye(s.dim_psi)
+        s.Psi_prec = np.linalg.inv(s.Psi)
+        a = gen.normal(size=(s.G, s.r, s.r))
+        s.Omega = a @ a.transpose(0, 2, 1) + np.eye(s.r)
+        s.Q = np.linalg.inv(s.Omega)
+        return s
+
+    @staticmethod
+    def assert_normal(draws, mean, cov, reps):
+        sd = np.sqrt(np.diag(cov))
+        assert (np.abs(draws.mean(axis=0) - mean) < 5 * sd / np.sqrt(reps)).all()
+        got = np.cov(draws, rowvar=False)
+        assert (np.abs(got - cov) <= 0.1 * np.outer(sd, sd)).all()
+
+    def test_u_step_matches_covariance_form(self):
+        # U_c | rest from the covariances: prior N(Psi_uv inv(Psi_vv) v_c,
+        # Psi_uu - Psi_uv inv(Psi_vv) Psi_vu), rows y_i = kron(I, z_i') u
+        s = self.level2_state()
+        qr, r, reps = s.qr, s.r, 4000
+        Psi, om_inv = s.Psi, np.linalg.inv(s.Omega[0])
+        uu, uv, vv = Psi[:qr, :qr], Psi[:qr, qr:], Psi[qr:, qr:]
+        prior_prec = np.linalg.inv(uu - uv @ np.linalg.solve(vv, uv.T))
+        V = s.Y2 - s.X2 @ s.B2
+        R = s.Y - s.X @ s.B
+        draws = np.empty((reps, s.C, qr))
+        rng = RngStream(32)
+        for k in range(reps):
+            s._draw_u(rng)
+            draws[k] = s.U.transpose(0, 2, 1).reshape(s.C, qr)
+        for c in range(s.C):
+            prec = prior_prec.copy()
+            lin = prior_prec @ uv @ np.linalg.solve(vv, V[c])
+            for i in np.flatnonzero(s.clus == c):
+                D = np.kron(np.eye(r), s.Z[i][None, :])
+                prec += D.T @ om_inv @ D
+                lin += D.T @ om_inv @ R[i]
+            cov = np.linalg.inv(prec)
+            self.assert_normal(draws[:, c], cov @ lin, cov, reps)
+
+    def test_b_step_matches_covariance_form(self):
+        # vec(B) | T from the covariances, one residual covariance per
+        # cluster: rows t_i = kron(I, x_i') b + e_i, e_i ~ N(0, Omega_g)
+        s = self.level2_state(cov_mode="cluster-specific")
+        f, r, reps = s.f, s.r, 4000
+        T = s.Y - 0.3
+        prec, lin = np.zeros((f * r, f * r)), np.zeros(f * r)
+        for i in range(s.n):
+            D = np.kron(np.eye(r), s.X[i][None, :])
+            om_inv = np.linalg.inv(s.Omega[s.group[i]])
+            prec += D.T @ om_inv @ D
+            lin += D.T @ om_inv @ T[i]
+        cov = np.linalg.inv(prec)
+        rng = RngStream(34)
+        draws = np.empty((reps, f * r))
+        for k in range(reps):
+            s._draw_b(rng, T)
+            draws[k] = s.B.T.ravel()
+        self.assert_normal(draws, cov @ lin, cov, reps)
+
+    def test_level2_coefficients_match_covariance_form(self):
+        # B2 | U ~ MN(inv(X2'X2) X2'(Y2 - E[V | U]), inv(X2'X2), S_v|u)
+        # with E[V | U] = u inv(Psi_uu) Psi_uv, from the covariances
+        s = self.level2_state()
+        qr, reps = s.qr, 4000
+        Psi = s.Psi
+        uu, uv, vv = Psi[:qr, :qr], Psi[:qr, qr:], Psi[qr:, qr:]
+        u_flat = s.U.transpose(0, 2, 1).reshape(s.C, qr)
+        m_v = u_flat @ np.linalg.solve(uu, uv)
+        xtx_inv = np.linalg.inv(s.X2.T @ s.X2)
+        mean = xtx_inv @ s.X2.T @ (s.Y2 - m_v)
+        cov = np.kron(xtx_inv, vv - uv.T @ np.linalg.solve(uu, uv))
+        rng = RngStream(33)
+        draws = np.empty((reps, mean.size))
+        for k in range(reps):
+            s._draw_level2(rng)
+            draws[k] = s.B2.ravel()
+        self.assert_normal(draws, mean.ravel(), cov, reps)
 
     def test_cluster_specific_covariance_runs(self):
         d, _ = self.make_two_level(seed=22, C=40, per=8)

@@ -296,6 +296,20 @@ class TestClusterAggregate:
             shape_kind="long",
         )
 
+    def test_missing_cells_in_key_and_group_columns(self):
+        with pytest.raises(BadConfig, match=r"cluster-id column 'g' has a missing "
+                           r"cell \(row 2\)"):
+            self.make([(1, 1.0), (NA, 2.0), (NA, 3.0)])
+        d = Dataset.build(
+            [ColumnSpec("id", "continuous", "unit-id"),
+             ColumnSpec("h", "continuous", "analysis"),
+             ColumnSpec("x", "continuous", "analysis")],
+            {"id": np.arange(3), "h": [1.0, 2.0, NA], "x": [1.0, 2.0, 3.0]},
+            shape_kind="wide",
+        )
+        with pytest.raises(BadConfig, match=r"'h' has a missing cell \(row 3\)"):
+            cluster_aggregate(d, "h", ["x"])
+
     def test_plain_mean(self):
         d = self.make([(1, 1.0), (1, 2.0), (1, 3.0)])
         out = cluster_aggregate(d, "g", ["x"])
