@@ -304,10 +304,10 @@ class _Blocks:
     def gather(self, x: np.ndarray) -> np.ndarray:
         return np.concatenate([x, np.zeros((1,) + x.shape[1:])])[self.index]
 
-    def cross(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Per-label a'b: (labels, a cols, b cols) from gathered ``a``
-        and row-level ``b``."""
-        return np.swapaxes(a, 1, 2) @ self.gather(b)
+    @staticmethod
+    def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Per-label a'b, (labels, a cols, b cols), from gathered blocks."""
+        return np.swapaxes(a, 1, 2) @ b
 
 
 @dataclass(frozen=True)
@@ -594,8 +594,8 @@ class _MlmmSampler:
         self._by_group = _Blocks(self.group, self.G)
         self._Z_clus = self._by_clus.gather(self.Z)
         self._X_group = self._by_group.gather(self.X)
-        self.ZtZ = self._by_clus.cross(self._Z_clus, self.Z)
-        self.XtX_g = self._by_group.cross(self._X_group, self.X)
+        self.ZtZ = _Blocks.cross(self._Z_clus, self._Z_clus)
+        self.XtX_g = _Blocks.cross(self._X_group, self._X_group)
         self.n_g = np.bincount(self.group, minlength=self.G).astype(float)
         self._prior_dof = self.r + 1
         self._prior_scale = np.eye(self.r)
@@ -687,7 +687,8 @@ class _MlmmSampler:
         level-2 residuals V, the prior precision of U is the uu block of
         inv(Psi) and its mean term is minus the uv block times V."""
         qr, r, q, C = self.qr, self.r, self.q, self.C
-        ZtR = self._by_clus.cross(self._Z_clus, self.Y - self.X @ self.B)
+        R = self._by_clus.gather(self.Y - self.X @ self.B)
+        ZtR = _Blocks.cross(self._Z_clus, R)
         Qc = self.Q[self.clus_group]
         K = np.einsum("gcd,gab->gcadb", Qc, self.ZtZ).reshape(C, qr, qr)
         lin = (ZtR @ Qc).transpose(0, 2, 1).reshape(C, qr)
@@ -703,7 +704,7 @@ class _MlmmSampler:
         normal with precision sum_g Q_g (x) X_g'X_g over response-major
         vec(B), drawn from one Cholesky factor."""
         f, r, G, Q = self.f, self.r, self.G, self.Q
-        XtT = self._by_group.cross(self._X_group, T)  # (G, f, r)
+        XtT = _Blocks.cross(self._X_group, self._by_group.gather(T))  # (G, f, r)
         lin = XtT.transpose(1, 0, 2).reshape(f, G * r) @ Q.reshape(G * r, r)
         L = chol(_kron_sum(Q, self.XtX_g))
         draw = solve_triangular(L, lin.T.ravel(), lower=True)
@@ -755,7 +756,8 @@ class _MlmmSampler:
         offset = np.einsum("nq,nqr->nr", self.Z, self.U[self.clus])
         T = self.Y - offset
         E = T - self.X @ self.B
-        EtE = self._by_group.cross(self._by_group.gather(E), E)
+        E = self._by_group.gather(E)
+        EtE = _Blocks.cross(E, E)
         self.Q, self.Omega = wishart_precision_draw(
             rng, self._prior_scale[None] + EtE, self._prior_dof + self.n_g
         )
