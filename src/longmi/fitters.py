@@ -36,12 +36,14 @@ def _expit(x):
     return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
-def _qr_check_rank(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    q, r = np.linalg.qr(X)
+def _check_rank(X: np.ndarray, r: np.ndarray | None = None) -> None:
+    """Raise ``RankDeficient`` unless X has full column rank, judged from
+    the diagonal of R in X = QR (computed without Q when not given)."""
+    if r is None:
+        r = np.linalg.qr(X, mode="r")
     diag = np.abs(np.diag(r))
     if diag.min() <= X.shape[0] * np.finfo(float).eps * max(diag.max(), 1.0):
         raise RankDeficient("design matrix is rank deficient")
-    return q, r
 
 
 @dataclass
@@ -63,7 +65,8 @@ def fit_linear_and_draw(rng: RngStream, X: np.ndarray, y: np.ndarray) -> LinearD
     n, p = X.shape
     if n <= p:
         raise RankDeficient(f"need n > p, got n={n}, p={p}")
-    q, r = _qr_check_rank(X)
+    q, r = np.linalg.qr(X)
+    _check_rank(X, r)
     beta_hat = solve_triangular(r, q.T @ y)
     resid = y - X @ beta_hat
     s2 = float(resid @ resid) / (n - p)
@@ -109,7 +112,7 @@ def fit_logistic(X: np.ndarray, y: np.ndarray, max_iter: int = 100) -> GlmFit:
     y = np.asarray(y, dtype=float)
     if not np.isin(y, (0.0, 1.0)).all():
         raise ValueError("logistic response must be 0/1")
-    _qr_check_rank(X)
+    _check_rank(X)
     n, p = X.shape
     beta = np.zeros(p)
     ll = _logistic_loglik(X, y, beta)
@@ -235,7 +238,7 @@ def fit_polr(X: np.ndarray, y: np.ndarray, max_iter: int = 100) -> GlmFit:
     # drop constant columns: cutpoints play the intercept role
     keep = ~np.all(X == X[0], axis=0)
     Xr = X[:, keep]
-    _qr_check_rank(np.column_stack([np.ones(len(yk)), Xr]))
+    _check_rank(np.column_stack([np.ones(len(yk)), Xr]))
     p = Xr.shape[1]
     k1 = K - 1
     m = k1 + p

@@ -144,6 +144,17 @@ def _bartlett(rng: RngStream, dof: np.ndarray, n: int, p: int) -> np.ndarray:
     return T
 
 
+def _solve_lower(L: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """X with L X = B for a (n, p, p) stack of lower-triangular L and a
+    right-hand side B broadcast to it, by forward substitution
+    vectorised over the stack."""
+    X = np.array(np.broadcast_to(B, L.shape[:-1] + B.shape[-1:]), dtype=float)
+    for i in range(L.shape[-1]):
+        X[:, i] -= np.einsum("nj,njk->nk", L[:, i, :i], X[:, :i])
+        X[:, i] /= L[:, i, i, None]
+    return X
+
+
 def inv_wishart_draw(
     rng: RngStream, scale: np.ndarray, dof, size: int | None = None
 ) -> np.ndarray:
@@ -177,14 +188,14 @@ def wishart_precision_draw(
     With scale = C C', the factor inv(C)' of inv(scale) times a Bartlett
     factor T gives the precision A A' for A = inv(C)' T, and the
     covariance is K' K for K = inv(A) = inv(T) C': only triangular
-    factors are inverted.
+    systems are solved, by forward substitution.
     """
     scale = np.asarray(scale, dtype=float)
     n, p = scale.shape[0], scale.shape[-1]
     T = _bartlett(rng, np.asarray(dof, dtype=float), n, p)
     C = chol(sym(scale))
-    A = np.swapaxes(np.linalg.inv(C), -1, -2) @ T
-    K = np.linalg.inv(T) @ np.swapaxes(C, -1, -2)
+    A = np.swapaxes(_solve_lower(C, np.eye(p)), -1, -2) @ T
+    K = _solve_lower(T, np.swapaxes(C, -1, -2))
     return sym(A @ np.swapaxes(A, -1, -2)), sym(np.swapaxes(K, -1, -2) @ K)
 
 

@@ -127,10 +127,31 @@ def _missing_key(columns, mask) -> tuple[ColumnSpec, int] | None:
     return None
 
 
-def _has_duplicate_keys(key: list[np.ndarray]) -> bool:
-    """Whether two rows agree on every key column (NaN matches nothing)."""
-    rows = np.column_stack(key)[np.lexsort(key[::-1])]
-    return bool((rows[1:] == rows[:-1]).all(axis=1).any())
+def _row_key(columns, shape_kind: str) -> list[int]:
+    """Positions of the columns that must tell rows apart: the stacked
+    ``Imputation`` index if present, the unit-id and, in long shape, the
+    time column. Empty when the columns define no such key."""
+    units = [j for j, c in enumerate(columns) if c.role == "unit-id"]
+    times = [j for j, c in enumerate(columns) if c.role == "time"]
+    if len(units) != 1 or len(times) > 1 or shape_kind not in ("wide", "long"):
+        return []
+    if shape_kind == "long":
+        if not times:
+            return []
+        units += times
+    # stacked multiply-imputed files repeat units once per imputation
+    stacked = [j for j, c in enumerate(columns) if c.name == "Imputation"]
+    return stacked + units
+
+
+def _first_repeat(values: np.ndarray, key: list[int]) -> int | None:
+    """The first row that agrees with an earlier row on every key column
+    (NaN matches nothing), or None."""
+    cols = [values[:, j] for j in key]
+    order = np.lexsort(cols[::-1])  # stable: equal keys stay in row order
+    rows = values[np.ix_(order, key)]
+    repeats = order[1:][(rows[1:] == rows[:-1]).all(axis=1)]
+    return int(repeats.min()) if repeats.size else None
 
 
 class Dataset:
@@ -216,20 +237,11 @@ class Dataset:
                     or vals.max() > len(c.levels) - 1
                 ):
                     raise UnknownLevel(f"out-of-range level code in {c.name!r}")
-        unit = self.values[:, self._index[unit_cols[0].name]]
-        # stacked multiply-imputed files repeat units once per imputation
-        key = [unit]
-        if "Imputation" in self._index:
-            key.insert(0, self.values[:, self._index["Imputation"]])
-        if self.shape_kind == "wide":
-            if _has_duplicate_keys(key):
+        key = _row_key(self.columns, self.shape_kind)
+        if key and _first_repeat(self.values, key) is not None:
+            if self.shape_kind == "wide":
                 raise ValueError("unit-id not unique in wide shape")
-        else:
-            tcols = [c for c in self.columns if c.role == "time"]
-            if tcols:
-                key.append(self.values[:, self._index[tcols[0].name]])
-                if _has_duplicate_keys(key):
-                    raise DuplicateTimePoint("duplicate (unit, time) rows")
+            raise DuplicateTimePoint("duplicate (unit, time) rows")
 
     # -- accessors --------------------------------------------------------
 
@@ -587,19 +599,25 @@ def csv_fields(labels: Sequence[str]) -> list[str]:
     return out
 
 
-def _format_column(x: np.ndarray, masked: np.ndarray, quoted) -> list[str]:
-    """One column's cells as text: ``NA``, a quoted label, an int or a repr."""
-    out = np.full(len(x), MISSING_TOKEN, dtype=object)
-    v = x[~masked]
-    if quoted is not None:
-        text = quoted[v.astype(np.intp)]
-    else:
-        whole = (v == np.trunc(v)) & (np.abs(v) < 1e15)
-        text = np.empty(len(v), dtype=object)
-        text[whole] = list(map(str, v[whole].astype(np.int64).tolist()))
-        text[~whole] = list(map(repr, v[~whole].tolist()))
-    out[~masked] = text
-    return out.tolist()
+def _column_texts(spec: ColumnSpec, x: np.ndarray, masked: np.ndarray):
+    """One column's sorted distinct values and their cell texts, the
+    texts followed by ``NA``.
+
+    A level column's values are its level codes, written as csv-quoted
+    labels. Other columns format each distinct unmasked value once:
+    integer-valued floats below 1e15 as ints (so -0.0 and 0.0 both
+    read ``0``), the rest by ``repr``.
+    """
+    if spec.levels is not None:
+        texts = np.array(csv_fields(spec.levels) + [MISSING_TOKEN], dtype=object)
+        return np.arange(len(spec.levels), dtype=float), texts
+    distinct = np.unique(x[~masked])
+    whole = (distinct == np.trunc(distinct)) & (np.abs(distinct) < 1e15)
+    texts = np.empty(len(distinct) + 1, dtype=object)
+    texts[:-1][whole] = list(map(str, distinct[whole].astype(np.int64).tolist()))
+    texts[:-1][~whole] = list(map(repr, distinct[~whole].tolist()))
+    texts[-1] = MISSING_TOKEN
+    return distinct, texts
 
 
 def sidecar_path(csv_path: str) -> str:
@@ -610,23 +628,25 @@ def sidecar_path(csv_path: str) -> str:
 def write_csv(d: Dataset, path: str) -> None:
     """Write data plus a JSON metadata sidecar, atomically.
 
-    Cells are formatted one column at a time over blocks of
-    ``BLOCK_ROWS`` rows: masked cells as ``NA``, levels by label,
-    integer-valued floats below 1e15 as ints, other floats by ``repr``.
+    Masked cells are written as ``NA``, levels by label, integer-valued
+    floats below 1e15 as ints, other floats by ``repr``. Each column's
+    distinct values are formatted once; rows are then assembled from
+    those texts in blocks of ``BLOCK_ROWS``, each cell's text found by
+    binary search among its column's distinct values.
     """
-    quoted = [
-        None if c.levels is None else np.array(csv_fields(c.levels), dtype=object)
-        for c in d.columns
+    columns = [
+        _column_texts(c, d.values[:, j], d.mask[:, j]) for j, c in enumerate(d.columns)
     ]
     tmp = path + ".tmp"
     with open(tmp, "w", newline="") as fh:
         csv.writer(fh).writerow(d.col_names)
         for start in range(0, d.n_rows, BLOCK_ROWS):
             block = slice(start, start + BLOCK_ROWS)
-            cols = [
-                _format_column(d.values[block, j], d.mask[block, j], quoted[j])
-                for j in range(len(d.columns))
-            ]
+            cols = []
+            for j, (distinct, texts) in enumerate(columns):
+                index = np.searchsorted(distinct, d.values[block, j])
+                index[d.mask[block, j]] = len(distinct)
+                cols.append(texts[index].tolist())
             fh.write("\r\n".join(map(",".join, zip(*cols))))
             fh.write("\r\n")
     os.replace(tmp, path)
@@ -646,9 +666,19 @@ def write_csv(d: Dataset, path: str) -> None:
 
 
 def _parse_floats(tokens: list[str]) -> np.ndarray:
-    """Floats from tokens; ``NA`` and empty (after stripping) are NaN."""
+    """Floats from tokens; ``NA`` and empty (after stripping) are NaN.
+
+    Exact ``NA`` and empty tokens are replaced before any parse; the
+    tokens are stripped only when that still fails.
+    """
     try:
         return np.array(tokens, dtype=float)
+    except ValueError:
+        pass
+    try:
+        return np.array(
+            ["nan" if t == MISSING_TOKEN or not t else t for t in tokens], dtype=float
+        )
     except ValueError:
         text = np.char.strip(np.array(tokens, dtype=str))
         missing = (text == MISSING_TOKEN) | (text == "")
@@ -697,8 +727,11 @@ def read_csv(path: str, meta_path: str | None = None) -> Dataset:
 
     Rows are parsed in blocks of ``BLOCK_ROWS``, one column at a time. A
     missing or invalid sidecar, a header that does not match it, a row
-    with the wrong number of fields and a token that is not a number or
-    not a level of its column raise ``BadConfig`` naming the file and line.
+    with the wrong number of fields, a token that is not a number or not
+    a level of its column, a missing key cell and a row repeating an
+    earlier row's key (unit-id, plus time in long shape and the
+    ``Imputation`` index of a stack) raise ``BadConfig`` naming the file
+    and line.
     """
     meta_path = meta_path or sidecar_path(path)
     try:
@@ -763,4 +796,15 @@ def read_csv(path: str, meta_path: str | None = None) -> Dataset:
             f"{path}, line {_line_of(path, row)}: {c.role} column {c.name!r} "
             "has a missing cell"
         )
-    return Dataset(ordered, values, shape_kind=shape)
+    try:
+        return Dataset(ordered, values, shape_kind=shape)
+    except (DuplicateTimePoint, ValueError):
+        key = _row_key(ordered, shape)
+        row = _first_repeat(values, key) if key else None
+        if row is None:
+            raise
+        names = ", ".join(repr(ordered[j].name) for j in key)
+        raise BadConfig(
+            f"{path}, line {_line_of(path, row)}: the key columns {names} "
+            "repeat an earlier row"
+        ) from None

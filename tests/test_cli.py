@@ -246,6 +246,34 @@ class TestAnalyzePool:
         assert f"{path}, line 4: {role} column '{column}' has a missing cell" in err
         assert "Traceback" not in err
 
+    def test_repeated_long_row_exit(self, sim_dir, tmp_path, capsys):
+        def repeat_row_2(b):
+            lines = b.split(b"\r\n")
+            lines.insert(3, lines[2])
+            return b"\r\n".join(lines)
+
+        path = self._broken_copy(sim_dir, tmp_path, repeat_row_2)
+        assert self._analyze(path, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert f"{path}, line 4: the key columns 'id', 'time' repeat" in err
+        assert "Traceback" not in err
+
+    def test_repeated_wide_unit_exit(self, tmp_path, capsys):
+        path = tmp_path / "wide.csv"
+        path.write_text("id,y\r\n1,0.5\r\n2,1.5\r\n3,2.5\r\n2,3.5\r\n")
+        (tmp_path / "wide.meta.json").write_text(json.dumps({
+            "shape": "wide",
+            "columns": [
+                {"name": "id", "kind": "continuous", "role": "unit-id"},
+                {"name": "y", "kind": "continuous", "role": "analysis"},
+            ],
+        }))
+        assert run("analyze", "--input", str(path), "--formula", "y ~ 1 + (1|id)",
+                   "--out-dir", str(tmp_path / "fits")) == 2
+        err = capsys.readouterr().err
+        assert f"{path}, line 5: the key columns 'id' repeat" in err
+        assert "Traceback" not in err
+
     def test_invalid_sidecar_level_exit(self, sim_dir, tmp_path, capsys):
         path = self._broken_copy(sim_dir, tmp_path, lambda b: b)
         meta_path = tmp_path / "in" / "observed.meta.json"

@@ -526,6 +526,59 @@ def test_codec_single_column_quoted_labels(tmp_path):
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
+def stacked_dataset(gen, m, n_units):
+    """An ``Imputation``-indexed stack: copy 0 holds masked cells, copies
+    1..m fill them with fresh draws, so values recur within and across
+    copies. Unmasked NaN and +-inf sit among the floats."""
+    labels = ("a,b", 'q"', "p q", "x\r\ny")
+    cols = [
+        ColumnSpec("Imputation", "continuous", "auxiliary"),
+        ColumnSpec("id", "continuous", "unit-id"),
+        ColumnSpec("time", "continuous", "time"),
+        ColumnSpec("x", "continuous", "analysis"),
+        ColumnSpec("g", "categorical", "analysis", labels),
+        ColumnSpec("b", "binary", "auxiliary", labels[:2]),
+    ]
+    pool = np.array(AWKWARD_FLOATS + [np.nan, -np.inf, 1 / 3])
+    n = 2 * n_units
+    base = np.column_stack([
+        np.zeros(n),
+        np.repeat(np.arange(n_units), 2),
+        np.tile([1.0, 2.0], n_units),
+        gen.choice(pool, n),
+        gen.integers(0, len(labels), n),
+        gen.integers(0, 2, n),
+    ])
+    holes = np.zeros_like(base, dtype=bool)
+    holes[:, 3:] = gen.random((n, 3)) < 0.3
+    copies, masks = [base], [holes]
+    for k in range(1, m + 1):
+        fill = np.column_stack([
+            gen.choice(pool, n), gen.integers(0, len(labels), n), gen.integers(0, 2, n)
+        ])
+        copy = base.copy()
+        copy[:, 0] = k
+        copy[:, 3:] = np.where(holes[:, 3:], fill, base[:, 3:])
+        copies.append(copy)
+        masks.append(np.zeros_like(holes))
+    return Dataset(cols, np.vstack(copies), np.vstack(masks), shape_kind="long")
+
+
+def test_stack_codec_matches_percell_oracle(tmp_path):
+    d = stacked_dataset(np.random.default_rng(11), m=3, n_units=1100)
+    assert d.n_rows > 2 * BLOCK_ROWS
+    new, old = str(tmp_path / "new.csv"), str(tmp_path / "old.csv")
+    write_csv(d, new)
+    percell_write(d, old)
+    assert open(new, "rb").read() == open(old, "rb").read()
+    text = open(new).read()
+    assert ",-inf," in text and ",inf," in text and ",nan," in text
+    values, mask = percell_read(new, str(tmp_path / "new.meta.json"))
+    back = read_csv(new)
+    np.testing.assert_array_equal(back.mask, mask)
+    np.testing.assert_array_equal(back.values.view(np.int64), values.view(np.int64))
+
+
 def test_read_strips_padded_and_missing_tokens(tmp_path):
     d = Dataset.build(
         [ColumnSpec("id", "continuous", "unit-id"),
@@ -582,6 +635,62 @@ def test_header_mismatch(tmp_path, text):
 def test_non_number_names_line(tmp_path):
     path = _write_pair(tmp_path, "id,x\r\n1,2\r\n2,abc\r\n")
     with pytest.raises(BadConfig, match="line 3: 'abc' in column 'x'"):
+        read_csv(path)
+
+
+def _float_rows(bad_row=None):
+    """``id,x`` rows: the first block mixes NA, empty and padded tokens,
+    and ``bad_row`` (0-based, in a later block) holds a non-number."""
+    x = [repr(0.25 * r) for r in range(BLOCK_ROWS + 50)]
+    x[3], x[7], x[11], x[12], x[20] = "NA", "", " NA ", "  ", " 2.5 "
+    if bad_row is not None:
+        x[bad_row] = "2.5x"
+    return "id,x\r\n" + "".join(f"{r},{t}\r\n" for r, t in enumerate(x))
+
+
+def test_float_block_with_missing_and_padded_tokens(tmp_path):
+    path = _write_pair(tmp_path, _float_rows())
+    back = read_csv(path)
+    missing = np.flatnonzero(back.column_mask("x"))
+    assert missing.tolist() == [3, 7, 11, 12]
+    assert back.column("x")[20] == 2.5
+    assert back.column("x")[BLOCK_ROWS + 10] == 0.25 * (BLOCK_ROWS + 10)
+
+
+def test_non_number_in_later_block_names_line(tmp_path):
+    bad = BLOCK_ROWS + 30
+    path = _write_pair(tmp_path, _float_rows(bad))
+    with pytest.raises(BadConfig, match=f"line {bad + 2}: '2.5x' in column 'x'"):
+        read_csv(path)
+
+
+@pytest.mark.parametrize("shape, text, line", [
+    ("long", "id,time\r\n1,3\r\n2,3\r\n1,5\r\n2,3\r\n1,3\r\n", 5),
+    ("wide", "id,time\r\n1,3\r\n2,3\r\n2,5\r\n1,5\r\n", 4),
+])
+def test_repeated_key_names_line(tmp_path, shape, text, line):
+    path = tmp_path / "d.csv"
+    path.write_text(text)
+    (tmp_path / "d.meta.json").write_text(json.dumps({
+        "shape": shape,
+        "columns": [
+            {"name": "id", "kind": "continuous", "role": "unit-id"},
+            {"name": "time", "kind": "continuous", "role": "time"},
+        ],
+    }))
+    with pytest.raises(BadConfig, match=f"d.csv, line {line}: the key columns"):
+        read_csv(str(path))
+
+
+def test_stack_repeats_units_across_imputations(tmp_path):
+    d = stacked_dataset(np.random.default_rng(3), m=2, n_units=5)
+    keys = d.with_columns(d.columns[:3], d.values[:, :3], d.mask[:, :3])
+    path = str(tmp_path / "s.csv")
+    write_csv(keys, path)
+    assert read_csv(path).n_rows == 30
+    write_csv(keys.take(np.r_[0:14, 12, 14:30]), path)
+    with pytest.raises(BadConfig, match="s.csv, line 16: the key columns "
+                       "'Imputation', 'id', 'time' repeat"):
         read_csv(path)
 
 
