@@ -668,8 +668,9 @@ def write_csv(d: Dataset, path: str) -> None:
 def _parse_floats(tokens: list[str]) -> np.ndarray:
     """Floats from tokens; ``NA`` and empty (after stripping) are NaN.
 
-    Exact ``NA`` and empty tokens are replaced before any parse; the
-    tokens are stripped only when that still fails.
+    When the tokens do not parse as they are, exact ``NA`` and empty
+    tokens are replaced first; the tokens are stripped only when that
+    still fails.
     """
     try:
         return np.array(tokens, dtype=float)
