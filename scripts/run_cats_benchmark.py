@@ -25,7 +25,7 @@ import warnings
 sys.path.insert(0, "src")
 
 from longmi.lmm import fit_lmm
-from longmi.methods import METHOD_NAMES, build_and_run
+from longmi.methods import CATALOG, METHOD_NAMES, build_and_run
 from longmi.pooling import pool
 from longmi.rng import RngStream
 from longmi.simulate import SimConfig, simulate
@@ -38,8 +38,6 @@ EQ2 = (
     "numeracy_score ~ prev_dep + time + age + numeracy_scorew1 + sex"
     " + factor(ses) + (1|school/id)"
 )
-TWO_LEVEL = {"jm-1l-di-wide", "fcs-1l-di-wide", "jm-2l-wide", "fcs-2l-wide",
-             "jm-2l-di", "fcs-2l-di", "fcs-3l"}
 
 
 def main():
@@ -73,7 +71,8 @@ def main():
                     m=args.m, maxit=args.maxit,
                     nburn=args.nburn, nbetween=args.nbetween,
                 )
-            formula = EQ2 if method in TWO_LEVEL else EQ1
+            # methods that model the school get the three-level analysis
+            formula = EQ2 if CATALOG[method].cluster != "none" else EQ1
             fits = [fit_lmm(formula, d) for d in res.stack.imputations]
             pr = pool(fits)
             b = pr["prev_dep"]

@@ -170,6 +170,9 @@ def cmd_impute(args) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
     if args.nbetween < 100:
         raise BadConfig("nbetween below 100 risks dependent imputations")
+    for flag in ("m", "maxit", "nburn"):
+        if getattr(args, flag) < 1:
+            raise BadConfig(f"--{flag} must be at least 1")
     baseline = {}
     for item in args.mtw_baseline or []:
         col, _, wave = item.partition("=")

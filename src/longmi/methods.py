@@ -1,11 +1,16 @@
 """Catalog of the named imputation pipelines.
 
-Each entry turns an observed long dataset into a ready-to-run
-configuration: reshapes to wide where the method wants it, expands
-cluster indicator columns for the fixed-cluster variants, builds the
-method vector / predictor matrix or joint-model spec, runs it, and
-reshapes the completed datasets back to long so every method hands the
-analysis step the same layout.
+The twelve methods differ in three choices, written down once in
+``CATALOG``: the engine (joint model ``jm`` or chained equations
+``fcs``), the layout it runs on (wide: one row per unit; long: one row
+per unit and wave), and how the higher-level cluster enters the model
+(``none``: ignored; ``dummy``: indicator columns; ``random``: a random
+effect; ``nested``: nested random intercepts). ``build_and_run``
+interprets a row: it reshapes to wide and expands cluster indicators
+where the row says so, builds the joint-model spec or the FCS method
+vector, predictor matrix and levels, runs the engine, and returns the
+completed datasets in the observed long layout, so every method hands
+the analysis step the same table.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnsupportedMethod
+from .errors import BadConfig, UnsupportedMethod
 from .fcs import (
     LevelsSpec,
     MethodVector,
@@ -28,7 +33,6 @@ from .jm import ChainTrace, JmSpec, run_jm
 from .rng import RngStream
 from .stack import ImputedStack
 from .table import (
-    ColumnSpec,
     Dataset,
     ReshapeMap,
     dummy_expand,
@@ -36,24 +40,47 @@ from .table import (
     reshape_wide_to_long,
 )
 
-METHOD_NAMES = (
-    "jm-1l-wide",
-    "fcs-1l-wide",
-    "fcs-1l-wide-mtw",
-    "jm-2l",
-    "fcs-2l",
-    "jm-1l-di-wide",
-    "fcs-1l-di-wide",
-    "jm-2l-wide",
-    "fcs-2l-wide",
-    "jm-2l-di",
-    "fcs-2l-di",
-    "fcs-3l",
-)
+
+@dataclass(frozen=True)
+class Method:
+    """One pipeline: ``engine`` is "jm" or "fcs"; ``wide`` runs on one row
+    per unit; ``cluster`` is "none", "dummy", "random" or "nested";
+    ``cov_mode`` is the joint model's residual covariance mode."""
+
+    engine: str
+    wide: bool
+    cluster: str
+    cov_mode: str = "common"
+
+
+CATALOG = {
+    "jm-1l-wide": Method("jm", True, "none"),
+    "fcs-1l-wide": Method("fcs", True, "none"),
+    "fcs-1l-wide-mtw": Method("fcs", True, "none"),
+    "jm-2l": Method("jm", False, "none"),
+    "fcs-2l": Method("fcs", False, "none"),
+    "jm-1l-di-wide": Method("jm", True, "dummy"),
+    "fcs-1l-di-wide": Method("fcs", True, "dummy"),
+    "jm-2l-wide": Method("jm", True, "random", "cluster-specific"),
+    "fcs-2l-wide": Method("fcs", True, "random"),
+    "jm-2l-di": Method("jm", False, "dummy", "cluster-specific"),
+    "fcs-2l-di": Method("fcs", False, "dummy"),
+    "fcs-3l": Method("fcs", False, "nested"),
+}
+METHOD_NAMES = tuple(CATALOG)
 
 UNAVAILABLE = {
     "jm-3l": "no random-effects three-level joint model ships in this package; "
     "use fcs-3l or jm-2l-wide instead",
+}
+
+# default univariate FCS method by family and column kind; any kind not
+# listed (categorical, and binary where no binary entry) takes "other"
+_UNIVARIATE = {
+    "1l": {"continuous": "norm", "binary": "logreg", "other": "polr"},
+    "2l": {"continuous": "2l.pan", "binary": "2l.latent", "other": "2l.pmm"},
+    "2lonly": {"continuous": "2lonly.norm", "other": "2lonly.pmm"},
+    "ml": {"continuous": "ml.lmer.continuous", "other": "ml.lmer.pmm"},
 }
 
 
@@ -76,12 +103,12 @@ def detect_map(d: Dataset, time_varying: list[str] | None = None) -> DataMap:
     observed value across its rows; pass ``time_varying`` to override.
     """
     if d.shape_kind != "long":
-        raise ValueError("detect_map expects a long dataset")
+        raise BadConfig("imputation needs a long dataset, got a wide one")
     unit = d.unit_col()
     cluster = next((c.name for c in d.columns if c.role == "cluster-id"), None)
     time = d.time_col()
     if time is None:
-        raise ValueError("long dataset needs a time column")
+        raise BadConfig("long dataset needs a time column")
     # rows sorted by unit; ``starts`` opens each unit's run
     order = np.argsort(d.column(unit), kind="stable")
     _, starts = np.unique(d.column(unit)[order], return_index=True)
@@ -119,28 +146,9 @@ def _complete(d: Dataset, names) -> list[str]:
     return [n for n in names if not d.column_mask(n).any()]
 
 
-def _wide_analysis_cols(w: Dataset, dm: DataMap) -> list[str]:
-    skip = {dm.unit}
-    if dm.cluster:
-        skip.add(dm.cluster)
-    return [c.name for c in w.columns if c.name not in skip]
-
-
-def _default_wide_method(kind: str, multilevel: bool) -> str:
-    if multilevel:
-        return {"continuous": "2l.pan", "binary": "2l.latent"}.get(kind, "2l.pmm")
-    return {"continuous": "norm", "binary": "logreg"}.get(kind, "polr")
-
-
-def _restack_long(
-    stack: ImputedStack, dm: DataMap, observed_long: Dataset
-) -> ImputedStack:
-    """Reshape wide imputations back to the original long layout."""
-    out = []
-    for imp in stack.imputations:
-        long_imp = reshape_wide_to_long(imp, dm.reshape)
-        out.append(_align_like(long_imp, observed_long))
-    return ImputedStack(observed_long, out)
+def _univariate(family: str, d: Dataset, names) -> dict[str, str]:
+    table = _UNIVARIATE[family]
+    return {n: table.get(d.spec(n).kind, table["other"]) for n in names}
 
 
 def _align_like(d: Dataset, template: Dataset) -> Dataset:
@@ -199,53 +207,105 @@ def build_and_run(
     """Run one named pipeline on an observed long dataset."""
     if method in UNAVAILABLE:
         raise UnsupportedMethod(f"{method}: {UNAVAILABLE[method]}")
-    if method not in METHOD_NAMES:
+    if method not in CATALOG:
         raise UnsupportedMethod(
             f"unknown method {method!r}; expected one of {', '.join(METHOD_NAMES)}"
         )
+    row = CATALOG[method]
     dm = detect_map(observed, time_varying)
-    if method.endswith("-di") or "-di-" in method:
-        if dm.cluster is None:
-            raise ValueError(f"{method} needs a cluster-id column")
-    builder = _BUILDERS[method]
-    return builder(rng, observed, dm, m, maxit, nburn, nbetween,
-                   mtw_window, mtw_baseline or {}, fallback_pmm, workers)
+    if row.cluster != "none" and dm.cluster is None:
+        raise BadConfig(f"{method} needs a cluster-id column")
+    if method == "fcs-2l-di":
+        warnings.warn(
+            "fcs-2l-di often fails to converge on sparse data; "
+            "prefer fcs-3l or jm-2l-wide",
+            stacklevel=2,
+        )
+    base = reshape_long_to_wide(observed, dm.reshape) if row.wide else observed
+    d = base
+    if row.cluster == "dummy":
+        d = dummy_expand(base, dm.cluster, drop_first=True)
+    if row.engine == "jm":
+        spec = _jm_spec(row, d, dm, m, nburn, nbetween)
+        stack, trace = run_jm(rng, spec, d)
+        stats, spec_json = None, _jm_spec_json(spec)
+    else:
+        mv, pred, levels = _fcs_config(method, row, d, dm, mtw_window, mtw_baseline)
+        stack, stats = run_fcs(rng, d, mv, pred, levels, maxit, m, fallback_pmm,
+                               workers)
+        trace, spec_json = None, _fcs_spec_json(mv, pred, levels, maxit, m)
+    if row.cluster == "dummy":
+        stack = _reattach(stack, base, dm.cluster)
+    if d is not observed:
+        imps = (reshape_wide_to_long(i, dm.reshape) if row.wide else i
+                for i in stack.imputations)
+        stack = ImputedStack(observed, [_align_like(i, observed) for i in imps])
+    return ImputeResult(stack, trace, stats, spec_json)
 
 
-# -- wide JM family -----------------------------------------------------------
-
-
-def _jm_wide(rng, observed, dm, m, nburn, nbetween, dummy_cluster, cluster_re,
-             cov_mode="common"):
-    wide = reshape_long_to_wide(observed, dm.reshape)
-    base_wide = wide
-    if dummy_cluster:
-        wide = dummy_expand(wide, dm.cluster, drop_first=True)
-    cols = _wide_analysis_cols(wide, dm)
-    y_cols = _incomplete(wide, cols)
-    x_cols = _complete(wide, cols)
-    if not dummy_cluster and dm.cluster:
-        x_cols = [c for c in x_cols if c != dm.cluster]
-        x_cols = [c for c in x_cols if not c.startswith(f"{dm.cluster}_")]
-    spec = JmSpec(
-        y_cols=tuple(y_cols),
-        x_cols=tuple(x_cols),
-        clus=dm.cluster if cluster_re else None,
-        cov_mode=cov_mode,
-        nburn=nburn,
-        nbetween=nbetween,
-        nimp=m,
+def _jm_spec(row: Method, d: Dataset, dm: DataMap, m, nburn, nbetween) -> JmSpec:
+    """Wide: every incomplete column is a response; long: time-varying
+    columns are level-1 responses and time-fixed ones level-2 responses
+    within the unit, with a random time slope."""
+    if row.wide:
+        cols = [c.name for c in d.columns if c.name not in (dm.unit, dm.cluster)]
+        return JmSpec(
+            y_cols=_incomplete(d, cols),
+            x_cols=_complete(d, cols),
+            clus=dm.cluster if row.cluster == "random" else None,
+            cov_mode=row.cov_mode, nburn=nburn, nbetween=nbetween, nimp=m,
+        )
+    x2_cols = _complete(d, dm.time_fixed)
+    if row.cluster == "dummy":
+        x2_cols += [n for n in d.col_names if n.startswith(f"{dm.cluster}_")]
+    return JmSpec(
+        y_cols=_incomplete(d, dm.time_varying),
+        x_cols=_complete(d, dm.time_varying) + [dm.time] + x2_cols,
+        z_cols=(dm.time,),
+        y2_cols=_incomplete(d, dm.time_fixed),
+        x2_cols=x2_cols,
+        clus=dm.unit,
+        cov_mode=row.cov_mode, nburn=nburn, nbetween=nbetween, nimp=m,
     )
-    stack, trace = run_jm(rng, spec, wide)
-    if dummy_cluster:
-        stack = _reattach(stack, base_wide, dm.cluster)
-    stack = _restack_long(stack, dm, observed)
-    return ImputeResult(stack, trace, None, _jm_spec_json("jm", spec))
 
 
-def _jm_spec_json(kind, spec: JmSpec):
+def _fcs_config(method, row: Method, d: Dataset, dm: DataMap, window, baseline):
+    """Method vector, predictor matrix and levels for one FCS row."""
+    if method == "fcs-1l-wide-mtw":
+        pred = mtw_predictor_matrix(d, dm.reshape, window, baseline or {})
+    else:
+        pred = default_predictor_matrix(d)
+    if dm.cluster in d.col_names:
+        pred.set_column(dm.cluster, -2 if row.cluster == "random" else 0)
+    if row.wide:
+        cols = [c.name for c in d.columns if c.name not in (dm.unit, dm.cluster)]
+        family = "2l" if row.cluster == "random" else "1l"
+        pred.set_column(dm.unit, 0)
+        return MethodVector(_univariate(family, d, _incomplete(d, cols))), pred, None
+    tv = _incomplete(d, dm.time_varying)
+    tf = _incomplete(d, dm.time_fixed)
+    levels = None
+    if row.cluster == "nested":
+        methods = _univariate("ml", d, tv + tf)
+        levels = LevelsSpec(
+            {**{n: "" for n in tv}, **{n: dm.unit for n in tf}},
+            {**{n: (dm.unit, dm.cluster) for n in tv},
+             **{n: (dm.cluster,) for n in tf}},
+        )
+        pred.set_column(dm.unit, 0)
+    else:
+        methods = {**_univariate("2l", d, tv), **_univariate("2lonly", d, tf)}
+        pred.set_column(dm.unit, -2)
+        pred.set(tv, dm.time, 2)
+        for n in tv:
+            pred.set(n, [c for c in dm.time_varying if c != n], 3)
+    pred.set(tf, dm.time, 0)
+    return MethodVector(methods), pred, levels
+
+
+def _jm_spec_json(spec: JmSpec):
     return {
-        "family": kind,
+        "family": "jm",
         "y_cols": list(spec.y_cols),
         "x_cols": list(spec.x_cols),
         "z_cols": list(spec.z_cols),
@@ -280,247 +340,3 @@ def _fcs_spec_json(methods: MethodVector, pred: PredictorMatrix,
         "maxit": maxit,
         "m": m,
     }
-
-
-def _build_jm_1l_wide(rng, observed, dm, m, maxit, nburn, nbetween, w, bl, fb, workers=1):
-    return _jm_wide(rng, observed, dm, m, nburn, nbetween,
-                    dummy_cluster=False, cluster_re=False)
-
-
-def _build_jm_1l_di_wide(rng, observed, dm, m, maxit, nburn, nbetween, w, bl, fb, workers=1):
-    return _jm_wide(rng, observed, dm, m, nburn, nbetween,
-                    dummy_cluster=True, cluster_re=False)
-
-
-def _build_jm_2l_wide(rng, observed, dm, m, maxit, nburn, nbetween, w, bl, fb, workers=1):
-    if dm.cluster is None:
-        raise ValueError("jm-2l-wide needs a cluster-id column")
-    return _jm_wide(rng, observed, dm, m, nburn, nbetween,
-                    dummy_cluster=False, cluster_re=True,
-                    cov_mode="cluster-specific")
-
-
-# -- long JM family -----------------------------------------------------------
-
-
-def _jm_long(rng, observed, dm, m, nburn, nbetween, dummy_cluster, cov_mode):
-    base = observed
-    if dummy_cluster:
-        base = dummy_expand(observed, dm.cluster, drop_first=True)
-    varying, fixed = dm.time_varying, dm.time_fixed
-    y_cols = _incomplete(base, varying)
-    y2_cols = _incomplete(base, fixed)
-    x_cols = _complete(base, varying) + [dm.time] + _complete(base, fixed)
-    x2_cols = _complete(base, fixed)
-    if dummy_cluster:
-        dummies = [c.name for c in base.columns
-                   if c.name.startswith(f"{dm.cluster}_")]
-        x_cols += dummies
-        x2_cols += dummies
-    spec = JmSpec(
-        y_cols=tuple(y_cols),
-        x_cols=tuple(x_cols),
-        z_cols=(dm.time,),
-        y2_cols=tuple(y2_cols),
-        x2_cols=tuple(x2_cols),
-        clus=dm.unit,
-        cov_mode=cov_mode,
-        nburn=nburn,
-        nbetween=nbetween,
-        nimp=m,
-    )
-    stack, trace = run_jm(rng, spec, base)
-    if dummy_cluster:
-        stack = _reattach(stack, observed, dm.cluster)
-        stack = ImputedStack(
-            observed, [_align_like(i, observed) for i in stack.imputations]
-        )
-    return ImputeResult(stack, trace, None, _jm_spec_json("jm", spec))
-
-
-def _build_jm_2l(rng, observed, dm, m, maxit, nburn, nbetween, w, bl, fb, workers=1):
-    return _jm_long(rng, observed, dm, m, nburn, nbetween,
-                    dummy_cluster=False, cov_mode="common")
-
-
-def _build_jm_2l_di(rng, observed, dm, m, maxit, nburn, nbetween, w, bl, fb, workers=1):
-    return _jm_long(rng, observed, dm, m, nburn, nbetween,
-                    dummy_cluster=True, cov_mode="cluster-specific")
-
-
-# -- wide FCS family ----------------------------------------------------------
-
-
-def _fcs_wide(rng, observed, dm, m, maxit, fb, pred_builder, multilevel,
-              dummy_cluster=False, workers=1):
-    wide = reshape_long_to_wide(observed, dm.reshape)
-    base_wide = wide
-    if dummy_cluster:
-        wide = dummy_expand(wide, dm.cluster, drop_first=True)
-    methods = MethodVector(
-        {
-            n: _default_wide_method(wide.spec(n).kind, multilevel)
-            for n in _incomplete(wide, _wide_analysis_cols(wide, dm))
-        }
-    )
-    pred = pred_builder(wide)
-    stack, stats = run_fcs(rng, wide, methods, pred, None, maxit, m, fb, workers)
-    if dummy_cluster:
-        stack = _reattach(stack, base_wide, dm.cluster)
-    stack = _restack_long(stack, dm, observed)
-    return ImputeResult(
-        stack, None, stats, _fcs_spec_json(methods, pred, None, maxit, m)
-    )
-
-
-def _build_fcs_1l_wide(rng, observed, dm, m, maxit, nburn, nbetween, w, bl, fb, workers=1):
-    def build(wide):
-        pred = default_predictor_matrix(wide)
-        pred.set_column(dm.unit, 0)
-        if dm.cluster:
-            pred.set_column(dm.cluster, 0)
-        return pred
-
-    return _fcs_wide(rng, observed, dm, m, maxit, fb, build, multilevel=False,
-                     workers=workers)
-
-
-def _build_fcs_1l_wide_mtw(rng, observed, dm, m, maxit, nburn, nbetween,
-                           window, baseline, fb, workers=1):
-    def build(wide):
-        pred = mtw_predictor_matrix(wide, dm.reshape, window, baseline)
-        pred.set_column(dm.unit, 0)
-        if dm.cluster:
-            pred.set_column(dm.cluster, 0)
-        return pred
-
-    return _fcs_wide(rng, observed, dm, m, maxit, fb, build, multilevel=False,
-                     workers=workers)
-
-
-def _build_fcs_1l_di_wide(rng, observed, dm, m, maxit, nburn, nbetween, w, bl, fb, workers=1):
-    def build(wide):
-        pred = default_predictor_matrix(wide)
-        pred.set_column(dm.unit, 0)
-        return pred
-
-    return _fcs_wide(rng, observed, dm, m, maxit, fb, build, multilevel=False,
-                     dummy_cluster=True, workers=workers)
-
-
-def _build_fcs_2l_wide(rng, observed, dm, m, maxit, nburn, nbetween, w, bl, fb, workers=1):
-    if dm.cluster is None:
-        raise ValueError("fcs-2l-wide needs a cluster-id column")
-
-    def build(wide):
-        pred = default_predictor_matrix(wide)
-        pred.set_column(dm.unit, 0)
-        pred.set_column(dm.cluster, -2)
-        return pred
-
-    return _fcs_wide(rng, observed, dm, m, maxit, fb, build, multilevel=True,
-                     workers=workers)
-
-
-# -- long FCS family ----------------------------------------------------------
-
-
-def _fcs_2l_config(d: Dataset, dm: DataMap):
-    methods = {}
-    for n in _incomplete(d, dm.time_varying):
-        kind = d.spec(n).kind
-        methods[n] = {"continuous": "2l.pan", "binary": "2l.latent"}.get(
-            kind, "2l.pmm"
-        )
-    for n in _incomplete(d, dm.time_fixed):
-        kind = d.spec(n).kind
-        methods[n] = "2lonly.norm" if kind == "continuous" else "2lonly.pmm"
-    mv = MethodVector(methods)
-    pred = default_predictor_matrix(d)
-    if dm.cluster:
-        pred.set_column(dm.cluster, 0)
-    pred.set_column(dm.unit, -2)
-    tv_incomplete = _incomplete(d, dm.time_varying)
-    tf_incomplete = _incomplete(d, dm.time_fixed)
-    if tf_incomplete:
-        pred.set(tf_incomplete, dm.time, 0)
-    if tv_incomplete:
-        pred.set(tv_incomplete, dm.time, 2)
-        for row in tv_incomplete:
-            others = [c for c in dm.time_varying if c != row]
-            if others:
-                pred.set(row, others, 3)
-    return mv, pred
-
-
-def _build_fcs_2l(rng, observed, dm, m, maxit, nburn, nbetween, w, bl, fb, workers=1):
-    mv, pred = _fcs_2l_config(observed, dm)
-    stack, stats = run_fcs(rng, observed, mv, pred, None, maxit, m, fb, workers)
-    return ImputeResult(
-        stack, None, stats, _fcs_spec_json(mv, pred, None, maxit, m)
-    )
-
-
-def _build_fcs_2l_di(rng, observed, dm, m, maxit, nburn, nbetween, w, bl, fb, workers=1):
-    warnings.warn(
-        "fcs-2l-di often fails to converge on sparse data; "
-        "prefer fcs-3l or jm-2l-wide",
-        stacklevel=2,
-    )
-    base = dummy_expand(observed, dm.cluster, drop_first=True)
-    dm_di = detect_map(base, time_varying=dm.time_varying)
-    mv, pred = _fcs_2l_config(base, dm_di)
-    stack, stats = run_fcs(rng, base, mv, pred, None, maxit, m, fb, workers)
-    stack = _reattach(stack, observed, dm.cluster)
-    stack = ImputedStack(
-        observed, [_align_like(i, observed) for i in stack.imputations]
-    )
-    return ImputeResult(
-        stack, None, stats, _fcs_spec_json(mv, pred, None, maxit, m)
-    )
-
-
-def _build_fcs_3l(rng, observed, dm, m, maxit, nburn, nbetween, w, bl, fb, workers=1):
-    if dm.cluster is None:
-        raise ValueError("fcs-3l needs a cluster-id column")
-    methods = {}
-    level_of = {}
-    clusters = {}
-    for n in _incomplete(observed, dm.time_varying):
-        kind = observed.spec(n).kind
-        methods[n] = "ml.lmer.continuous" if kind == "continuous" else "ml.lmer.pmm"
-        level_of[n] = ""
-        clusters[n] = (dm.unit, dm.cluster)
-    for n in _incomplete(observed, dm.time_fixed):
-        kind = observed.spec(n).kind
-        methods[n] = "ml.lmer.continuous" if kind == "continuous" else "ml.lmer.pmm"
-        level_of[n] = dm.unit
-        clusters[n] = (dm.cluster,)
-    mv = MethodVector(methods)
-    levels = LevelsSpec(level_of, clusters)
-    pred = default_predictor_matrix(observed)
-    pred.set_column(dm.unit, 0)
-    pred.set_column(dm.cluster, 0)
-    tf_incomplete = _incomplete(observed, dm.time_fixed)
-    if tf_incomplete:
-        pred.set(tf_incomplete, dm.time, 0)
-    stack, stats = run_fcs(rng, observed, mv, pred, levels, maxit, m, fb, workers)
-    return ImputeResult(
-        stack, None, stats, _fcs_spec_json(mv, pred, levels, maxit, m)
-    )
-
-
-_BUILDERS = {
-    "jm-1l-wide": _build_jm_1l_wide,
-    "fcs-1l-wide": _build_fcs_1l_wide,
-    "fcs-1l-wide-mtw": _build_fcs_1l_wide_mtw,
-    "jm-2l": _build_jm_2l,
-    "fcs-2l": _build_fcs_2l,
-    "jm-1l-di-wide": _build_jm_1l_di_wide,
-    "fcs-1l-di-wide": _build_fcs_1l_di_wide,
-    "jm-2l-wide": _build_jm_2l_wide,
-    "fcs-2l-wide": _build_fcs_2l_wide,
-    "jm-2l-di": _build_jm_2l_di,
-    "fcs-2l-di": _build_fcs_2l_di,
-    "fcs-3l": _build_fcs_3l,
-}

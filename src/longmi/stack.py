@@ -27,24 +27,22 @@ class ImputedStack:
     def to_stacked(self) -> Dataset:
         """One dataset with a leading Imputation column (0 = original)."""
         parts = [self.original] + self.imputations
+        if any(d.columns != self.original.columns for d in self.imputations):
+            raise ValueError("imputations must share the original schema")
         cols = [ColumnSpec(IMPUTATION_COL, "continuous", "auxiliary")]
         cols += list(self.original.columns)
-        values = []
-        mask = []
+        rows = sum(d.n_rows for d in parts)
+        values = np.empty((rows, len(cols)))
+        mask = np.zeros((rows, len(cols)), dtype=bool)
+        start = 0
         for i, d in enumerate(parts):
-            if d.columns != self.original.columns:
-                raise ValueError("imputations must share the original schema")
-            tag = np.full((d.n_rows, 1), float(i))
-            values.append(np.concatenate([tag, d.values], axis=1))
-            mask.append(
-                np.concatenate([np.zeros((d.n_rows, 1), dtype=bool), d.mask], axis=1)
-            )
+            stop = start + d.n_rows
+            values[start:stop, 0] = i
+            values[start:stop, 1:] = d.values
+            mask[start:stop, 1:] = d.mask
+            start = stop
         return Dataset(
-            cols,
-            np.concatenate(values, axis=0),
-            np.concatenate(mask, axis=0),
-            shape_kind=self.original.shape_kind,
-            validate=False,
+            cols, values, mask, shape_kind=self.original.shape_kind, validate=False
         )
 
     @classmethod

@@ -8,6 +8,7 @@ import pytest
 
 from longmi.cli import _fmt, _write_trace, main
 from longmi.jm import ChainTrace
+from longmi.methods import CATALOG, METHOD_NAMES
 
 EQ1 = (
     "numeracy_score ~ prev_dep + time + age + numeracy_scorew1 + sex"
@@ -58,6 +59,21 @@ class TestSim:
         meta = json.loads((sim_dir / "run_manifest.json").read_text())
         assert meta["subcommand"] == "sim"
         assert meta["tool"] == "longmi"
+
+
+@pytest.fixture(scope="module")
+def clusterless_dir(sim_dir, tmp_path_factory):
+    """The simulated cohort with its school column removed."""
+    out = tmp_path_factory.mktemp("noschool")
+    with open(sim_dir / "observed.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    j = rows[0].index("school")
+    with open(out / "observed.csv", "w", newline="") as fh:
+        csv.writer(fh).writerows(r[:j] + r[j + 1:] for r in rows)
+    meta = json.loads((sim_dir / "observed.meta.json").read_text())
+    meta["columns"] = [c for c in meta["columns"] if c["name"] != "school"]
+    (out / "observed.meta.json").write_text(json.dumps(meta))
+    return out
 
 
 class TestImpute:
@@ -126,6 +142,50 @@ class TestImpute:
                 "--method", "fcs-2l-di", "--m", "2", "--maxit", "2",
                 "--seed", "3", "--fallback-pmm", "--out-dir", str(tmp_path / "di"),
             ) == 0
+
+    @pytest.mark.parametrize(
+        "flag, method",
+        [("--m", "fcs-1l-wide"), ("--maxit", "fcs-1l-wide"), ("--nburn", "jm-1l-wide")],
+    )
+    def test_zero_count_exit(self, sim_dir, tmp_path, capsys, flag, method):
+        assert run(
+            "impute", "--input", str(sim_dir / "observed.csv"), "--method", method,
+            "--nbetween", "100", flag, "0", "--out-dir", str(tmp_path / "x"),
+        ) == 2
+        assert f"{flag} must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", METHOD_NAMES)
+    def test_cluster_less_cohort(self, clusterless_dir, tmp_path, capsys, method):
+        # methods that model the school need its column; the rest run without it
+        rc = run(
+            "impute", "--input", str(clusterless_dir / "observed.csv"),
+            "--method", method, "--m", "2", "--maxit", "2", "--nburn", "5",
+            "--nbetween", "100", "--seed", "3", "--fallback-pmm",
+            "--out-dir", str(tmp_path / "x"),
+        )
+        if CATALOG[method].cluster == "none":
+            assert rc == 0
+        else:
+            assert rc == 2
+            assert f"{method} needs a cluster-id column" in capsys.readouterr().err
+
+    def test_wide_input_exit(self, tmp_path, capsys):
+        path = tmp_path / "wide.csv"
+        path.write_text("id,y\r\n1,0.5\r\n2,NA\r\n3,2.5\r\n")
+        (tmp_path / "wide.meta.json").write_text(json.dumps({
+            "shape": "wide",
+            "columns": [
+                {"name": "id", "kind": "continuous", "role": "unit-id"},
+                {"name": "y", "kind": "continuous", "role": "analysis"},
+            ],
+        }))
+        assert run(
+            "impute", "--input", str(path), "--method", "fcs-1l-wide",
+            "--nbetween", "100", "--out-dir", str(tmp_path / "x"),
+        ) == 2
+        err = capsys.readouterr().err
+        assert "needs a long dataset" in err
+        assert "Traceback" not in err
 
 
 @pytest.fixture(scope="module")

@@ -58,6 +58,24 @@ class TestDetectMap:
         assert "numeracy_score" in dm.time_fixed
 
 
+# what each catalog row must configure: a JM row's cluster column and
+# covariance mode; an FCS row's univariate methods and whether it sets levels
+EXPECTED_SPEC = {
+    "jm-1l-wide": ("jm", None, "common"),
+    "fcs-1l-wide": ("fcs", {"norm", "logreg", "polr"}, False),
+    "fcs-1l-wide-mtw": ("fcs", {"norm", "logreg", "polr"}, False),
+    "jm-2l": ("jm", "id", "common"),
+    "fcs-2l": ("fcs", {"2l.pan", "2l.latent", "2lonly.norm", "2lonly.pmm"}, False),
+    "jm-1l-di-wide": ("jm", None, "common"),
+    "fcs-1l-di-wide": ("fcs", {"norm", "logreg", "polr"}, False),
+    "jm-2l-wide": ("jm", "school", "cluster-specific"),
+    "fcs-2l-wide": ("fcs", {"2l.pan", "2l.latent", "2l.pmm"}, False),
+    "jm-2l-di": ("jm", "id", "cluster-specific"),
+    "fcs-2l-di": ("fcs", {"2l.pan", "2l.latent", "2lonly.norm", "2lonly.pmm"}, False),
+    "fcs-3l": ("fcs", {"ml.lmer.continuous", "ml.lmer.pmm"}, True),
+}
+
+
 @pytest.mark.parametrize("method", METHOD_NAMES)
 def test_every_method_runs_and_preserves(small_sim, method):
     obs = small_sim.observed
@@ -67,6 +85,13 @@ def test_every_method_runs_and_preserves(small_sim, method):
             RngStream(42), method, obs, m=2, maxit=3, nburn=30, nbetween=10
         )
     assert res.stack.m == 2
+    spec = res.spec_json
+    family, *expect = EXPECTED_SPEC[method]
+    assert spec["family"] == family
+    if family == "jm":
+        assert [spec["clus"], spec["cov_mode"]] == expect
+    else:
+        assert [set(spec["methods"].values()), spec["levels"] is not None] == expect
     for imp in res.stack.imputations:
         assert not imp.mask.any()
         assert imp.col_names == obs.col_names
