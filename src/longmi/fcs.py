@@ -33,7 +33,7 @@ from .fitters import (
     fit_polr,
     polr_category_probs,
 )
-from .rng import RngStream, chol, inv_wishart_draw, sym, trunc_normal_array
+from .rng import RngStream, chol, inv_wishart_draw, ndtri, sym, trunc_normal_array
 from .stack import ImputedStack
 from .table import Dataset, ReshapeMap
 
@@ -511,8 +511,6 @@ def adaptive_round(imputed: np.ndarray, completed: np.ndarray) -> np.ndarray:
     Threshold c = w - ndtri(w) * sqrt(w (1 - w)) with w the mean of the
     completed column; values above c become 1.
     """
-    from scipy.special import ndtri
-
     w = float(np.mean(completed))
     if not 0.0 < w < 1.0:
         raise DegenerateMean(f"completed mean {w} outside (0, 1)")

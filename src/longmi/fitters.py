@@ -12,10 +12,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
 from .errors import EmptyCategory, PerfectSeparation, RankDeficient
-from .rng import RngStream
+from .rng import RngStream, cho_factor, cho_solve, solve_triangular
 
 _SIGMA2_FLOOR = 1e-10
 

@@ -32,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
 
 from .errors import (
     BadConfig,
@@ -44,9 +43,11 @@ from .errors import (
 from .rng import (
     MvnParams,
     RngStream,
+    cho_solve,
     chol,
     conditional_mvn,
     mvn_draw,
+    solve_triangular,
     sym,
     wishart_precision_draw,
 )

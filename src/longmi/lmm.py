@@ -24,10 +24,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import RankDeficient, UnsupportedNesting
 from .formula import ModelFormula, build_design, grouping_codes, parse_formula
+from .rng import cho_factor, cho_solve
 from .table import Dataset
 
 _LOG2PI = math.log(2.0 * math.pi)

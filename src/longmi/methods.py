@@ -130,6 +130,34 @@ def detect_map(d: Dataset, time_varying: list[str] | None = None) -> DataMap:
     return DataMap(unit, cluster, time, varying, fixed, rmap)
 
 
+def _carry_fixed(d: Dataset, dm: DataMap) -> Dataset:
+    """Fill each time-fixed column's observed value into the unit's rows
+    where it is missing, so the long two-level models see one value per
+    unit and the wide reshape (which keeps each unit's last row) keeps
+    it. A time-fixed column with two observed values in one unit is a
+    ``BadConfig``. Returns ``d`` itself when nothing is filled.
+    """
+    units, code = np.unique(d.column(dm.unit), return_inverse=True)
+    order = np.argsort(code, kind="stable")
+    starts = np.searchsorted(code[order], np.arange(len(units)))
+    values, mask = d.values.copy(), d.mask.copy()
+    for name in dm.time_fixed:
+        j = d.col_index(name)
+        x = values[order, j]
+        hi, lo = np.fmax.reduceat(x, starts), np.fmin.reduceat(x, starts)
+        if (hi > lo).any():
+            raise BadConfig(
+                f"time-fixed column {name!r} takes two values within "
+                f"{dm.unit!r} {units[np.argmax(hi > lo)]:.15g}"
+            )
+        fill = mask[:, j] & ~np.isnan(hi[code])
+        values[fill, j] = hi[code[fill]]
+        mask[fill, j] = False
+    if np.array_equal(mask, d.mask):
+        return d
+    return Dataset(d.columns, values, mask, shape_kind="long", validate=False)
+
+
 @dataclass
 class ImputeResult:
     stack: ImputedStack  # long layout, analysis-ready
@@ -221,7 +249,8 @@ def build_and_run(
             "prefer fcs-3l or jm-2l-wide",
             stacklevel=2,
         )
-    base = reshape_long_to_wide(observed, dm.reshape) if row.wide else observed
+    filled = _carry_fixed(observed, dm)
+    base = reshape_long_to_wide(filled, dm.reshape) if row.wide else filled
     d = base
     if row.cluster == "dummy":
         d = dummy_expand(base, dm.cluster, drop_first=True)

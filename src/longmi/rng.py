@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .errors import EmptyInterval, InvalidDof, NotPositiveDefinite, SingularObservedBlock
 
@@ -55,6 +54,47 @@ class RngStream:
 
     def shuffle(self, *a, **k):
         return self.gen.shuffle(*a, **k)
+
+
+# scipy is imported on first call, not with the package: its import is
+# most of the package's start-up time, which sim, pool, diag and a usage
+# error would otherwise pay without calling it. These pass their
+# arguments through unchanged.
+
+
+def cho_factor(*a, **k):
+    """``scipy.linalg.cho_factor``."""
+    from scipy.linalg import cho_factor
+
+    return cho_factor(*a, **k)
+
+
+def cho_solve(*a, **k):
+    """``scipy.linalg.cho_solve``."""
+    from scipy.linalg import cho_solve
+
+    return cho_solve(*a, **k)
+
+
+def solve_triangular(*a, **k):
+    """``scipy.linalg.solve_triangular``."""
+    from scipy.linalg import solve_triangular
+
+    return solve_triangular(*a, **k)
+
+
+def ndtr(x):
+    """Standard normal CDF, ``scipy.special.ndtr``."""
+    from scipy.special import ndtr
+
+    return ndtr(x)
+
+
+def ndtri(p):
+    """Standard normal quantile, ``scipy.special.ndtri``."""
+    from scipy.special import ndtri
+
+    return ndtri(p)
 
 
 def chol(cov: np.ndarray) -> np.ndarray:

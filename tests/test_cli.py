@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from longmi.cli import _fmt, _write_trace, main
 from longmi.jm import ChainTrace
 from longmi.methods import CATALOG, METHOD_NAMES
+from longmi.table import read_csv
 
 EQ1 = (
     "numeracy_score ~ prev_dep + time + age + numeracy_scorew1 + sex"
@@ -115,25 +117,36 @@ class TestImpute:
         ) == 2
         assert "jm-3l" in capsys.readouterr().err
 
-    def test_jm_2l_fixed_column_missing_in_some_rows(self, sim_dir, tmp_path, capsys):
+    @pytest.mark.parametrize("method", ["jm-2l", "jm-2l-di", "fcs-2l", "fcs-2l-di", "fcs-3l"])
+    def test_fixed_column_missing_in_some_rows(self, sim_dir, tmp_path, method):
         # a time-fixed column observed in one row of a unit and missing in
-        # another is a configuration error (exit 2), not a traceback
+        # another takes the unit's observed value in every imputation; the
+        # original (imputation 0) keeps the missing cell
         lines = (sim_dir / "observed.csv").read_text().splitlines()
-        col = lines[0].split(",").index("numeracy_scorew1")
-        cells = lines[1].split(",")
-        assert cells[col] != "NA" and lines[2].split(",")[col] != "NA"
+        header = lines[0].split(",")
+        col, unit = header.index("numeracy_scorew1"), header.index("id")
+        cells, other = lines[1].split(","), lines[2].split(",")
+        assert cells[unit] == other[unit]
+        assert cells[col] != "NA" and other[col] != "NA"
         cells[col] = "NA"
         lines[1] = ",".join(cells)
         (tmp_path / "observed.csv").write_text("\n".join(lines) + "\n")
         (tmp_path / "observed.meta.json").write_bytes(
             (sim_dir / "observed.meta.json").read_bytes()
         )
-        assert run(
-            "impute", "--input", str(tmp_path / "observed.csv"),
-            "--method", "jm-2l", "--m", "2", "--nburn", "5",
-            "--nbetween", "100", "--out-dir", str(tmp_path / "x"),
-        ) == 2
-        assert "'numeracy_scorew1' is not constant" in capsys.readouterr().err
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # fcs-2l-di's advice
+            assert run(
+                "impute", "--input", str(tmp_path / "observed.csv"),
+                "--method", method, "--m", "2", "--maxit", "2", "--nburn", "5",
+                "--nbetween", "100", "--fallback-pmm", "--out-dir", str(tmp_path / "x"),
+            ) == 0
+        stack = read_csv(str(tmp_path / "x" / "imputations.csv"))
+        row = (stack.column("id") == float(cells[unit])) & (
+            stack.column("time") == float(cells[header.index("time")])
+        )
+        got = stack.column("numeracy_scorew1")[row]
+        assert np.isnan(got[0]) and (got[1:] == float(other[col])).all()
 
     def test_fcs_2l_di_warns(self, sim_dir, tmp_path):
         with pytest.warns(UserWarning, match="fcs-2l-di"):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from longmi.errors import UnsupportedMethod
+from longmi.errors import BadConfig, UnsupportedMethod
 from longmi.fcs import default_predictor_matrix, mtw_predictor_matrix
 from longmi.methods import METHOD_NAMES, build_and_run, detect_map
 from longmi.rng import RngStream
@@ -121,6 +121,22 @@ def test_unsupported_methods(small_sim):
         build_and_run(RngStream(0), "jm-3l", small_sim.observed)
     with pytest.raises(UnsupportedMethod, match="unknown method"):
         build_and_run(RngStream(0), "jm-9l", small_sim.observed)
+
+
+@pytest.mark.parametrize("method", ["jm-2l", "jm-2l-di", "fcs-2l", "fcs-2l-di", "fcs-3l"])
+def test_fixed_column_varying_within_unit_is_bad_config(small_sim, method):
+    obs = small_sim.observed
+    j = obs.col_index("numeracy_scorew1")
+    values = obs.values.copy()
+    row = int(np.flatnonzero(~obs.mask[:, j])[0])
+    values[row, j] += 1.0
+    d = Dataset(obs.columns, values, obs.mask, shape_kind="long")
+    varying = detect_map(obs).time_varying  # keeps numeracy_scorew1 time-fixed
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        with pytest.raises(BadConfig, match="'numeracy_scorew1' takes two values"):
+            build_and_run(RngStream(1), method, d, m=1, maxit=1, nburn=1,
+                          time_varying=varying)
 
 
 def test_fcs_2l_di_warns(small_sim):

@@ -3,10 +3,18 @@
 A name with a leading underscore (dunders such as ``__version__``
 aside) is private to the module that defines it; helpers shared across modules get a public name in the module that
 owns them (linear algebra and random draws live in ``rng``).
+
+scipy is imported only inside ``rng``'s functions, on first call, so
+subcommands that never call it (sim, pool, diag, a usage error) start
+without paying for its import.
 """
 
 import ast
+import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import longmi
 
@@ -47,3 +55,95 @@ def test_checker_sees_private_imports(tmp_path):
         "probe.py:1 imports _chol from .jm",
         "probe.py:2 imports _sym from longmi.rng",
     ]
+
+
+def _scipy_imports(path: pathlib.Path) -> list[str]:
+    """Imports of scipy in ``path``, each with whether it sits inside a
+    function body."""
+    found = []
+
+    def visit(node, in_function):
+        for child in ast.iter_child_nodes(node):
+            names = []
+            if isinstance(child, ast.Import):
+                names = [a.name for a in child.names]
+            elif isinstance(child, ast.ImportFrom) and child.level == 0:
+                names = [child.module or ""]
+            if any(n.split(".")[0] == "scipy" for n in names):
+                where = "function" if in_function else "module"
+                found.append(f"{path.name}:{child.lineno} {where}")
+            visit(child, in_function or isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef)))
+
+    visit(ast.parse(path.read_text(), filename=str(path)), False)
+    return found
+
+
+def test_scipy_imported_only_inside_rng_functions():
+    hits = [hit for path in sorted(PKG.glob("*.py")) for hit in _scipy_imports(path)]
+    assert hits and all(h.startswith("rng.py:") and h.endswith(" function")
+                        for h in hits), hits
+
+
+def test_scipy_checker_sees_module_level_imports(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "import scipy.linalg\nfrom scipy import special\n"
+        "class A:\n    from scipy.special import ndtr\n"
+        "def f():\n    from scipy.linalg import cho_solve\n"
+        "from .scipy import x\nimport numpy\n"
+    )
+    assert _scipy_imports(probe) == [
+        "probe.py:1 module", "probe.py:2 module", "probe.py:4 module",
+        "probe.py:6 function",
+    ]
+
+
+_STARTUP_PROBE = """
+import json, os, sys
+import longmi.cli
+from longmi.cli import main
+
+work = sys.argv[1]
+loaded = {"import": "scipy" in sys.modules}
+
+
+def step(name, *argv):
+    try:
+        main(list(argv))
+    except SystemExit:
+        pass
+    loaded[name] = "scipy" in sys.modules
+
+
+cfg = os.path.join(work, "cfg.json")
+with open(cfg, "w") as fh:
+    json.dump({"n_schools": 4, "n_students": 12}, fh)
+sim = os.path.join(work, "sim")
+step("sim", "sim", "--seed", "5", "--config", cfg, "--out-dir", sim)
+fits = os.path.join(work, "fits")
+os.makedirs(fits)
+for i, q in enumerate((1.0, 2.0, 3.0), start=1):
+    with open(os.path.join(fits, f"fit_{i:04d}.json"), "w") as fh:
+        json.dump({"params": [{"name": "b", "estimate": q, "se": 1.0}],
+                   "var_components": {"residual": 1.0}, "converged": True}, fh)
+step("pool", "pool", "--fits", fits, "--out-dir", os.path.join(work, "pooled"))
+step("help", "--help")
+step("bad_config", "impute", "--input", os.path.join(sim, "observed.csv"),
+     "--method", "fcs-3l", "--m", "0", "--out-dir", os.path.join(work, "imp"))
+print(json.dumps(loaded))
+"""
+
+
+def test_startup_leaves_scipy_unloaded(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(PKG.parent)}
+    res = subprocess.run(
+        [sys.executable, "-c", _STARTUP_PROBE, str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    loaded = json.loads(res.stdout.strip().splitlines()[-1])
+    assert (tmp_path / "sim" / "observed.csv").exists()
+    assert (tmp_path / "pooled" / "pooled.csv").exists()
+    assert "must be at least 1" in res.stderr
+    assert loaded == {"import": False, "sim": False, "pool": False,
+                      "help": False, "bad_config": False}
