@@ -5,9 +5,10 @@ Every subcommand of the paper's workflow (simulate, impute, analyze,
 pool, diag) runs as its own process, so each one pays the interpreter
 and import start-up that an in-process benchmark pays once. This script
 runs each subcommand ``--runs`` times in a new interpreter with BLAS
-pinned to one thread and prints the median wall time per subcommand.
-Given two ``src/`` directories it alternates between them, switching
-which goes first on every run, and prints both medians side by side.
+pinned to one thread and prints the median wall time, with quartiles,
+per subcommand. Given two ``src/`` directories it alternates between
+them, switching which goes first on every run, and prints both side by
+side with the difference of the medians.
 
     python scripts/startup_times.py src
     python scripts/startup_times.py --runs 8 /path/to/parent/src src
@@ -109,12 +110,16 @@ def main(argv=None) -> int:
                 for src in order:
                     times[label, src].append(longmi(src, step_argv, expect))
 
-    print(f"median wall time over {args.runs} fresh interpreters (s)")
-    print(f"{'subcommand':24s}" + "".join(f"{'tree ' + str(i + 1):>10s}"
+    print(f"wall time over {args.runs} fresh interpreters (s): median [quartiles]")
+    print(f"{'subcommand':24s}" + "".join(f"{'tree ' + str(i + 1):>22s}"
                                          for i in range(len(args.src))))
     for label, _, _ in plan:
-        medians = [statistics.median(times[label, src]) for src in args.src]
-        row = f"{label:24s}" + "".join(f"{m:10.3f}" for m in medians)
+        row, medians = f"{label:24s}", []
+        for src in args.src:
+            t = times[label, src]
+            q1, med, q3 = statistics.quantiles(t, n=4) if len(t) > 1 else t * 3
+            row += f"{med:8.3f} [{q1:.3f}, {q3:.3f}]"
+            medians.append(med)
         if len(medians) == 2:
             row += f"   {medians[1] - medians[0]:+.3f}"
         print(row)

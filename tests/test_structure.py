@@ -101,7 +101,6 @@ def test_scipy_checker_sees_module_level_imports(tmp_path):
 
 _STARTUP_PROBE = """
 import json, os, sys
-import longmi.cli
 from longmi.cli import main
 
 work = sys.argv[1]
