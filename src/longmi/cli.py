@@ -31,7 +31,7 @@ from .errors import (
     UnsupportedMethod,
 )
 from .formula import parse_formula
-from .jm import autocorr
+from .jm import autocorrs
 from .lmm import LmmFit, fit_lmm
 from .methods import METHOD_NAMES, build_and_run
 from .pooling import pool
@@ -406,13 +406,12 @@ def cmd_diag(args) -> int:
 
         for name, pts in sorted(series.items()):
             values = np.array([v for _, v in sorted(pts)])
-            for lag in range(1, args.max_lag + 1):
-                if lag >= len(values):
-                    break
-                try:
-                    yield (name, lag, _fmt(autocorr(values, lag)))
-                except DegenerateSeries:
-                    yield (name, lag, "NA")
+            lags = range(1, min(args.max_lag, len(values) - 1) + 1)
+            try:
+                acs = [_fmt(r) for r in autocorrs(values, lags)]
+            except DegenerateSeries:
+                acs = ["NA"] * len(lags)
+            yield from ((name, lag, a) for lag, a in zip(lags, acs))
 
     _atomic_rows(ac_path, ["parameter", "lag", "autocorr"], ac_rows())
     print(f"diag: {len(series)} series -> {args.out_dir}")

@@ -166,16 +166,6 @@ class _Layout:
                 Y[:, s.cols] = encode_latent(rng, x, s.n_levels)
         return Y
 
-    def known_mask(self) -> np.ndarray:
-        """Response cells that stay fixed during conditional draws:
-        observed continuous cells. Latents are never 'known' (observed
-        ones are refreshed by the Metropolis step instead)."""
-        known = np.zeros((len(self.rows), self.width), dtype=bool)
-        for s in self.slots:
-            if s.n_levels == 0:
-                known[:, s.cols] = (~s.missing)[:, None]
-        return known
-
     def unknown_mask(self) -> np.ndarray:
         """Cells redrawn from row conditionals: missing continuous cells
         and latent cells of missing discrete cells."""
@@ -227,16 +217,22 @@ class ChainTrace:
         return self.matrix()[:, j]
 
 
-def autocorr(series: np.ndarray, lag: int) -> float:
-    """Lag-k sample autocorrelation in [-1, 1]."""
+def autocorrs(series: np.ndarray, lags) -> list[float]:
+    """Sample autocorrelations in [-1, 1] at each of ``lags``; the series
+    is centred and its sum of squares formed once for all of them."""
     x = np.asarray(series, dtype=float)
-    if lag <= 0 or lag >= len(x):
+    if any(lag <= 0 or lag >= len(x) for lag in lags):
         raise ValueError("lag must be in 1..len(series)-1")
     x = x - x.mean()
     denom = float(x @ x)
     if denom <= 0.0:
         raise DegenerateSeries("constant series has undefined autocorrelation")
-    return float((x[:-lag] @ x[lag:]) / denom)
+    return [float((x[:-lag] @ x[lag:]) / denom) for lag in lags]
+
+
+def autocorr(series: np.ndarray, lag: int) -> float:
+    """Lag-k sample autocorrelation in [-1, 1]."""
+    return autocorrs(series, [lag])[0]
 
 
 # ---------------------------------------------------------------------------

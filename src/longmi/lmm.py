@@ -1,12 +1,13 @@
 """Random-intercept linear mixed models with 1 or 2 nested groupings.
 
-Variance components are estimated by EM (via Henderson's mixed-model
-equations) followed by a Newton polish of the exact ML or REML
-deviance. V is never materialized: through the Woodbury identity
-everything runs on the capacitance matrix M = Z'Z + diag(sigma_e /
-sigma_k). With random intercepts each outer group's block of M is an
-arrowhead (the outer intercept over a diagonal of its inner groups), so
-its determinant, solves and inverse diagonal have a closed form in
+The residual variance has a closed form given the ratios rho_k =
+sigma_k^2 / sigma_e^2, so the exact ML or REML deviance is profiled over
+it and minimised by Newton over the log ratios alone (Lindstrom & Bates,
+J. Am. Stat. Assoc. 83(404), 1988). V is never materialized: through the
+Woodbury identity everything runs on the capacitance matrix M = Z'Z +
+diag(1 / rho_k). With random intercepts each outer group's block of M is
+an arrowhead (the outer intercept over a diagonal of its inner groups),
+so its determinant, solves and inverse diagonal have a closed form in
 per-group sums: a Schur complement on the inner diagonal, the structure
 behind Henderson's mixed-model equations and lme4's profiled deviance
 (Bates, Maechler, Bolker & Walker, J. Stat. Softw. 67(1), 2015). A
@@ -31,7 +32,6 @@ from .rng import cho_factor, cho_solve
 from .table import Dataset
 
 _LOG2PI = math.log(2.0 * math.pi)
-_MAX_EM = 500
 _MAX_NEWTON = 50
 
 
@@ -143,191 +143,142 @@ def _solve(blocks: _Blocks, lam: np.ndarray):
     return logdet, K, [sol0, sol1], [1.0 / t, diag1]
 
 
-def _deviance_core(blocks: _Blocks, sig: np.ndarray, sig_e: float, criterion: str):
+def _deviance_core(
+    blocks: _Blocks, rho: np.ndarray, criterion: str, sig_e: float | None = None
+):
+    """Deviance, profiled sigma_e^2, gradient, beta and chol(S) at ratios rho.
+
+    Given rho_k = sigma_k^2 / sigma_e^2 everything but sigma_e^2 is fixed:
+    with r0 = A_yy - beta'A_Xy and dof = n - p (REML) or n (ML), the
+    deviance is dof (log 2 pi + log sigma_e^2) + r0 / sigma_e^2 + sum q_k
+    log rho_k + log det M, plus log det S under REML, and sigma_e^2 = r0 /
+    dof minimises it (the profile used when ``sig_e`` is None). The
+    gradient is d(deviance)/d(sigma^2) at (rho sig_e, sig_e), residual
+    last: with u = M^-1 Z'(y - X beta) and W = M^-1 Z'X, Z'V^-1 = diag(lam)
+    M^-1 Z' / sig_e and Z'V^-1 Z = (lam - lam^2 M^-1) / sig_e turn its trace
+    and quadratic terms into per-level sums of u^2, diag(M^-1) and
+    tr(S^-1 W_k'W_k).
+    """
     n, p = blocks.n, blocks.p
-    logdetM, K, sol, diag = _solve(blocks, sig_e / sig)
+    reml = criterion == "REML"
+    dof = n - p * reml
+    lam = 1.0 / rho
+    logdetM, K, sol, diag = _solve(blocks, lam)
     A = blocks.FtF - K  # [S c; c' y'y_adj], profiled over the random effects
     S_cf = cho_factor(A[:p, :p], lower=True)
     beta = cho_solve(S_cf, A[:p, p])
-    rvr = (A[p, p] - float(beta @ A[:p, p])) / sig_e
-    logdetV = (
-        (n - blocks.q_level.sum()) * math.log(sig_e)
-        + float(np.sum(blocks.q_level * np.log(sig)))
+    s2 = max(A[p, p] - float(beta @ A[:p, p]), 1e-300) / dof
+    sig_e = s2 if sig_e is None else sig_e
+    dev = (
+        dof * (_LOG2PI + math.log(sig_e) + s2 / sig_e)
+        + float(blocks.q_level @ np.log(rho))
         + logdetM
     )
-    if criterion == "REML":
-        logdetS = 2.0 * np.sum(np.log(np.diag(S_cf[0])))
-        dev = (n - p) * _LOG2PI + logdetV + logdetS - p * math.log(sig_e) + rvr
-    else:
-        dev = n * _LOG2PI + logdetV + rvr
-    return dev, beta, S_cf, sol, diag
-
-
-def _deviance(blocks, theta, criterion):
-    return _deviance_core(blocks, theta[:-1], theta[-1], criterion)[0]
-
-
-def _level_terms(blocks: _Blocks, theta: np.ndarray, criterion: str):
-    """Sums shared by the gradient and the EM update.
-
-    With u = M^-1 Z'(y - X beta) and W = M^-1 Z'X, returns beta and, per
-    level k, sum u_k^2, the sum of diag(M^-1) over k, tr(S^-1 W_k'W_k),
-    plus u'Z'y and u'Z'X beta over all levels.
-    """
-    _, beta, S_cf, sol, diag = _deviance_core(blocks, theta[:-1], theta[-1], criterion)
-    p = blocks.p
+    if reml:
+        dev += 2.0 * float(np.sum(np.log(np.diag(S_cf[0]))))
     usq, dsum, tw = np.empty((3, len(sol)))
-    uzy = uzxb = 0.0
-    for k, (s, dg, F) in enumerate(zip(sol, diag, blocks.sums)):
+    for k, (s, dg) in enumerate(zip(sol, diag)):
         W = s[:, :p]
         u = s[:, p] - W @ beta
         usq[k] = u @ u
         dsum[k] = dg.sum()
         tw[k] = np.trace(cho_solve(S_cf, W.T @ W))
-        uzy += float(u @ F[:, p])
-        uzxb += float(u @ (F[:, :p] @ beta))
-    return beta, usq, dsum, tw, uzy, uzxb
+    sig = rho * sig_e
+    grad_sig = blocks.q_level / sig - (sig_e * (dsum + reml * tw) + usq) / sig**2
+    trV_e = n - blocks.q_level.sum() + float(lam @ dsum) - reml * (p - float(lam @ tw))
+    grad_e = trV_e / sig_e - (dof * s2 - float(lam @ usq)) / sig_e**2
+    return dev, s2, np.append(grad_sig, grad_e), beta, S_cf
+
+
+def _deviance(blocks, theta, criterion):
+    return _deviance_core(blocks, theta[:-1] / theta[-1], criterion, theta[-1])[0]
 
 
 def _gradient(blocks: _Blocks, theta: np.ndarray, criterion: str) -> np.ndarray:
-    """d(deviance)/d(sigma^2) for each component, residual last.
+    """d(deviance)/d(sigma^2) for each component, residual last."""
+    return _deviance_core(blocks, theta[:-1] / theta[-1], criterion, theta[-1])[2]
 
-    Z'V^-1 = diag(lam) M^-1 Z' / sig_e and Z'V^-1 Z = (lam - lam^2 M^-1) / sig_e
-    turn the trace and quadratic terms into the per-level sums.
-    """
-    sig, sig_e = theta[:-1], theta[-1]
-    beta, usq, dsum, tw, uzy, uzxb = _level_terms(blocks, theta, criterion)
-    lam = sig_e / sig
+
+def _residual_only(blocks: _Blocks, criterion: str) -> tuple[float, float]:
+    """sigma_e^2 and deviance with every level dropped: the profiled
+    deviance of the OLS model."""
+    S_cf = cho_factor(blocks.XtX, lower=True)
+    beta = cho_solve(S_cf, blocks.Xty)
     reml = criterion == "REML"
-    grad_sig = blocks.q_level / sig - (sig_e * (dsum + reml * tw) + usq) / sig**2
-    rtr = blocks.yty - 2.0 * float(beta @ blocks.Xty) + float(beta @ blocks.XtX @ beta)
-    corr_e = reml * (blocks.p - float(lam @ tw))
-    trV_e = blocks.n - blocks.q_level.sum() + float(lam @ dsum)
-    quad_e = rtr - (uzy - uzxb) - float(lam @ usq)
-    return np.append(grad_sig, (trV_e - corr_e) / sig_e - quad_e / sig_e**2)
-
-
-def _em_step(blocks: _Blocks, theta: np.ndarray) -> np.ndarray:
-    """One REML EM update through the mixed-model equations."""
-    beta, usq, dsum, tw, uzy, _ = _level_terms(blocks, theta, "REML")
-    new_sig = (usq + theta[-1] * (dsum + tw)) / blocks.q_level
-    new_sig_e = (blocks.yty - float(beta @ blocks.Xty) - uzy) / (blocks.n - blocks.p)
-    return np.append(new_sig, max(new_sig_e, 1e-300))
+    dof = blocks.n - blocks.p * reml
+    s2 = max(blocks.yty - float(beta @ blocks.Xty), 1e-300) / dof
+    dev = dof * (_LOG2PI + 1.0 + math.log(s2))
+    if reml:
+        dev += 2.0 * float(np.sum(np.log(np.diag(S_cf[0]))))
+    return s2, dev
 
 
 def _fit_components(blocks: _Blocks, criterion: str):
-    """EM warm start then Newton on log-variances; returns
-    (theta, deviance, converged, n_iter, boundary_mask)."""
-    var_y = max(blocks.var_y, 1e-12)
+    """Newton on the log variance ratios of the deviance profiled over
+    sigma_e^2; returns (theta, deviance, converged, n_iter, boundary_mask).
+
+    It starts at rho = 1 (lme4's default) and steps with the absolute
+    eigenvalues of a central-difference Hessian, which is indefinite there
+    for nested fits. On the log scale the gradient vanishes as rho_k -> 0,
+    so convergence is tested on d(deviance)/d(rho). A ratio that falls
+    below the floor, or whose gradient still points at zero when the loop
+    stops unconverged, is checked against the fit without its level: the
+    lower deviance wins, and a tie goes to the smaller model.
+    """
     L = len(blocks.q_level)
-    floor = 1e-7 * var_y
+    floor = 1e-7 * max(blocks.var_y, 1e-12)
 
-    def drop_and_refit(keep: np.ndarray):
-        if not keep.any():
-            # every component on the boundary: residual-only OLS model
-            S_cf = cho_factor(blocks.XtX, lower=True)
-            beta = cho_solve(S_cf, blocks.Xty)
-            rss = max(blocks.yty - float(beta @ blocks.Xty), 1e-300)
-            n, p = blocks.n, blocks.p
-            if criterion == "REML":
-                s2 = rss / (n - p)
-                logdetS = 2.0 * float(np.sum(np.log(np.diag(S_cf[0]))))
-                dv = (
-                    (n - p) * _LOG2PI + (n - p) * math.log(s2)
-                    + logdetS + rss / s2
-                )
-            else:
-                s2 = rss / n
-                dv = n * _LOG2PI + n * math.log(s2) + rss / s2
-            theta_full = np.zeros(L + 1)
-            theta_full[-1] = s2
-            return theta_full, dv, True, it, np.ones(L, dtype=bool)
-        keep_idx = np.where(keep)[0]
-        sub = _restrict_blocks(blocks, keep)
-        th, dv, cv, sub_it, bd = _fit_components(sub, criterion)
-        theta_full = np.zeros(L + 1)
-        theta_full[-1] = th[-1]
-        theta_full[:L][keep] = th[:-1]
-        boundary = ~keep
-        boundary[keep_idx[bd]] = True
-        theta_full[:L][boundary] = 0.0
-        # iterations before the drop count too
-        return theta_full, dv, cv, it + sub_it, boundary
+    def at(x):
+        """Deviance, sigma_e^2 and d(deviance)/d(log rho) at rho = exp(x)."""
+        dev, s2, grad = _deviance_core(blocks, np.exp(x), criterion)[:3]
+        return dev, s2, grad[:-1] * np.exp(x) * s2
 
-    theta = np.concatenate([np.full(L, 0.5 * var_y / max(L, 1)), [0.5 * var_y]])
+    x = np.zeros(L)
+    dev, s2, g = at(x)
+    tol = 1e-9 * max(1.0, abs(dev))  # on d(deviance)/d(rho)
+    dev_tol = 1e-2 * tol  # above the deviance's rounding noise
     it = 0
-
-    def em_phase(theta, budget):
-        nonlocal it
-        for _ in range(budget):
-            it += 1
-            new = _em_step(blocks, theta)
-            rel = np.max(np.abs(new - theta) / np.maximum(np.abs(theta), 1e-12))
-            theta = new
-            if (theta[:-1] < floor).any() or rel < 1e-8:
+    converged = False
+    for _ in range(_MAX_NEWTON):
+        it += 1
+        if np.max(np.abs(g / np.exp(x))) < tol:
+            converged = True
+            break
+        H = np.empty((L, L))
+        for j, e in enumerate(1e-5 * np.eye(L)):
+            H[:, j] = (at(x + e)[2] - at(x - e)[2]) / 2e-5
+        w, V = np.linalg.eigh((H + H.T) / 2.0)
+        step = -V @ ((V.T @ g) / np.maximum(np.abs(w), 1e-8))
+        step = np.clip(step, -4.0, 4.0)
+        for _ in range(26):
+            new = at(x + step)
+            if np.isfinite(new[0]) and new[0] <= dev + dev_tol:
                 break
-        return theta
-
-    def newton_phase(theta):
-        nonlocal it
-        dev = _deviance(blocks, theta, criterion)
-        converged = False
-        h = 1e-5
-        for _ in range(_MAX_NEWTON):
-            it += 1
-            grad = _gradient(blocks, theta, criterion) * theta
-            if np.max(np.abs(grad)) < 1e-9 * max(1.0, abs(dev)):
-                converged = True
-                break
-            logt = np.log(theta)
-            H = np.empty((L + 1, L + 1))
-            for j in range(L + 1):
-                e = np.zeros(L + 1)
-                e[j] = h
-                tp, tm = np.exp(logt + e), np.exp(logt - e)
-                H[:, j] = (
-                    _gradient(blocks, tp, criterion) * tp
-                    - _gradient(blocks, tm, criterion) * tm
-                ) / (2 * h)
-            H = (H + H.T) / 2.0
-            try:
-                step = np.linalg.solve(H + 1e-12 * np.eye(L + 1), -grad)
-            except np.linalg.LinAlgError:
-                step = -grad / max(np.max(np.abs(grad)), 1.0)
-            step = np.clip(step, -4.0, 4.0)
-            new_theta = np.exp(logt + step)
-            new_dev = _deviance(blocks, new_theta, criterion)
-            halvings = 0
-            while not np.isfinite(new_dev) or new_dev > dev + 1e-12:
-                step /= 2.0
-                new_theta = np.exp(logt + step)
-                new_dev = _deviance(blocks, new_theta, criterion)
-                halvings += 1
-                if halvings > 25:
-                    break
-            moved = np.max(np.abs(np.log(new_theta) - logt))
-            theta, dev = new_theta, new_dev
-            if (theta[:-1] < floor).any():
-                break
-            if moved < 1e-11:
-                grad = _gradient(blocks, theta, criterion) * theta
-                converged = bool(np.max(np.abs(grad)) < 1e-6 * max(1.0, abs(dev)))
-                break
-        return theta, dev, converged
-
-    theta = em_phase(theta, 100)
-    if (theta[:-1] < floor).any():
-        return drop_and_refit(theta[:-1] >= floor)
-    theta, dev, converged = newton_phase(theta)
-    if not converged and not (theta[:-1] < floor).any():
-        theta = em_phase(theta, _MAX_EM - 100)
-        if not (theta[:-1] < floor).any():
-            theta, dev, converged = newton_phase(theta)
-    if (theta[:-1] < floor).any():
-        # a component converged onto the boundary; pin it at zero
-        return drop_and_refit(theta[:-1] >= floor)
-    boundary = np.zeros(L, dtype=bool)
-    return theta, dev, converged, it, boundary
+            step /= 2.0
+        else:
+            break
+        x = x + step
+        dev, s2, g = new
+        if (np.exp(x) * s2 < floor).any() or np.max(np.abs(step)) < 1e-11:
+            break
+    rho = np.exp(x)
+    low = (rho * s2 < floor) | ((g / rho > tol) & (not converged))
+    if low.any():
+        theta = np.zeros(L + 1)
+        boundary = low.copy()
+        keep = np.flatnonzero(~low)
+        if keep.size:
+            sub = _restrict_blocks(blocks, ~low)
+            th, sub_dev, sub_cv, sub_it, sub_bd = _fit_components(sub, criterion)
+            theta[keep], theta[-1] = th[:-1], th[-1]
+            boundary[keep[sub_bd]] = True
+        else:
+            theta[-1], sub_dev = _residual_only(blocks, criterion)
+            sub_cv, sub_it = True, 0
+        if sub_dev <= dev + dev_tol:
+            # iterations before the drop count too
+            return theta, sub_dev, sub_cv, it + sub_it, boundary
+    return np.append(rho * s2, s2), dev, converged, it, np.zeros(L, dtype=bool)
 
 
 def _ols_fit(y, X, names, criterion, n_obs) -> LmmFit:
@@ -412,9 +363,7 @@ def fit_lmm_arrays(
         cov = np.linalg.inv(blocks.XtX) * theta[-1]
     else:
         sub = blocks if live.all() else _restrict_blocks(blocks, live)
-        _, beta, S_cf, *_ = _deviance_core(
-            sub, theta[:-1][live], theta[-1], criterion
-        )
+        *_, beta, S_cf = _deviance_core(sub, theta[:-1][live] / theta[-1], criterion)
         cov = cho_solve(S_cf, np.eye(p)) * theta[-1]
     se = np.sqrt(np.maximum(np.diag(cov), 0.0))
     comps = {f"level{k}": float(theta[k]) for k in range(len(codes))}

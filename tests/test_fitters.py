@@ -454,7 +454,7 @@ class TestNestedLmm:
             one.var_components["residual"], rel=1e-10
         )
         assert fit.loglik == pytest.approx(one.loglik, abs=1e-9)
-        # the nested fit's EM steps before dropping the school level count
+        # the nested fit's Newton steps before dropping the school level count
         assert fit.n_iter > one.n_iter
 
     def test_student_variance_on_boundary(self):
@@ -473,6 +473,25 @@ class TestNestedLmm:
         assert fit.boundary == ("level1",)
         assert fit.var_components["level1"] == 0.0
         assert fit.var_components["level0"] > 0.0
+
+    @pytest.mark.parametrize("crit", ["ML", "REML"])
+    def test_small_school_variance_stays_interior(self, crit):
+        from longmi import lmm
+
+        # shaped like the simulated cohort: the school ratio's optimum (about
+        # 0.1) lies far below the start at 1, so a first Newton step can
+        # overshoot towards zero; the fit must come back to the interior
+        rng = np.random.default_rng(27)
+        y, X, school, student, _ = nested_data(
+            rng, rng.integers(20, 41, 30), 0.08, 0.25, 0.25
+        )
+        fit = fit_lmm_arrays(y, X, [school, student], crit)
+        assert fit.boundary == ()
+        assert fit.var_components["level0"] > 0.0
+        theta = np.array(list(fit.var_components.values()))
+        grad = lmm._gradient(lmm._Blocks(X, y, [school, student]), theta, crit)
+        assert np.max(np.abs(grad)) < 1e-6 * abs(2.0 * fit.loglik)
+        assert fit.n_iter <= 10
 
     def test_row_permutation_and_relabelling_invariance(self):
         rng = np.random.default_rng(25)
