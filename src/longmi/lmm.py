@@ -115,7 +115,7 @@ def _restrict_blocks(blocks: _Blocks, keep: np.ndarray) -> _Blocks:
 
 
 def _solve(blocks: _Blocks, lam: np.ndarray):
-    """Closed-form pieces of M = Z'Z + diag(lam) for the current theta.
+    """Closed-form pieces of M = Z'Z + diag(lam) for lam = 1 / rho.
 
     Each outer group's block of M is an arrowhead: the outer row over a
     diagonal d_j = n_j + lam_1 of its inner groups. With the Schur
