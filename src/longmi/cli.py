@@ -366,6 +366,19 @@ def _read_long_csv(path):
     return header, rows
 
 
+def _write_series(path, series) -> None:
+    """``parameter,iteration,value`` rows by name, then iteration, as
+    ``csv.writer`` writes them: built like ``_write_trace``'s lines."""
+    names = sorted(series)
+    tmp = path + ".tmp"
+    with open(tmp, "w", newline="") as fh:
+        fh.write("parameter,iteration,value\r\n")
+        for name, quoted in zip(names, csv_fields(names)):
+            head = f"{quoted}," if name else ","  # "" is quoted only as a lone field
+            fh.writelines(f"{head}{it},{_fmt(v)}\r\n" for it, v in sorted(series[name]))
+    os.replace(tmp, path)
+
+
 def cmd_diag(args) -> int:
     t0 = time.time()
     path = args.trace or args.chain_stats
@@ -390,15 +403,7 @@ def cmd_diag(args) -> int:
         series = {p: series[p] for p in args.params}
     os.makedirs(args.out_dir, exist_ok=True)
     series_path = os.path.join(args.out_dir, "diag_series.csv")
-    _atomic_rows(
-        series_path,
-        ["parameter", "iteration", "value"],
-        (
-            (name, it, _fmt(v))
-            for name, pts in sorted(series.items())
-            for it, v in sorted(pts)
-        ),
-    )
+    _write_series(series_path, series)
     ac_path = os.path.join(args.out_dir, "diag_autocorr.csv")
 
     def ac_rows():

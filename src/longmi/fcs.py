@@ -243,16 +243,32 @@ class UnivariateProblem:
 
 
 def _pmm_pick(rng, pred_obs, y_obs, pred_mis, k):
-    if len(y_obs) < 1:
+    """Draw each recipient's value from its k nearest donors.
+
+    Donors rank by (|pred_obs - pred_mis|, donor index), so the k
+    nearest are fully defined even under tied predictions. They lie
+    within k sorted places of the recipient's insertion point, provided
+    tied predictions left of it are ordered by descending index and
+    those right of it by ascending index: each recipient ranks only
+    that window of min(2k, n_obs) donors.
+    """
+    n = len(y_obs)
+    if n < 1:
         raise TooFewDonors("no observed donor values")
-    if len(y_obs) < k:
+    if n < k:
         warnings.warn(
-            f"only {len(y_obs)} donors available; shrinking k from {k}",
+            f"only {n} donors available; shrinking k from {k}",
             stacklevel=3,
         )
-        k = len(y_obs)
-    diffs = np.abs(pred_mis[:, None] - pred_obs[None, :])
-    near = np.argpartition(diffs, k - 1, axis=1)[:, :k]
+        k = n
+    w = min(2 * k, n)
+    up = np.argsort(pred_obs, kind="stable")
+    down = n - 1 - np.argsort(pred_obs[::-1], kind="stable")
+    at = np.searchsorted(pred_obs[up], pred_mis)
+    pos = np.clip(at - k, 0, n - w)[:, None] + np.arange(w)
+    donor = np.where(pos < at[:, None], down[pos], up[pos])
+    dist = np.abs(pred_mis[:, None] - pred_obs[donor])
+    near = np.take_along_axis(donor, np.lexsort((donor, dist), axis=1)[:, :k], axis=1)
     pick = near[np.arange(len(pred_mis)), rng.integers(0, k, size=len(pred_mis))]
     return y_obs[pick]
 

@@ -199,15 +199,18 @@ def _gradient(blocks: _Blocks, theta: np.ndarray, criterion: str) -> np.ndarray:
     return _deviance_core(blocks, theta[:-1] / theta[-1], criterion, theta[-1])[2]
 
 
-def _residual_only(blocks: _Blocks, criterion: str) -> tuple[float, float]:
-    """sigma_e^2 and deviance with every level dropped: the profiled
-    deviance of the OLS model."""
+def _residual_only(
+    blocks: _Blocks, criterion: str, sig_e: float | None = None
+) -> tuple[float, float]:
+    """sigma_e^2 and deviance with every level dropped: the deviance of
+    the OLS model at ``sig_e``, profiled over it when that is None."""
     S_cf = cho_factor(blocks.XtX, lower=True)
     beta = cho_solve(S_cf, blocks.Xty)
     reml = criterion == "REML"
     dof = blocks.n - blocks.p * reml
     s2 = max(blocks.yty - float(beta @ blocks.Xty), 1e-300) / dof
-    dev = dof * (_LOG2PI + 1.0 + math.log(s2))
+    sig_e = s2 if sig_e is None else sig_e
+    dev = dof * (_LOG2PI + s2 / sig_e + math.log(sig_e))
     if reml:
         dev += 2.0 * float(np.sum(np.log(np.diag(S_cf[0]))))
     return s2, dev
@@ -388,10 +391,19 @@ def deviance(
     y: np.ndarray, X: np.ndarray, codes: list[np.ndarray],
     theta: np.ndarray, criterion: str = "REML",
 ) -> float:
-    """Exact -2 log (restricted) likelihood at the given components."""
+    """Exact -2 log (restricted) likelihood at the given components.
+
+    A zero component is scored as the fitter scores it, by the model
+    without its level.
+    """
     blocks = _Blocks(
         np.asarray(X, dtype=float),
         np.asarray(y, dtype=float),
         [np.asarray(c, dtype=int) for c in codes],
     )
-    return _deviance(blocks, np.asarray(theta, dtype=float), criterion)
+    theta = np.asarray(theta, dtype=float)
+    live = theta[:-1] > 0
+    if not live.any():
+        return _residual_only(blocks, criterion, theta[-1])[1]
+    sub = blocks if live.all() else _restrict_blocks(blocks, live)
+    return _deviance(sub, np.append(theta[:-1][live], theta[-1]), criterion)

@@ -723,16 +723,28 @@ def _line_of(path: str, record: int) -> int:
         return reader.line_num
 
 
+def _undecodable_line(path: str, err: UnicodeDecodeError) -> int:
+    """Line holding the first byte that ``err.encoding`` cannot decode."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode(err.encoding)
+    except UnicodeDecodeError as e:
+        return data.count(b"\n", 0, e.start) + 1
+    return 1
+
+
 def read_csv(path: str, meta_path: str | None = None) -> Dataset:
     """Read a CSV written by :func:`write_csv` (empty cell == NA).
 
     Rows are parsed in blocks of ``BLOCK_ROWS``, one column at a time. A
     missing or invalid sidecar, a header that does not match it, a row
     with the wrong number of fields, a token that is not a number or not
-    a level of its column, a missing key cell and a row repeating an
+    a level of its column, a missing key cell, a row repeating an
     earlier row's key (unit-id, plus time in long shape and the
-    ``Imputation`` index of a stack) raise ``BadConfig`` naming the file
-    and line.
+    ``Imputation`` index of a stack), a field past ``csv``'s size limit
+    and bytes the text encoding cannot decode raise ``BadConfig`` naming
+    the file and line.
     """
     meta_path = meta_path or sidecar_path(path)
     try:
@@ -751,44 +763,53 @@ def read_csv(path: str, meta_path: str | None = None) -> Dataset:
     except (KeyError, TypeError, ValueError) as e:  # ValueError covers bad JSON
         raise BadConfig(f"{meta_path}: invalid sidecar: {e!r}") from None
     by_name = {s.name: s for s in specs}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        if sorted(header) != sorted(by_name):
-            raise BadConfig(
-                f"{path}, line 1: header {header} does not match the "
-                f"columns {list(by_name)} of {meta_path}"
-            )
-        ordered = [by_name[h] for h in header]
-        k = len(ordered)
-        parsers = [
-            _parse_floats if s.levels is None else _level_parser(s) for s in ordered
-        ]
-        blocks = []
-        done = 0
-        while rows := list(islice(reader, BLOCK_ROWS)):
-            wrong = np.fromiter(map(len, rows), int, len(rows)) != k
-            if wrong.any():
-                bad = int(np.argmax(wrong))
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            if sorted(header) != sorted(by_name):
                 raise BadConfig(
-                    f"{path}, line {_line_of(path, done + bad)}: "
-                    f"{len(rows[bad])} fields, the header has {k}"
+                    f"{path}, line 1: header {header} does not match the "
+                    f"columns {list(by_name)} of {meta_path}"
                 )
-            flat = list(chain.from_iterable(rows))
-            block = np.empty((len(rows), k))
-            for j, (spec, parse) in enumerate(zip(ordered, parsers)):
-                tokens = flat[j::k]
-                try:
-                    block[:, j] = parse(tokens)
-                except (ValueError, UnknownLevel):
-                    bad = [_parses(parse, t) for t in tokens].index(False)
-                    what = "a number" if spec.levels is None else "one of its levels"
+            ordered = [by_name[h] for h in header]
+            k = len(ordered)
+            parsers = [
+                _parse_floats if s.levels is None else _level_parser(s) for s in ordered
+            ]
+            blocks = []
+            done = 0
+            while rows := list(islice(reader, BLOCK_ROWS)):
+                wrong = np.fromiter(map(len, rows), int, len(rows)) != k
+                if wrong.any():
+                    bad = int(np.argmax(wrong))
                     raise BadConfig(
                         f"{path}, line {_line_of(path, done + bad)}: "
-                        f"{tokens[bad]!r} in column {spec.name!r} is not {what}"
-                    ) from None
-            blocks.append(block)
-            done += len(rows)
+                        f"{len(rows[bad])} fields, the header has {k}"
+                    )
+                flat = list(chain.from_iterable(rows))
+                block = np.empty((len(rows), k))
+                for j, (spec, parse) in enumerate(zip(ordered, parsers)):
+                    tokens = flat[j::k]
+                    try:
+                        block[:, j] = parse(tokens)
+                    except (ValueError, UnknownLevel):
+                        bad = [_parses(parse, t) for t in tokens].index(False)
+                        what = (
+                            "a number" if spec.levels is None else "one of its levels"
+                        )
+                        raise BadConfig(
+                            f"{path}, line {_line_of(path, done + bad)}: "
+                            f"{tokens[bad]!r} in column {spec.name!r} is not {what}"
+                        ) from None
+                blocks.append(block)
+                done += len(rows)
+    except csv.Error as e:
+        raise BadConfig(f"{path}, line {reader.line_num}: {e}") from None
+    except UnicodeDecodeError as e:
+        raise BadConfig(
+            f"{path}, line {_undecodable_line(path, e)}: not {e.encoding} text"
+        ) from None
     values = np.concatenate(blocks) if blocks else np.empty((0, k))
     hole = _missing_key(ordered, np.isnan(values))
     if hole:

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from longmi.cli import _fmt, _write_trace, main
+from longmi.cli import _fmt, _write_series, _write_trace, main
 from longmi.jm import ChainTrace
 from longmi.methods import CATALOG, METHOD_NAMES
 from longmi.table import read_csv
@@ -433,6 +433,25 @@ def test_trace_writer_matches_row_generator(tmp_path):
             (it + 1, name, _fmt(mat[it, j]))
             for it in range(mat.shape[0])
             for j, name in enumerate(trace.names)
+        )
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_series_writer_matches_row_generator(tmp_path):
+    series = {
+        "b": [(2, 0.5), (1, -0.0), (3, np.inf)],
+        'psi."x",y': [(1, -np.inf), (2, np.nan)],
+        "": [(1, 1e-300)],
+        "a\nb": [(10, 2.0**53), (9, -7.5)],
+    }
+    _write_series(str(tmp_path / "new.csv"), series)
+    with open(tmp_path / "old.csv", "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["parameter", "iteration", "value"])
+        w.writerows(
+            (name, it, _fmt(v))
+            for name, pts in sorted(series.items())
+            for it, v in sorted(pts)
         )
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 

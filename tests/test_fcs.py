@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import ndtri
 
-from longmi.errors import ChainFailure, DegenerateMean, PerfectSeparation
+from longmi.errors import ChainFailure, DegenerateMean, PerfectSeparation, TooFewDonors
 from longmi.fcs import (
+    PMM_DONORS,
     LevelsSpec,
     MethodVector,
     PredictorMatrix,
@@ -12,6 +15,7 @@ from longmi.fcs import (
     default_predictor_matrix,
     impute_univariate,
     run_fcs,
+    _pmm_pick,
 )
 from longmi.rng import RngStream
 from longmi.table import ColumnSpec, Dataset
@@ -273,6 +277,64 @@ class TestRunFcs:
         with pytest.raises(ValueError, match="codes 2/3"):
             run_fcs(RngStream(11), d, MethodVector({"y": "norm", "b": "pmm"}),
                     pred, maxit=1, m=1)
+
+
+def pmm_reference(rng, pred_obs, y_obs, pred_mis, k):
+    """Rank every donor by (|distance|, donor index), keep the first k and
+    make the same draw as ``_pmm_pick``."""
+    k = min(k, len(y_obs))
+    index = np.arange(len(pred_obs))
+    near = np.array(
+        [np.lexsort((index, np.abs(pred_obs - x)))[:k] for x in pred_mis]
+    ).reshape(len(pred_mis), k)
+    return y_obs[near[np.arange(len(pred_mis)), rng.integers(0, k, size=len(pred_mis))]]
+
+
+class TestPmmPick:
+    # runs of tied predictions longer than 2k on both sides of most
+    # recipients; recipients on, between (equidistant) and beyond them
+    TIED = np.repeat([-1.0, 0.0, 0.5, 2.0], [9, 12, 3, 11])[
+        np.random.default_rng(4).permutation(35)
+    ]
+    TIED_MIS = np.array([-3.0, -1.0, -0.5, 0.0, 0.25, 0.4, 1.25, 2.0, 9.0] * 30)
+
+    @pytest.mark.parametrize("pred_obs, pred_mis, k", [
+        (TIED, TIED_MIS, 5),
+        (TIED, TIED_MIS, 1),
+        (np.array([0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0]), TIED_MIS, 5),  # n_obs < 2k
+        (np.array([3.0, 1.0, 1.0, 2.0, 0.0]), TIED_MIS, 5),  # n_obs == k
+        (np.random.default_rng(1).normal(size=300),
+         np.random.default_rng(2).normal(scale=2.0, size=400), 5),
+    ])
+    def test_matches_brute_force_ranking(self, pred_obs, pred_mis, k):
+        y_obs = 100.0 + np.arange(len(pred_obs))
+        got = _pmm_pick(RngStream(7), pred_obs, y_obs, pred_mis, k)
+        want = pmm_reference(RngStream(7), pred_obs, y_obs, pred_mis, k)
+        np.testing.assert_array_equal(got, want)
+
+    def test_shrinks_k_to_the_donor_count(self):
+        pred_obs, y_obs = np.array([2.0, 0.0, 2.0]), np.array([10.0, 11.0, 12.0])
+        with pytest.warns(UserWarning, match="only 3 donors available; shrinking k"):
+            got = _pmm_pick(RngStream(8), pred_obs, y_obs, self.TIED_MIS, 5)
+        want = pmm_reference(RngStream(8), pred_obs, y_obs, self.TIED_MIS, 3)
+        np.testing.assert_array_equal(got, want)
+
+    def test_no_donors(self):
+        with pytest.raises(TooFewDonors):
+            _pmm_pick(RngStream(9), np.empty(0), np.empty(0), np.zeros(3), 5)
+
+    def test_memory_is_not_quadratic(self):
+        g = np.random.default_rng(5)
+        pred_obs, y_obs = g.normal(size=(2, 4000))
+        pred_mis = g.normal(size=1000)
+        tracemalloc.start()
+        try:
+            _pmm_pick(RngStream(10), pred_obs, y_obs, pred_mis, PMM_DONORS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a 1000 x 4000 distance matrix alone is 32 MB
+        assert peak < 4 * 2**20
 
 
 class TestAdaptiveRound:

@@ -400,7 +400,12 @@ class TestNestedLmm:
         y, X, school, student, pair = nested_data(rng, [4, 1, 6, 3, 5], 0.6, 0.8, 0.5)
         assert (np.bincount(pair) == 1).any()  # singleton students
         Zs = [indicators(school), indicators(pair)]
-        for theta in ([0.3, 0.7, 0.25], [1e-3, 2.0, 0.4], [4.0, 1e-2, 0.9]):
+        thetas = (
+            [0.3, 0.7, 0.25], [1e-3, 2.0, 0.4], [4.0, 1e-2, 0.9],
+            # boundary points: a zero component drops its level
+            [0.0, 0.7, 0.25], [0.3, 0.0, 0.25], [0.0, 0.0, 0.4],
+        )
+        for theta in thetas:
             for crit in ("ML", "REML"):
                 ref = dense_deviance(y, X, Zs, theta, crit)
                 got = deviance(y, X, [school, student], np.array(theta), crit)

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import locale
 import warnings
 
 import numpy as np
@@ -621,6 +622,28 @@ def _write_pair(tmp_path, text):
 def test_row_width_mismatch_names_line(tmp_path, text, line):
     path = _write_pair(tmp_path, text)
     with pytest.raises(BadConfig, match=f"d.csv, line {line}: "):
+        read_csv(path)
+
+
+def test_oversized_field_names_line(tmp_path):
+    big = "9" * (csv.field_size_limit() + 1)
+    path = _write_pair(tmp_path, f"id,x\r\n1,2\r\n2,{big}\r\n")
+    with pytest.raises(BadConfig, match="d.csv, line 3: field larger than field limit"):
+        read_csv(path)
+
+
+def test_undecodable_byte_names_line(tmp_path):
+    data = b"id,x\r\n1,2\r\n2,3\xff\r\n"
+    encoding = locale.getpreferredencoding(False)
+    try:
+        data.decode(encoding)
+        pytest.skip(f"{encoding} decodes every byte")
+    except UnicodeDecodeError:
+        pass
+    path = _write_pair(tmp_path, "")
+    with open(path, "wb") as fh:
+        fh.write(data)
+    with pytest.raises(BadConfig, match=f"d.csv, line 3: not {encoding} text"):
         read_csv(path)
 
 
