@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import glob
+import io
 import json
 import math
 import os
@@ -358,12 +359,40 @@ def cmd_pool(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _read_long_csv(path):
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = list(reader)
-    return header, rows
+def _read_long_csv(path, n_fields):
+    """Data rows of a ``trace.csv`` or ``chain_stats.csv``, each with the
+    line it ends on. A row without ``n_fields`` fields, a ``csv`` error
+    and bytes that are not UTF-8 raise ``BadConfig`` naming the line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        line = data.count(b"\n", 0, e.start) + 1
+        raise BadConfig(f"{path}, line {line}: not utf-8 text") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    rows = []
+    try:
+        next(reader, None)  # header
+        for row in reader:
+            if len(row) != n_fields:
+                raise BadConfig(
+                    f"{path}, line {reader.line_num}: {len(row)} fields, "
+                    f"expected {n_fields}"
+                )
+            rows.append((reader.line_num, row))
+    except csv.Error as e:
+        raise BadConfig(f"{path}, line {reader.line_num}: {e}") from None
+    return rows
+
+
+def _parse_cell(path, line, token, kind):
+    """``kind(token)`` (int or float), or ``BadConfig`` naming the line."""
+    try:
+        return kind(token)
+    except ValueError:
+        what = "an integer" if kind is int else "a number"
+        raise BadConfig(f"{path}, line {line}: {token!r} is not {what}") from None
 
 
 def _write_series(path, series) -> None:
@@ -383,18 +412,20 @@ def cmd_diag(args) -> int:
     t0 = time.time()
     path = args.trace or args.chain_stats
     _check_upstream(path)
-    header, rows = _read_long_csv(path)
     series: dict[str, list[tuple[int, float]]] = {}
     if args.trace:
-        for it, name, value in rows:
-            series.setdefault(name, []).append((int(it), float(value)))
+        for line, (it, name, value) in _read_long_csv(path, 3):
+            series.setdefault(name, []).append((
+                _parse_cell(path, line, it, int), _parse_cell(path, line, value, float)
+            ))
     else:
-        for chain, it, col, mean, sd in rows:
+        for line, (chain, it, col, mean, sd) in _read_long_csv(path, 5):
+            it = _parse_cell(path, line, it, int)
             series.setdefault(f"{col}.mean.chain{chain}", []).append(
-                (int(it), float(mean))
+                (it, _parse_cell(path, line, mean, float))
             )
             series.setdefault(f"{col}.sd.chain{chain}", []).append(
-                (int(it), float(sd))
+                (it, _parse_cell(path, line, sd, float))
             )
     if args.params:
         missing = [p for p in args.params if p not in series]

@@ -33,7 +33,15 @@ from .fitters import (
     fit_polr,
     polr_category_probs,
 )
-from .rng import RngStream, chol, inv_wishart_draw, ndtri, sym, trunc_normal_array
+from .rng import (
+    RngStream,
+    chol,
+    inv_wishart_draw,
+    ndtri,
+    solve_triangular,
+    sym,
+    trunc_normal_array,
+)
 from .stack import ImputedStack
 from .table import Dataset, ReshapeMap
 
@@ -226,17 +234,21 @@ class ChainStat:
 
 @dataclass
 class UnivariateProblem:
-    """One column visit: data the method sees, already expanded."""
+    """One column visit: the observed values and the expanded designs of
+    the observed (``_obs``) and the missing (``_mis``) cells."""
 
-    y: np.ndarray                 # full target column (current completed values)
-    miss: np.ndarray              # bool, cells to impute
-    X: np.ndarray                 # fixed design incl. intercept
+    y_obs: np.ndarray
+    X_obs: np.ndarray             # fixed design incl. intercept
+    X_mis: np.ndarray
     kind: str
     n_levels: int
-    Z: np.ndarray | None = None   # random design (slope methods)
-    group: np.ndarray | None = None
+    Z_obs: np.ndarray | None = None   # random design (slope methods)
+    Z_mis: np.ndarray | None = None
+    group_obs: np.ndarray | None = None  # cluster codes (slope methods)
+    group_mis: np.ndarray | None = None
     n_groups: int = 0
-    nested: tuple[np.ndarray, ...] = ()
+    nested_obs: tuple[np.ndarray, ...] = ()  # codes per nested level
+    nested_mis: tuple[np.ndarray, ...] = ()
     nested_sizes: tuple[int, ...] = ()
     z_to_x: tuple[int, ...] = ()
     donor_k: int = PMM_DONORS
@@ -278,6 +290,15 @@ def _draw_mvn_params(rng, mean, cov):
     return mean + chol(cov) @ rng.normal(size=len(mean))
 
 
+def _group_sums(group, W, n_groups):
+    """Per-group column sums of ``W``, added in row order (one bincount
+    per column, so the same bits as accumulating row by row)."""
+    out = np.empty((n_groups, W.shape[1]))
+    for b in range(W.shape[1]):
+        out[:, b] = np.bincount(group, weights=W[:, b], minlength=n_groups)
+    return out
+
+
 class _SlopeGibbs:
     """LMM Gibbs state for one cluster factor with random coefficients."""
 
@@ -292,16 +313,15 @@ class _SlopeGibbs:
 
     def advance(self, rng, sweeps, y, X, Z, group, n_groups):
         q = Z.shape[1]
-        ZtZ = np.zeros((n_groups, q, q))
-        np.add.at(ZtZ, group, Z[:, :, None] * Z[:, None, :])
+        ZtZ = _group_sums(group, (Z[:, :, None] * Z[:, None, :]).reshape(-1, q * q),
+                          n_groups).reshape(n_groups, q, q)
         XtX = X.T @ X
         Cx = chol(XtX + 1e-10 * np.eye(X.shape[1]))
         eta_sum = np.zeros(len(y))
         for _ in range(sweeps):
             # u | rest
             r = y - X @ self.beta
-            Ztr = np.zeros((n_groups, q))
-            np.add.at(Ztr, group, Z * r[:, None])
+            Ztr = _group_sums(group, Z * r[:, None], n_groups)
             prec = np.linalg.inv(self.psi)[None] + ZtZ / self.sigma2
             cov = np.linalg.inv(prec)
             cov = sym(cov)
@@ -348,23 +368,19 @@ class _NestedGibbs:
         self.sigma2 = max(var_y, 1e-6)
         self.eta_hat = None
 
-    def _offset(self, nested, n, skip=None):
-        out = np.zeros(n)
-        for k, codes in enumerate(nested):
-            if k == skip:
-                continue
-            out += self.u[k][codes]
-        return out
-
     def advance(self, rng, sweeps, y, X, nested, sizes):
-        n = len(y)
-        XtX = X.T @ X
-        Cx = chol(XtX + 1e-10 * np.eye(X.shape[1]))
+        """``sweeps`` Gibbs sweeps on the observed rows; column 0 of ``X``
+        must be the intercept."""
+        n, p = X.shape
+        Cx = chol(X.T @ X + 1e-10 * np.eye(p))
+        Ci = solve_triangular(Cx, np.eye(p), lower=True)  # beta ~ N(Ci'Ci X'r, s2 Ci'Ci)
         counts = [np.bincount(c, minlength=s) for c, s in zip(nested, sizes)]
+        offsets = [u[c] for u, c in zip(self.u, nested)]
+        xb = X @ self.beta
         eta_sum = np.zeros(n)
         for _ in range(sweeps):
             for k, codes in enumerate(nested):
-                r = y - X @ self.beta - self._offset(nested, n, skip=k)
+                r = y - xb - _total(offsets, n, skip=k)
                 sums = np.bincount(codes, weights=r, minlength=sizes[k])
                 prec = counts[k] / self.sigma2 + 1.0 / self.psi[k]
                 mean = (sums / self.sigma2) / prec
@@ -375,20 +391,34 @@ class _NestedGibbs:
                 )
                 self.u[k] = self.u[k] - shift
                 self.beta[0] += shift
+                xb += shift
+                offsets[k] = self.u[k][codes]
                 self.psi[k] = float(
                     (1.0 + self.u[k] @ self.u[k]) / rng.chisquare(1 + sizes[k])
                 )
-            r2 = y - self._offset(nested, n)
-            b_hat = np.linalg.solve(Cx.T, np.linalg.solve(Cx, X.T @ r2))
-            z = rng.normal(size=len(b_hat))
-            self.beta = b_hat + math.sqrt(self.sigma2) * np.linalg.solve(Cx.T, z)
-            resid = r2 - X @ self.beta
+            offset = _total(offsets, n)
+            r2 = y - offset
+            z = rng.normal(size=p)
+            self.beta = Ci.T @ (Ci @ (X.T @ r2) + math.sqrt(self.sigma2) * z)
+            xb = X @ self.beta
+            resid = r2 - xb
             self.sigma2 = float(resid @ resid) / rng.chisquare(max(n, 1))
-            eta_sum += X @ self.beta + self._offset(nested, n)
+            eta_sum += xb + offset
         self.eta_hat = eta_sum / sweeps
 
     def eta(self, X, nested):
-        return X @ self.beta + self._offset(nested, X.shape[0])
+        return X @ self.beta + _total(
+            [u[c] for u, c in zip(self.u, nested)], X.shape[0]
+        )
+
+
+def _total(parts, n, skip=None):
+    """Sum of the length-n ``parts``, leaving out index ``skip``."""
+    out = np.zeros(n)
+    for k, part in enumerate(parts):
+        if k != skip:
+            out += part
+    return out
 
 
 def impute_univariate(
@@ -403,10 +433,8 @@ def impute_univariate(
     ``state`` carries Gibbs parameters across visits for the mixed-model
     methods; pass the previous visit's state back in.
     """
-    obs = ~prob.miss
-    y_obs = prob.y[obs]
-    X_obs, X_mis = prob.X[obs], prob.X[prob.miss]
-    n_mis = int(prob.miss.sum())
+    y_obs, X_obs, X_mis = prob.y_obs, prob.X_obs, prob.X_mis
+    n_mis = len(X_mis)
     if n_mis == 0:
         return np.empty(0), state
 
@@ -467,11 +495,12 @@ def impute_univariate(
         return np.argmax(u[:, None] < cum, axis=1).astype(float), state
 
     if method in SLOPE_METHODS:
-        Z, group = prob.Z, prob.group
+        Z_obs, Z_mis = prob.Z_obs, prob.Z_mis
+        g_obs, g_mis = prob.group_obs, prob.group_mis
         latent = method == "2l.latent"
         if state is None:
             state = _SlopeGibbs(
-                prob.X.shape[1], Z.shape[1], prob.n_groups,
+                X_obs.shape[1], Z_obs.shape[1], prob.n_groups,
                 float(np.var(y_obs)) if not latent else 1.0,
                 fixed_sigma=latent,
                 z_to_x=prob.z_to_x if prob.z_to_x else None,
@@ -483,16 +512,16 @@ def impute_univariate(
             # probit-style latent response for observed cells, resampled
             # inside the advance loop around the current linear predictor
             for _ in range(sweeps):
-                eta_obs = state.eta(X_obs, Z[obs], group[obs])
+                eta_obs = state.eta(X_obs, Z_obs, g_obs)
                 lo = np.where(y_obs == 0.0, 0.0, -np.inf)
                 hi = np.where(y_obs == 0.0, np.inf, 0.0)
                 z_obs = trunc_normal_array(rng, eta_obs, 1.0, lo, hi)
-                state.advance(rng, 1, z_obs, X_obs, Z[obs], group[obs], prob.n_groups)
-            eta_mis = state.eta(X_mis, Z[prob.miss], group[prob.miss])
+                state.advance(rng, 1, z_obs, X_obs, Z_obs, g_obs, prob.n_groups)
+            eta_mis = state.eta(X_mis, Z_mis, g_mis)
             z_mis = eta_mis + rng.normal(size=n_mis)
             return (z_mis <= 0.0).astype(float), state
-        state.advance(rng, sweeps, y_obs, X_obs, Z[obs], group[obs], prob.n_groups)
-        eta_mis = state.eta(X_mis, Z[prob.miss], group[prob.miss])
+        state.advance(rng, sweeps, y_obs, X_obs, Z_obs, g_obs, prob.n_groups)
+        eta_mis = state.eta(X_mis, Z_mis, g_mis)
         if method == "2l.pan":
             return eta_mis + math.sqrt(state.sigma2) * rng.normal(size=n_mis), state
         # 2l.pmm: donors matched on the linear predictor incl. cluster effects
@@ -503,17 +532,15 @@ def impute_univariate(
         )
 
     if method in NESTED_METHODS:
-        nested_obs = tuple(c[obs] for c in prob.nested)
         if state is None:
             state = _NestedGibbs(
-                prob.X.shape[1], prob.nested_sizes, float(np.var(y_obs))
+                X_obs.shape[1], prob.nested_sizes, float(np.var(y_obs))
             )
             sweeps = _FIRST_VISIT_SWEEPS
         else:
             sweeps = _LATER_VISIT_SWEEPS
-        state.advance(rng, sweeps, y_obs, X_obs, nested_obs, prob.nested_sizes)
-        nested_mis = tuple(c[prob.miss] for c in prob.nested)
-        eta_mis = state.eta(X_mis, nested_mis)
+        state.advance(rng, sweeps, y_obs, X_obs, prob.nested_obs, prob.nested_sizes)
+        eta_mis = state.eta(X_mis, prob.nested_mis)
         if method == "ml.lmer.continuous":
             return eta_mis + math.sqrt(state.sigma2) * rng.normal(size=n_mis), state
         return _pmm_pick(rng, state.eta_hat, y_obs, eta_mis, prob.donor_k), state
@@ -539,22 +566,182 @@ def adaptive_round(imputed: np.ndarray, completed: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _factorize(values: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
-    """Integer codes, the number of distinct values and each one's first row."""
-    uniq, first, codes = np.unique(values, return_index=True, return_inverse=True)
-    return codes.astype(int), len(uniq), first
+@dataclass(frozen=True)
+class _Factor:
+    """A column's distinct values as integer codes (in sorted order of
+    the values), with each value's first row and row count."""
+
+    codes: np.ndarray
+    size: int
+    first: np.ndarray
+    counts: np.ndarray
+
+    @classmethod
+    def of(cls, values: np.ndarray) -> "_Factor":
+        uniq, first, codes = np.unique(values, return_index=True, return_inverse=True)
+        codes = codes.astype(int)
+        counts = np.bincount(codes, minlength=len(uniq)).astype(float)
+        return cls(codes, len(uniq), first, counts)
+
+    def means(self, x: np.ndarray) -> np.ndarray:
+        """Mean of ``x`` within each value."""
+        return np.bincount(self.codes, weights=x, minlength=self.size) / self.counts
+
+
+@dataclass(frozen=True)
+class _Layout:
+    """Columns of a chain's expanded design: 0 is the intercept, then one
+    block per predictor column (the dummies of a categorical one) and
+    one block of cluster means per (code-3 column, cluster) pair."""
+
+    width: int
+    blocks: dict[int, slice]  # data column -> its block
+    means: dict[int, list[tuple[slice, _Factor]]]  # data column -> mean blocks
+
+
+@dataclass(frozen=True)
+class _VisitPlan:
+    """What every visit of one target shares over a run.
+
+    A cluster-level target (``level`` set) is imputed on one row per
+    level unit: ``obs``, ``mis`` and the codes then index those units,
+    and data row ``rows[i]`` takes the value imputed for unit
+    ``mis[fill[i]]``. Otherwise ``mis`` is ``rows`` and ``fill`` None.
+    """
+
+    col: int
+    method: str
+    kind: str
+    n_levels: int
+    obs: np.ndarray               # rows (units) with an observed target
+    mis: np.ndarray               # rows (units) to impute
+    rows: np.ndarray              # data rows of the target's missing cells
+    x_cols: np.ndarray            # design columns forming X
+    z_cols: np.ndarray | None = None
+    z_to_x: tuple[int, ...] = ()
+    group_obs: np.ndarray | None = None
+    group_mis: np.ndarray | None = None
+    n_groups: int = 0
+    level: _Factor | None = None
+    fill: np.ndarray | None = None
+    nested_obs: tuple[np.ndarray, ...] = ()
+    nested_mis: tuple[np.ndarray, ...] = ()
+    nested_sizes: tuple[int, ...] = ()
+
+
+def _plan_run(
+    d: Dataset, methods: MethodVector, pred: PredictorMatrix, levels: LevelsSpec | None
+) -> tuple[_Layout, dict[str, _VisitPlan]]:
+    """The design layout and each target's visit plan, built once per run
+    (after ``_validate_codes``) and shared by every chain."""
+    levels = levels or LevelsSpec()
+    factors: dict[str, _Factor] = {}
+
+    def factor(name: str) -> _Factor:
+        if name not in factors:
+            factors[name] = _Factor.of(d.column(name))
+        return factors[name]
+
+    width = 1
+    blocks: dict[int, slice] = {}
+    means: dict[int, list[tuple[slice, _Factor]]] = {}
+    mean_block: dict[tuple[int, str], slice] = {}
+    plans: dict[str, _VisitPlan] = {}
+    for target in methods.targets(d):
+        row = pred.row(target)
+        cluster_col = next((c for c, v in row.items() if v == -2), None)
+        x_cols, z_cols, z_to_x = [0], [0], [0]
+        for col, code in row.items():
+            if col == target or code not in (1, 2, 3):
+                continue
+            j = d.col_index(col)
+            if j not in blocks:
+                w = d.spec(col).n_levels - 1 if d.spec(col).kind == "categorical" else 1
+                blocks[j] = slice(width, width + w)
+                width += w
+            block = range(blocks[j].start, blocks[j].stop)
+            if code == 2:
+                z_to_x.extend(range(len(x_cols), len(x_cols) + len(block)))
+                z_cols.extend(block)
+            x_cols.extend(block)
+            if code == 3:
+                if (j, cluster_col) not in mean_block:
+                    mean_block[j, cluster_col] = slice(width, width + len(block))
+                    means.setdefault(j, []).append(
+                        (mean_block[j, cluster_col], factor(cluster_col))
+                    )
+                    width += len(block)
+                m = mean_block[j, cluster_col]
+                x_cols.extend(range(m.start, m.stop))
+        try:
+            plans[target] = _visit_plan(
+                d, target, methods[target], cluster_col, levels, factor,
+                np.asarray(x_cols), np.asarray(z_cols), tuple(z_to_x),
+            )
+        except ValueError as e:
+            # a fixed property of the data: every chain would fail on its
+            # first visit of this target, chain 0 first
+            raise ChainFailure(0, target, e) from e
+    return _Layout(width, blocks, means), plans
+
+
+def _visit_plan(d, target, method, cluster_col, levels, factor, x_cols, z_cols, z_to_x):
+    """One target's ``_VisitPlan``; ``factor`` factorizes a data column."""
+    j = d.col_index(target)
+    sp = d.spec(target)
+    miss = d.mask[:, j]
+    rows = np.flatnonzero(miss)
+    level_col = cluster_col if method in ONLY_METHODS else (
+        levels.level_of.get(target, "") if method in NESTED_METHODS else ""
+    )
+    level = factor(level_col) if level_col else None
+    if level is not None:
+        y, obs = d.values[:, j], ~miss
+        if obs.any() and (
+            (y[obs] != y[level.first][level.codes[obs]]).any()
+            or (miss[level.first][level.codes] != miss).any()
+        ):
+            raise ValueError(
+                f"{target} is not constant within {level_col!r}; "
+                "cluster-level imputation needs one value per cluster"
+            )
+        miss = miss[level.first]
+    obs, mis = np.flatnonzero(~miss), np.flatnonzero(miss)
+    fill = None if level is None else np.searchsorted(mis, level.codes[rows])
+    groups = levels.clusters.get(target, ()) if method in NESTED_METHODS else ()
+    nested = [
+        factor(g) if level is None else _Factor.of(d.column(g)[level.first])
+        for g in groups
+    ]
+    slope = method in SLOPE_METHODS
+    group = factor(cluster_col) if slope else None
+    if method in ONLY_METHODS:
+        method = "norm" if method == "2lonly.norm" else "pmm"
+    return _VisitPlan(
+        col=j, method=method, kind=sp.kind, n_levels=sp.n_levels,
+        obs=obs, mis=mis, rows=rows, x_cols=x_cols,
+        z_cols=z_cols if slope else None,
+        z_to_x=z_to_x if slope else (),
+        group_obs=group.codes[obs] if slope else None,
+        group_mis=group.codes[mis] if slope else None,
+        n_groups=group.size if slope else 0,
+        level=level, fill=fill,
+        nested_obs=tuple(f.codes[obs] for f in nested),
+        nested_mis=tuple(f.codes[mis] for f in nested),
+        nested_sizes=tuple(f.size for f in nested),
+    )
 
 
 class _Chain:
-    def __init__(self, rng, d, methods, pred, levels, fallback_pmm):
+    def __init__(self, rng, d, layout: _Layout, plans: dict[str, _VisitPlan],
+                 fallback_pmm):
         self.rng = rng
         self.d = d
-        self.methods = methods
-        self.pred = pred
-        self.levels = levels or LevelsSpec()
+        self.layout = layout
+        self.plans = plans
         self.fallback = fallback_pmm
         self.completed = d.values.copy()
-        self.targets = methods.targets(d)
+        self.targets = list(plans)
         self.state: dict[str, object] = {}
         for col in self.targets:
             j = d.col_index(col)
@@ -563,149 +750,50 @@ class _Chain:
             if pool.size == 0:
                 raise SingularFit(f"column {col!r} has no observed values")
             self.completed[miss, j] = rng.choice(pool, size=int(miss.sum()))
+        self.design = np.empty((d.n_rows, layout.width))
+        self.design[:, 0] = 1.0
+        for j in layout.blocks:
+            self._refresh(j)
 
-    # -- design construction ------------------------------------------------
-
-    def _expand(self, col: str, rows=None) -> tuple[np.ndarray, list[str]]:
-        sp = self.d.spec(col)
-        j = self.d.col_index(col)
-        x = self.completed[:, j] if rows is None else self.completed[rows, j]
+    def _refresh(self, j: int):
+        """Rewrite data column j's design block and the cluster means of it."""
+        block = self.layout.blocks.get(j)
+        if block is None:
+            return
+        x = self.completed[:, j]
+        sp = self.d.columns[j]
         if sp.kind == "categorical":
-            cols = [(x == k).astype(float) for k in range(1, sp.n_levels)]
-            return np.column_stack(cols), [
-                f"{col}_{sp.levels[k]}" for k in range(1, sp.n_levels)
-            ]
-        return x[:, None].astype(float), [col]
-
-    def _design(self, target: str):
-        row = self.pred.row(target)
-        cluster_col = next((c for c, v in row.items() if v == -2), None)
-        fixed = [np.ones((self.d.n_rows, 1))]
-        slopes = [np.ones((self.d.n_rows, 1))]
-        z_to_x = [0]  # every random column also sits in X; track where
-        x_cursor = 1
-        for col, code in row.items():
-            if col == target or code in (0, -2):
-                continue
-            block, _ = self._expand(col)
-            if code in (1, 2, 3):
-                fixed.append(block)
-            if code == 2:
-                slopes.append(block)
-                z_to_x.extend(range(x_cursor, x_cursor + block.shape[1]))
-            if code in (1, 2, 3):
-                x_cursor += block.shape[1]
-            if code == 3:
-                if cluster_col is None:
-                    raise ValueError(
-                        f"code 3 for {col!r} needs a cluster variable in row {target!r}"
-                    )
-                codes, n_g, _ = _factorize(self.d.column(cluster_col))
-                means = np.zeros((n_g, block.shape[1]))
-                counts = np.bincount(codes, minlength=n_g).astype(float)
-                for b in range(block.shape[1]):
-                    sums = np.bincount(codes, weights=block[:, b], minlength=n_g)
-                    means[:, b] = sums / counts
-                fixed.append(means[codes])
-                x_cursor += block.shape[1]
-        X = np.concatenate(fixed, axis=1)
-        Z = np.concatenate(slopes, axis=1)
-        return X, Z, cluster_col, np.asarray(z_to_x)
-
-    def _collapse(self, level_col: str, X: np.ndarray, y, miss, target=None):
-        """One row per level value; predictors averaged, target first-row."""
-        codes, n_g, first = _factorize(self.d.column(level_col))
-        counts = np.bincount(codes, minlength=n_g).astype(float)
-        Xc = np.zeros((n_g, X.shape[1]))
-        for b in range(X.shape[1]):
-            Xc[:, b] = np.bincount(codes, weights=X[:, b], minlength=n_g) / counts
-        obs = ~miss
-        if obs.any() and (
-            (y[obs] != y[first][codes[obs]]).any()
-            or (miss[first][codes] != miss).any()
-        ):
-            raise ValueError(
-                f"{target or 'target'} is not constant within {level_col!r}; "
-                "cluster-level imputation needs one value per cluster"
-            )
-        return codes, first, Xc, y[first], miss[first]
+            self.design[:, block] = x[:, None] == np.arange(1, sp.n_levels)
+        else:
+            self.design[:, block.start] = x
+        for mean_block, f in self.layout.means.get(j, ()):
+            for b, m in zip(range(block.start, block.stop),
+                            range(mean_block.start, mean_block.stop)):
+                self.design[:, m] = f.means(self.design[:, b])[f.codes]
 
     def visit(self, col: str):
-        method = self.methods[col]
-        j = self.d.col_index(col)
-        miss = self.d.mask[:, j]
-        y = self.completed[:, j].copy()
-        sp = self.d.spec(col)
-        X, Z, cluster_col, z_to_x = self._design(col)
-
-        if method in ONLY_METHODS or (
-            method in NESTED_METHODS and self.levels.level_of.get(col, "")
-        ):
-            level_col = (
-                cluster_col
-                if method in ONLY_METHODS
-                else self.levels.level_of[col]
-            )
-            if level_col is None:
-                raise ValueError(f"{method} for {col!r} needs a cluster variable")
-            codes, first, Xc, yc, missc = self._collapse(
-                level_col, X, y, miss, target=col
-            )
-            if method in ONLY_METHODS:
-                core = "norm" if method == "2lonly.norm" else "pmm"
-                prob = UnivariateProblem(
-                    yc, missc, Xc, sp.kind, sp.n_levels
-                )
-            else:
-                core = method
-                groups = self.levels.clusters.get(col, ())
-                nested, sizes = self._nested_codes(groups, first)
-                prob = UnivariateProblem(
-                    yc, missc, Xc, sp.kind, sp.n_levels,
-                    nested=nested, nested_sizes=sizes,
-                )
-            vals, st = impute_univariate(
-                self.rng, core, prob, self.state.get(col), self.fallback
-            )
-            self.state[col] = st
-            filled = yc.copy()
-            filled[missc] = vals
-            self.completed[miss, j] = filled[codes][miss]
-            return
-
-        if method in SLOPE_METHODS:
-            if cluster_col is None:
-                raise ValueError(f"{method} for {col!r} needs a -2 cluster column")
-            group, n_g, _ = _factorize(self.d.column(cluster_col))
-            prob = UnivariateProblem(
-                y, miss, X, sp.kind, sp.n_levels, Z=Z, group=group, n_groups=n_g,
-                z_to_x=tuple(z_to_x),
-            )
-        elif method in NESTED_METHODS:
-            groups = self.levels.clusters.get(col, ())
-            nested, sizes = self._nested_codes(groups)
-            prob = UnivariateProblem(
-                y, miss, X, sp.kind, sp.n_levels, nested=nested, nested_sizes=sizes
-            )
+        p = self.plans[col]
+        E = self.design
+        if p.level is None:
+            y_obs = self.completed[p.obs, p.col]
+            X_obs, X_mis = E[np.ix_(p.obs, p.x_cols)], E[np.ix_(p.mis, p.x_cols)]
         else:
-            prob = UnivariateProblem(y, miss, X, sp.kind, sp.n_levels)
-        vals, st = impute_univariate(
-            self.rng, method, prob, self.state.get(col), self.fallback
+            y_obs = self.completed[p.level.first[p.obs], p.col]
+            X = np.column_stack([p.level.means(E[:, c]) for c in p.x_cols])
+            X_obs, X_mis = X[p.obs], X[p.mis]
+        Z_obs = Z_mis = None
+        if p.z_cols is not None:
+            Z_obs, Z_mis = E[np.ix_(p.obs, p.z_cols)], E[np.ix_(p.mis, p.z_cols)]
+        prob = UnivariateProblem(
+            y_obs, X_obs, X_mis, p.kind, p.n_levels, Z_obs, Z_mis,
+            p.group_obs, p.group_mis, p.n_groups,
+            p.nested_obs, p.nested_mis, p.nested_sizes, p.z_to_x,
         )
-        self.state[col] = st
-        self.completed[miss, j] = vals
-
-    def _nested_codes(self, groups, first=None):
-        """Codes of each grouping; on collapsed rows (``first`` holds each
-        level unit's first row) the grouping's value at that row."""
-        nested = []
-        sizes = []
-        for g in groups:
-            values = self.d.column(g)
-            c, s, _ = _factorize(values if first is None else values[first])
-            nested.append(c)
-            sizes.append(s)
-        return tuple(nested), tuple(sizes)
+        vals, self.state[col] = impute_univariate(
+            self.rng, p.method, prob, self.state.get(col), self.fallback
+        )
+        self.completed[p.rows, p.col] = vals if p.fill is None else vals[p.fill]
+        self._refresh(p.col)
 
     def cycle(self):
         for col in self.targets:
@@ -714,15 +802,12 @@ class _Chain:
             except Exception as e:  # noqa: BLE001 - context added, then re-raised
                 raise ChainFailure(-1, col, e) from e
 
-    def snapshot(self) -> Dataset:
-        return self.d.completed(self.completed)
-
 
 def _chain_task(payload):
     """Run one chain start-to-finish; used directly and by worker pools."""
-    (chain_rng, d, methods, pred, levels, maxit, fallback, c) = payload
+    (chain_rng, d, layout, plans, maxit, fallback, c) = payload
     try:
-        chain = _Chain(chain_rng, d, methods, pred, levels, fallback)
+        chain = _Chain(chain_rng, d, layout, plans, fallback)
         stats = []
         for it in range(1, maxit + 1):
             chain.cycle()
@@ -759,8 +844,9 @@ def run_fcs(
         raise ValueError("maxit and m must be >= 1")
     methods.validate(d)
     _validate_codes(d, methods, pred)
+    layout, plans = _plan_run(d, methods, pred, levels)
     tasks = [
-        (rng.substream(c), d, methods, pred, levels, maxit, fallback_pmm, c)
+        (rng.substream(c), d, layout, plans, maxit, fallback_pmm, c)
         for c in range(m)
     ]
     if workers > 1 and m > 1:

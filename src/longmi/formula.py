@@ -152,9 +152,10 @@ def grouping_codes(d: Dataset, formula: ModelFormula) -> list[np.ndarray]:
     """Integer codes per random level, outermost first; inner levels are
     coded within the outer grouping so reused labels still nest."""
     codes: list[np.ndarray] = []
-    key = np.empty((d.n_rows, 0))
     for g in formula.random:
-        key = np.column_stack([key, d.column(g)])
-        _, c = np.unique(key, axis=0, return_inverse=True)
+        values, c = np.unique(d.column(g), return_inverse=True)
+        if codes:
+            # rank (outer code, inner value) pairs by a 1-D pair key
+            _, c = np.unique(codes[-1] * len(values) + c, return_inverse=True)
         codes.append(c.astype(int))
     return codes

@@ -534,10 +534,9 @@ def cluster_aggregate(d: Dataset, group: str, variables: Sequence[str]) -> Datas
     for v in variables:
         x = d.column(v)
         miss = d.column_mask(v)
-        sums = np.zeros(len(groups))
-        counts = np.zeros(len(groups))
-        np.add.at(sums, codes[~miss], x[~miss])
-        np.add.at(counts, codes[~miss], 1.0)
+        seen = codes[~miss]
+        sums = np.bincount(seen, weights=x[~miss], minlength=len(groups))
+        counts = np.bincount(seen, minlength=len(groups)).astype(float)
         with np.errstate(invalid="ignore"):
             mean = sums / counts
         cols.append(ColumnSpec(v, "continuous", "analysis"))

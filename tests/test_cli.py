@@ -514,6 +514,27 @@ class TestDiag:
         assert any("prev_dep.3.mean.chain0" in s for s in series)
 
 
+    @pytest.mark.parametrize("flag, body, line, what", [
+        ("--trace", b"iteration,parameter,value\r\n1,a,0.5\r\n2,a\r\n",
+         3, "2 fields, expected 3"),
+        ("--trace", b"iteration,parameter,value\r\n1,a,0.5\r\n2.5,a,0.1\r\n",
+         3, "'2.5' is not an integer"),
+        ("--trace", b"iteration,parameter,value\r\n1,a,0.5\r\n2,a,high\r\n",
+         3, "'high' is not a number"),
+        ("--trace", b"iteration,parameter,value\r\n1,a,0.5\r\n2,\xe9,0.1\r\n",
+         3, "not utf-8 text"),
+        ("--chain-stats", b"chain,iteration,column,mean,sd\r\n0,1,y,0.1,1.0\r\n"
+         b"0,x,y,0.2,1.0\r\n", 3, "'x' is not an integer"),
+    ], ids=["short-row", "non-integer-iteration", "non-numeric-value",
+            "non-utf8-byte", "chain-stats-iteration"])
+    def test_malformed_input_exit(self, tmp_path, capsys, flag, body, line, what):
+        path = tmp_path / "in.csv"
+        path.write_bytes(body)
+        assert run("diag", flag, str(path), "--out-dir", str(tmp_path / "d")) == 2
+        err = capsys.readouterr().err
+        assert f"{path}, line {line}: " in err and what in err, err
+
+
 def test_end_to_end_determinism(tmp_path):
     outputs = []
     for tag in ("x", "y"):

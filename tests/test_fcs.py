@@ -1,3 +1,4 @@
+import warnings
 import tracemalloc
 
 import numpy as np
@@ -5,8 +6,12 @@ import pytest
 from scipy.special import ndtri
 
 from longmi.errors import ChainFailure, DegenerateMean, PerfectSeparation, TooFewDonors
+from longmi import fcs
 from longmi.fcs import (
+    NESTED_METHODS,
+    ONLY_METHODS,
     PMM_DONORS,
+    SLOPE_METHODS,
     LevelsSpec,
     MethodVector,
     PredictorMatrix,
@@ -15,9 +20,15 @@ from longmi.fcs import (
     default_predictor_matrix,
     impute_univariate,
     run_fcs,
+    _Chain,
+    _NestedGibbs,
+    _plan_run,
     _pmm_pick,
+    _SlopeGibbs,
 )
-from longmi.rng import RngStream
+from longmi.methods import build_and_run
+from longmi.rng import RngStream, chol, inv_wishart_draw, sym
+from longmi.simulate import SimConfig, simulate
 from longmi.table import ColumnSpec, Dataset
 
 NA = np.nan
@@ -42,6 +53,11 @@ def flat_dataset(n=400, seed=0, miss=0.3):
         shape_kind="wide",
     )
     return d, y, b
+
+
+@pytest.fixture(scope="module")
+def small_cohort():
+    return simulate(RngStream(3), SimConfig(n_schools=6, n_students=90, seed=3))
 
 
 class TestPredictorMatrix:
@@ -110,11 +126,16 @@ class TestMethodVector:
             MethodVector({"y": "mystery"})
 
 
+def row_problem(y, miss, X, kind, n_levels):
+    """The visit problem of a target with full column ``y`` and design ``X``."""
+    return UnivariateProblem(y[~miss], X[~miss], X[miss], kind, n_levels)
+
+
 class TestImputeUnivariate:
     def test_pmm_values_from_observed_support(self):
         d, y, _ = flat_dataset()
         miss = d.column_mask("y")
-        prob = UnivariateProblem(
+        prob = row_problem(
             y=np.where(miss, 0.0, y),
             miss=miss,
             X=np.column_stack([np.ones(d.n_rows), d.column("x")]),
@@ -128,7 +149,7 @@ class TestImputeUnivariate:
         n = 50
         miss = np.zeros(n, dtype=bool)
         miss[:10] = True
-        prob = UnivariateProblem(
+        prob = row_problem(
             y=np.full(n, 3.0),
             miss=miss,
             X=np.ones((n, 1)),
@@ -145,7 +166,7 @@ class TestImputeUnivariate:
         y = (x > 0).astype(float)  # perfectly separated
         miss = np.zeros(n, dtype=bool)
         miss[::5] = True
-        prob = UnivariateProblem(
+        prob = row_problem(
             y=y, miss=miss, X=np.column_stack([np.ones(n), x]),
             kind="binary", n_levels=2,
         )
@@ -160,7 +181,7 @@ class TestImputeUnivariate:
         x = rng.normal(size=n)
         y = np.clip(np.digitize(x + rng.normal(0, 0.7, n), [-0.5, 0.7]), 0, 2)
         miss = rng.random(n) < 0.3
-        prob = UnivariateProblem(
+        prob = row_problem(
             y=y.astype(float), miss=miss,
             X=np.column_stack([np.ones(n), x]), kind="categorical", n_levels=3,
         )
@@ -176,7 +197,7 @@ class TestImputeUnivariate:
         x = rng.normal(size=n)
         y = ((x + rng.logistic(size=n))[:, None] > [-1.0, 1.0]).sum(axis=1)
         miss = np.r_[rng.random(n) < 0.2, False, False]
-        prob = UnivariateProblem(
+        prob = row_problem(
             y=np.r_[y, 0, 2].astype(float), miss=miss,
             X=np.column_stack([np.ones(n + 2), np.r_[x, -100.0, 100.0],
                                np.r_[np.zeros(n), 1.0, 1.0]]),
@@ -257,7 +278,7 @@ class TestRunFcs:
         for a, b in zip(part.imputations, full.imputations):
             assert a.equals(b)
 
-    def test_workers_do_not_change_results(self):
+    def test_workers_do_not_change_results(self, small_cohort):
         d, *_ = flat_dataset(n=150)
         pred = default_predictor_matrix(d)
         pred.set_column("id", 0)
@@ -269,6 +290,16 @@ class TestRunFcs:
         for a, b in zip(serial.imputations, para.imputations):
             assert a.equals(b)
         assert s_stats == p_stats
+        # the visit plans travel to worker processes with each chain
+        for method in ("fcs-3l", "fcs-2l"):
+            serial, para = (
+                build_and_run(RngStream(10), method, small_cohort.observed, m=2,
+                              maxit=2, fallback_pmm=True, workers=w)
+                for w in (1, 2)
+            )
+            for a, b in zip(serial.stack.imputations, para.stack.imputations):
+                assert a.equals(b)
+            assert serial.chain_stats == para.chain_stats
 
     def test_code_validation(self):
         d, *_ = flat_dataset()
@@ -383,19 +414,19 @@ def test_design_maps_slope_columns_into_fixed_block():
         },
         shape_kind="wide",
     )
-    from longmi.fcs import _Chain, MethodVector, default_predictor_matrix
-
     pred = default_predictor_matrix(d)
     pred.set_column("id", 0)
     pred.set_column("g", -2)
     pred.set("y", "a", 3)   # fixed + cluster mean (two X blocks)
     pred.set("y", "t", 2)   # fixed + random slope, after the mean block
     mv = MethodVector({"y": "2l.pan"})
-    chain = _Chain(RngStream(41), d, mv, pred, None, False)
-    X, Z, cluster_col, z_to_x = chain._design("y")
-    assert cluster_col == "g"
+    layout, plans = _plan_run(d, mv, pred, None)
+    chain = _Chain(RngStream(41), d, layout, plans, False)
+    plan = plans["y"]
+    X, Z = chain.design[:, plan.x_cols], chain.design[:, plan.z_cols]
+    assert plan.n_groups == C  # clustered on g
     assert Z.shape[1] == 2  # intercept + t
-    for zj, xj in enumerate(z_to_x):
+    for zj, xj in enumerate(plan.z_to_x):
         np.testing.assert_array_equal(Z[:, zj], X[:, xj])
 
 
@@ -421,3 +452,277 @@ def test_collapse_rejects_nonconstant_cluster_target():
     with pytest.raises(ChainFailure, match="not constant within"):
         run_fcs(RngStream(51), d, MethodVector({"w": "2lonly.norm"}), pred,
                 maxit=1, m=1)
+
+
+# ---------------------------------------------------------------------------
+# visit plans and the per-chain design against the per-visit rebuild they
+# replace
+# ---------------------------------------------------------------------------
+
+
+def rebuilt_factor(values):
+    uniq, first, codes = np.unique(values, return_index=True, return_inverse=True)
+    return codes.astype(int), len(uniq), first
+
+
+def rebuilt_design(d, completed, pred, target):
+    """X, Z and z_to_x built from every column's completed values, as
+    each visit used to build them."""
+    def expand(col):
+        sp = d.spec(col)
+        x = completed[:, d.col_index(col)]
+        if sp.kind == "categorical":
+            return np.column_stack(
+                [(x == k).astype(float) for k in range(1, sp.n_levels)]
+            )
+        return x[:, None].astype(float)
+
+    row = pred.row(target)
+    cluster_col = next((c for c, v in row.items() if v == -2), None)
+    fixed, slopes, z_to_x = [np.ones((d.n_rows, 1))], [np.ones((d.n_rows, 1))], [0]
+    x_cursor = 1
+    for col, code in row.items():
+        if col == target or code in (0, -2):
+            continue
+        block = expand(col)
+        fixed.append(block)
+        if code == 2:
+            slopes.append(block)
+            z_to_x.extend(range(x_cursor, x_cursor + block.shape[1]))
+        x_cursor += block.shape[1]
+        if code == 3:
+            codes, n_g, _ = rebuilt_factor(d.column(cluster_col))
+            counts = np.bincount(codes, minlength=n_g).astype(float)
+            means = np.column_stack(
+                [np.bincount(codes, weights=b, minlength=n_g) / counts for b in block.T]
+            )
+            fixed.append(means[codes])
+            x_cursor += block.shape[1]
+    return (np.concatenate(fixed, axis=1), np.concatenate(slopes, axis=1),
+            cluster_col, z_to_x)
+
+
+def rebuilt_problem(d, completed, methods, pred, levels, col):
+    """The method and the problem fields of one visit, rebuilt from
+    scratch: cluster-level targets averaged over their level unit."""
+    levels = levels or LevelsSpec()
+    method = methods[col]
+    j = d.col_index(col)
+    miss = d.mask[:, j]
+    y = completed[:, j].copy()
+    X, Z, cluster_col, z_to_x = rebuilt_design(d, completed, pred, col)
+    groups = levels.clusters.get(col, ()) if method in NESTED_METHODS else ()
+    level_col = cluster_col if method in ONLY_METHODS else (
+        levels.level_of.get(col, "") if method in NESTED_METHODS else ""
+    )
+    if level_col:
+        codes, n_g, first = rebuilt_factor(d.column(level_col))
+        counts = np.bincount(codes, minlength=n_g).astype(float)
+        X = np.column_stack(
+            [np.bincount(codes, weights=x, minlength=n_g) / counts for x in X.T]
+        )
+        y, miss = y[first], miss[first]
+        nested = [rebuilt_factor(d.column(g)[first])[:2] for g in groups]
+        if method in ONLY_METHODS:
+            method = "norm" if method == "2lonly.norm" else "pmm"
+    else:
+        nested = [rebuilt_factor(d.column(g))[:2] for g in groups]
+    obs = ~miss
+    fields = dict(
+        y_obs=y[obs], X_obs=X[obs], X_mis=X[miss],
+        nested_obs=tuple(c[obs] for c, _ in nested),
+        nested_mis=tuple(c[miss] for c, _ in nested),
+        nested_sizes=tuple(s for _, s in nested),
+    )
+    if method in SLOPE_METHODS:
+        group, n_g, _ = rebuilt_factor(d.column(cluster_col))
+        fields.update(
+            Z_obs=Z[obs], Z_mis=Z[miss], group_obs=group[obs],
+            group_mis=group[miss], n_groups=n_g, z_to_x=tuple(z_to_x),
+        )
+    return method, fields
+
+
+@pytest.mark.parametrize(
+    "method", ["fcs-1l-wide", "fcs-1l-di-wide", "fcs-2l", "fcs-2l-wide", "fcs-3l"]
+)
+def test_visits_match_a_rebuilt_design(method, small_cohort, monkeypatch):
+    # 1l (dummies of a categorical column), 2l (codes 2 and 3, 2lonly
+    # targets) and ml (nested codes, unit-level targets) families: every
+    # problem equals the rebuilt one bit for bit, and after every visit
+    # the chain's design matches a rebuild for every target
+    run, visited = {}, []
+    plan_run, visit, impute = fcs._plan_run, fcs._Chain.visit, fcs.impute_univariate
+
+    def spy_plan_run(d, methods, pred, levels):
+        run.update(d=d, methods=methods, pred=pred, levels=levels)
+        return plan_run(d, methods, pred, levels)
+
+    def spy_visit(chain, col):
+        run.update(chain=chain, col=col)
+        visit(chain, col)
+        for target, plan in chain.plans.items():
+            X, Z, _, z_to_x = rebuilt_design(run["d"], chain.completed, run["pred"],
+                                             target)
+            np.testing.assert_array_equal(chain.design[:, plan.x_cols], X)
+            if plan.z_cols is not None:
+                np.testing.assert_array_equal(chain.design[:, plan.z_cols], Z)
+                assert plan.z_to_x == tuple(z_to_x)
+
+    def spy_impute(rng, name, prob, state=None, fallback_pmm=False):
+        want_method, want = rebuilt_problem(
+            run["d"], run["chain"].completed, run["methods"], run["pred"],
+            run["levels"], run["col"],
+        )
+        assert name == want_method
+        for field_name, value in want.items():
+            got = getattr(prob, field_name)
+            if isinstance(value, tuple):
+                assert len(got) == len(value)
+                for a, b in zip(got, value):
+                    np.testing.assert_array_equal(a, b)
+            else:
+                np.testing.assert_array_equal(got, value)
+        visited.append(run["col"])
+        return impute(rng, name, prob, state, fallback_pmm)
+
+    monkeypatch.setattr(fcs, "_plan_run", spy_plan_run)
+    monkeypatch.setattr(fcs._Chain, "visit", spy_visit)
+    monkeypatch.setattr(fcs, "impute_univariate", spy_impute)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        build_and_run(RngStream(12), method, small_cohort.observed, m=1, maxit=2,
+                      fallback_pmm=True)
+    targets = run["methods"].targets(run["d"])
+    assert visited == targets * 2
+
+
+class ReferenceNestedGibbs(_NestedGibbs):
+    """The sweep as first written: X @ beta and every level's offset
+    recomputed per draw, beta solved through the Cholesky factor."""
+
+    def _offset(self, nested, n, skip=None):
+        out = np.zeros(n)
+        for k, codes in enumerate(nested):
+            if k != skip:
+                out += self.u[k][codes]
+        return out
+
+    def advance(self, rng, sweeps, y, X, nested, sizes):
+        n = len(y)
+        Cx = chol(X.T @ X + 1e-10 * np.eye(X.shape[1]))
+        counts = [np.bincount(c, minlength=s) for c, s in zip(nested, sizes)]
+        eta_sum = np.zeros(n)
+        for _ in range(sweeps):
+            for k, codes in enumerate(nested):
+                r = y - X @ self.beta - self._offset(nested, n, skip=k)
+                sums = np.bincount(codes, weights=r, minlength=sizes[k])
+                prec = counts[k] / self.sigma2 + 1.0 / self.psi[k]
+                mean = (sums / self.sigma2) / prec
+                self.u[k] = mean + rng.normal(size=sizes[k]) / np.sqrt(prec)
+                shift = self.u[k].mean() + rng.normal() * np.sqrt(
+                    self.psi[k] / sizes[k]
+                )
+                self.u[k] = self.u[k] - shift
+                self.beta[0] += shift
+                self.psi[k] = float(
+                    (1.0 + self.u[k] @ self.u[k]) / rng.chisquare(1 + sizes[k])
+                )
+            r2 = y - self._offset(nested, n)
+            b_hat = np.linalg.solve(Cx.T, np.linalg.solve(Cx, X.T @ r2))
+            z = rng.normal(size=len(b_hat))
+            self.beta = b_hat + np.sqrt(self.sigma2) * np.linalg.solve(Cx.T, z)
+            resid = r2 - X @ self.beta
+            self.sigma2 = float(resid @ resid) / rng.chisquare(max(n, 1))
+            eta_sum += X @ self.beta + self._offset(nested, n)
+        self.eta_hat = eta_sum / sweeps
+
+
+def nested_problem(seed, n_school=12, per_school=10, rows=3, p=6):
+    g = np.random.default_rng(seed)
+    school = np.repeat(np.arange(n_school), per_school * rows)
+    student = np.repeat(np.arange(n_school * per_school), rows)
+    n = len(school)
+    X = np.column_stack([np.ones(n), g.normal(size=(n, p - 2)), g.integers(0, 2, n)])
+    y = (X @ g.normal(size=p) + g.normal(0, 0.5, n_school)[school]
+         + g.normal(0, 0.8, n_school * per_school)[student] + g.normal(size=n))
+    return y, X, (student, school), (n_school * per_school, n_school)
+
+
+@pytest.mark.parametrize("levels", [2, 1])
+def test_nested_sweep_matches_reference(levels):
+    y, X, nested, sizes = nested_problem(13)
+    nested, sizes = nested[:levels], sizes[:levels]
+    new = _NestedGibbs(X.shape[1], sizes, float(np.var(y)))
+    ref = ReferenceNestedGibbs(X.shape[1], sizes, float(np.var(y)))
+    rng_new, rng_ref = RngStream(14), RngStream(14)
+    for sweeps in (15, 5, 5):  # a first visit and two later ones
+        new.advance(rng_new, sweeps, y, X, nested, sizes)
+        ref.advance(rng_ref, sweeps, y, X, nested, sizes)
+        np.testing.assert_equal(rng_new.gen.bit_generator.state,
+                                rng_ref.gen.bit_generator.state)
+        for a, b in [(new.beta, ref.beta), (new.eta_hat, ref.eta_hat),
+                     (new.sigma2, ref.sigma2), (new.psi, ref.psi), *zip(new.u, ref.u)]:
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(new.eta(X, nested), ref.eta(X, nested),
+                                   rtol=0, atol=1e-10)
+
+
+class ReferenceSlopeGibbs(_SlopeGibbs):
+    """The sweep with its group sums accumulated by ``np.add.at``."""
+
+    def advance(self, rng, sweeps, y, X, Z, group, n_groups):
+        q = Z.shape[1]
+        ZtZ = np.zeros((n_groups, q, q))
+        np.add.at(ZtZ, group, Z[:, :, None] * Z[:, None, :])
+        Cx = chol(X.T @ X + 1e-10 * np.eye(X.shape[1]))
+        eta_sum = np.zeros(len(y))
+        for _ in range(sweeps):
+            r = y - X @ self.beta
+            Ztr = np.zeros((n_groups, q))
+            np.add.at(Ztr, group, Z * r[:, None])
+            prec = np.linalg.inv(self.psi)[None] + ZtZ / self.sigma2
+            cov = sym(np.linalg.inv(prec))
+            mean = np.einsum("gij,gj->gi", cov, Ztr / self.sigma2)
+            L = chol(cov)
+            self.u = mean + np.einsum("gij,gj->gi", L, rng.normal(size=(n_groups, q)))
+            shift = self.u.mean(axis=0) + chol(
+                (self.psi + self.psi.T) / (2.0 * n_groups)
+            ) @ rng.normal(size=q)
+            self.u = self.u - shift
+            self.beta[self.z_to_x] += shift
+            self.psi = inv_wishart_draw(
+                rng, np.eye(q) + self.u.T @ self.u, q + 1 + n_groups
+            )
+            r2 = y - np.einsum("nq,nq->n", Z, self.u[group])
+            b_hat = np.linalg.solve(Cx.T, np.linalg.solve(Cx, X.T @ r2))
+            z = rng.normal(size=len(b_hat))
+            self.beta = b_hat + np.sqrt(self.sigma2) * np.linalg.solve(Cx.T, z)
+            if not self.fixed_sigma:
+                resid = y - X @ self.beta - np.einsum("nq,nq->n", Z, self.u[group])
+                self.sigma2 = float(resid @ resid) / rng.chisquare(max(len(y), 1))
+            eta_sum += X @ self.beta + np.einsum("nq,nq->n", Z, self.u[group])
+        self.eta_hat = eta_sum / sweeps
+
+
+@pytest.mark.parametrize("fixed_sigma", [False, True])
+def test_slope_sweep_matches_add_at_reference(fixed_sigma):
+    g = np.random.default_rng(15)
+    n, n_groups = 3000, 40
+    group = g.integers(0, n_groups, n)
+    t = g.normal(size=n)
+    X = np.column_stack([np.ones(n), g.normal(size=n), t])
+    Z = X[:, [0, 2]]
+    y = X @ [0.3, 1.0, -0.5] + (g.normal(size=(n_groups, 2)) * [0.6, 0.3])[group] @ [1, 0]
+    y = y + g.normal(0, 0.3, n_groups)[group] * t + g.normal(size=n)
+    states = [
+        cls(3, 2, n_groups, float(np.var(y)), fixed_sigma, z_to_x=(0, 2))
+        for cls in (_SlopeGibbs, ReferenceSlopeGibbs)
+    ]
+    for state in states:
+        state.advance(RngStream(16), 6, y, X, Z, group, n_groups)
+    new, ref = states
+    for a, b in [(new.beta, ref.beta), (new.u, ref.u), (new.psi, ref.psi),
+                 (new.eta_hat, ref.eta_hat)]:
+        np.testing.assert_array_equal(a, b)
+    assert new.sigma2 == ref.sigma2

@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from longmi.formula import grouping_codes, parse_formula
 from longmi.jm import autocorr, decode_latent, encode_latent
 from longmi.lmm import LmmFit
 from longmi.pooling import pool
 from longmi.rng import MvnParams, RngStream, conditional_mvn
+from longmi.table import ColumnSpec, Dataset
 
 
 def fit_of(q, s):
@@ -92,3 +94,37 @@ def test_latent_encode_decode_identity(seed, n_levels, n):
     obs = ~np.isnan(codes)
     np.testing.assert_array_equal(got[obs], codes[obs])
     assert set(got) <= set(float(k) for k in range(n_levels))
+
+
+def stacked_row_codes(d, formula):
+    """Codes from ``np.unique`` over the stacked grouping columns, rows
+    ranked lexicographically (outermost first)."""
+    codes, key = [], np.empty((d.n_rows, 0))
+    for g in formula.random:
+        key = np.column_stack([key, d.column(g)])
+        codes.append(np.unique(key, axis=0, return_inverse=True)[1].ravel())
+    return codes
+
+
+label = st.sampled_from([-3.5, -0.0, 0.0, 1.0, 2.0, 7.25, 1e9])
+
+
+@given(rows=st.lists(st.tuples(label, label), min_size=1, max_size=60),
+       levels=st.sampled_from(["school/id", "school", "id"]))
+@settings(max_examples=150, deadline=None)
+def test_grouping_codes_match_stacked_rows(rows, levels):
+    # few labels, so inner labels recur under several outer ones
+    school, student = np.array(rows).T
+    d = Dataset(
+        [ColumnSpec("school", "continuous", "cluster-id"),
+         ColumnSpec("id", "continuous", "unit-id"),
+         ColumnSpec("y", "continuous", "analysis")],
+        np.column_stack([school, student, np.zeros(len(rows))]),
+        shape_kind="wide", validate=False,
+    )
+    formula = parse_formula(f"y ~ (1|{levels})")
+    got = grouping_codes(d, formula)
+    want = stacked_row_codes(d, formula)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        np.testing.assert_array_equal(a, b)

@@ -7,6 +7,11 @@ owns them (linear algebra and random draws live in ``rng``).
 scipy is imported only inside ``rng``'s functions, on first call, so
 subcommands that never call it (sim, pool, diag, a usage error) start
 without paying for its import.
+
+Group sums use ``np.bincount`` (one call per column) rather than the
+unbuffered ``np.add.at``, and groupings over several columns are
+factorized one column at a time rather than by ``np.unique(...,
+axis=0)`` on stacked float rows.
 """
 
 import ast
@@ -146,3 +151,34 @@ def test_startup_leaves_scipy_unloaded(tmp_path):
     assert "must be at least 1" in res.stderr
     assert loaded == {"import": False, "sim": False, "pool": False,
                       "help": False, "bad_config": False}
+
+
+def _slow_calls(path: pathlib.Path) -> list[str]:
+    """Calls of ``*.add.at`` and of ``*unique`` with an ``axis`` keyword."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if not isinstance(node, ast.Call):
+            continue
+        name = ast.unparse(node.func)
+        if name.endswith("add.at") or (
+            name.split(".")[-1] == "unique" and any(k.arg == "axis" for k in node.keywords)
+        ):
+            found.append(f"{path.name}:{node.lineno} {name}")
+    return found
+
+
+def test_no_add_at_or_row_unique():
+    hits = [hit for path in sorted(PKG.glob("*.py")) for hit in _slow_calls(path)]
+    assert hits == []
+
+
+def test_slow_call_checker_sees_both(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "import numpy as np\nnp.add.at(a, i, b)\nnp.unique(k, axis=0)\n"
+        "np.unique(k, return_inverse=True)\nnp.add.reduceat(a, s)\n"
+        "numpy.add.at(a, i, 1.0)\n"
+    )
+    assert _slow_calls(probe) == [
+        "probe.py:2 np.add.at", "probe.py:3 np.unique", "probe.py:6 numpy.add.at",
+    ]
