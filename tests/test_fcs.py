@@ -504,11 +504,16 @@ def rebuilt_design(d, completed, pred, target):
 
 def rebuilt_problem(d, completed, methods, pred, levels, col):
     """The method and the problem fields of one visit, rebuilt from
-    scratch: cluster-level targets averaged over their level unit."""
+    scratch (cluster-level targets averaged over their level unit), and
+    a function writing the imputed values into a completed array."""
     levels = levels or LevelsSpec()
     method = methods[col]
     j = d.col_index(col)
-    miss = d.mask[:, j]
+    miss = data_miss = d.mask[:, j]
+
+    def write(out, vals):
+        out[data_miss, j] = vals
+
     y = completed[:, j].copy()
     X, Z, cluster_col, z_to_x = rebuilt_design(d, completed, pred, col)
     groups = levels.clusters.get(col, ()) if method in NESTED_METHODS else ()
@@ -523,6 +528,12 @@ def rebuilt_problem(d, completed, methods, pred, levels, col):
         )
         y, miss = y[first], miss[first]
         nested = [rebuilt_factor(d.column(g)[first])[:2] for g in groups]
+
+        def write(out, vals):
+            filled = y.copy()
+            filled[miss] = vals
+            out[data_miss, j] = filled[codes][data_miss]
+
         if method in ONLY_METHODS:
             method = "norm" if method == "2lonly.norm" else "pmm"
     else:
@@ -540,7 +551,7 @@ def rebuilt_problem(d, completed, methods, pred, levels, col):
             Z_obs=Z[obs], Z_mis=Z[miss], group_obs=group[obs],
             group_mis=group[miss], n_groups=n_g, z_to_x=tuple(z_to_x),
         )
-    return method, fields
+    return method, fields, write
 
 
 @pytest.mark.parametrize(
@@ -549,8 +560,9 @@ def rebuilt_problem(d, completed, methods, pred, levels, col):
 def test_visits_match_a_rebuilt_design(method, small_cohort, monkeypatch):
     # 1l (dummies of a categorical column), 2l (codes 2 and 3, 2lonly
     # targets) and ml (nested codes, unit-level targets) families: every
-    # problem equals the rebuilt one bit for bit, and after every visit
-    # the chain's design matches a rebuild for every target
+    # problem equals the rebuilt one bit for bit, each visit writes its
+    # values where the rebuild would, and after every visit the chain's
+    # design matches a rebuild for every target
     run, visited = {}, []
     plan_run, visit, impute = fcs._plan_run, fcs._Chain.visit, fcs.impute_univariate
 
@@ -560,7 +572,10 @@ def test_visits_match_a_rebuilt_design(method, small_cohort, monkeypatch):
 
     def spy_visit(chain, col):
         run.update(chain=chain, col=col)
+        expected = chain.completed.copy()
         visit(chain, col)
+        run["write"](expected, run["vals"])
+        np.testing.assert_array_equal(chain.completed, expected)
         for target, plan in chain.plans.items():
             X, Z, _, z_to_x = rebuilt_design(run["d"], chain.completed, run["pred"],
                                              target)
@@ -570,7 +585,7 @@ def test_visits_match_a_rebuilt_design(method, small_cohort, monkeypatch):
                 assert plan.z_to_x == tuple(z_to_x)
 
     def spy_impute(rng, name, prob, state=None, fallback_pmm=False):
-        want_method, want = rebuilt_problem(
+        want_method, want, run["write"] = rebuilt_problem(
             run["d"], run["chain"].completed, run["methods"], run["pred"],
             run["levels"], run["col"],
         )
@@ -584,7 +599,8 @@ def test_visits_match_a_rebuilt_design(method, small_cohort, monkeypatch):
             else:
                 np.testing.assert_array_equal(got, value)
         visited.append(run["col"])
-        return impute(rng, name, prob, state, fallback_pmm)
+        run["vals"], state = impute(rng, name, prob, state, fallback_pmm)
+        return run["vals"], state
 
     monkeypatch.setattr(fcs, "_plan_run", spy_plan_run)
     monkeypatch.setattr(fcs._Chain, "visit", spy_visit)
@@ -638,15 +654,20 @@ class ReferenceNestedGibbs(_NestedGibbs):
         self.eta_hat = eta_sum / sweeps
 
 
-def nested_problem(seed, n_school=12, per_school=10, rows=3, p=6):
+def nested_problem(seed, n_school=12, p=6):
+    """Unbalanced students (1-3 rows) within unbalanced schools; with equal
+    group sizes a wrong intercept shift cancels out of the centred draws."""
     g = np.random.default_rng(seed)
-    school = np.repeat(np.arange(n_school), per_school * rows)
-    student = np.repeat(np.arange(n_school * per_school), rows)
+    per_school = g.integers(4, 16, n_school)
+    school = np.repeat(np.arange(n_school), per_school)
+    rows = g.integers(1, 4, per_school.sum())
+    school = np.repeat(school, rows)
+    student = np.repeat(np.arange(per_school.sum()), rows)
     n = len(school)
     X = np.column_stack([np.ones(n), g.normal(size=(n, p - 2)), g.integers(0, 2, n)])
     y = (X @ g.normal(size=p) + g.normal(0, 0.5, n_school)[school]
-         + g.normal(0, 0.8, n_school * per_school)[student] + g.normal(size=n))
-    return y, X, (student, school), (n_school * per_school, n_school)
+         + g.normal(0, 0.8, per_school.sum())[student] + g.normal(size=n))
+    return y, X, (student, school), (int(per_school.sum()), n_school)
 
 
 @pytest.mark.parametrize("levels", [2, 1])
