@@ -45,7 +45,6 @@ from .fcs import (  # noqa: F401
     LevelsSpec,
     MethodVector,
     PredictorMatrix,
-    adaptive_round,
     default_predictor_matrix,
     impute_univariate,
     mtw_predictor_matrix,

@@ -42,9 +42,11 @@ from .stack import IMPUTATION_COL, ImputedStack
 from .table import (
     Dataset,
     available_case_filter,
+    copy_path,
     csv_fields,
     incomplete_fraction,
     read_csv,
+    sidecar_path,
     write_csv,
 )
 
@@ -126,7 +128,7 @@ def cmd_sim(args) -> int:
     for name, d in (("complete.csv", out.complete), ("observed.csv", out.observed)):
         p = os.path.join(args.out_dir, name)
         write_csv(d, p)
-        paths += [p, p.replace(".csv", ".meta.json")]
+        paths += [p, sidecar_path(p), copy_path(p)]
     truth = os.path.join(args.out_dir, "truth.json")
     _atomic_json(out.truth.to_dict(), truth)
     paths.append(truth)
@@ -201,7 +203,7 @@ def cmd_impute(args) -> int:
     stacked = result.stack.to_stacked()
     imp_path = os.path.join(args.out_dir, "imputations.csv")
     write_csv(stacked, imp_path)
-    paths += [imp_path, imp_path.replace(".csv", ".meta.json")]
+    paths += [imp_path, sidecar_path(imp_path), copy_path(imp_path)]
     spec_path = os.path.join(args.out_dir, "impute_spec.json")
     _atomic_json(
         {"method": args.method, "seed": args.seed, **result.spec_json}, spec_path

@@ -109,10 +109,6 @@ class TooFewDonors(LongmiError):
     """Fewer observed donor values than the requested match count."""
 
 
-class DegenerateMean(LongmiError):
-    """Adaptive rounding needs a completed-value mean strictly in (0, 1)."""
-
-
 class ChainFailure(LongmiError):
     """A chained-equations chain aborted; carries chain index and column."""
 

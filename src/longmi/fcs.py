@@ -21,7 +21,6 @@ import numpy as np
 
 from .errors import (
     ChainFailure,
-    DegenerateMean,
     MalformedWideName,
     PerfectSeparation,
     SingularFit,
@@ -37,7 +36,6 @@ from .rng import (
     RngStream,
     chol,
     inv_wishart_draw,
-    ndtri,
     solve_triangular,
     sym,
     trunc_normal_array,
@@ -546,19 +544,6 @@ def impute_univariate(
         return _pmm_pick(rng, state.eta_hat, y_obs, eta_mis, prob.donor_k), state
 
     raise ValueError(f"method {method!r} must be routed by the chain")
-
-
-def adaptive_round(imputed: np.ndarray, completed: np.ndarray) -> np.ndarray:
-    """Round continuous imputations of a binary column.
-
-    Threshold c = w - ndtri(w) * sqrt(w (1 - w)) with w the mean of the
-    completed column; values above c become 1.
-    """
-    w = float(np.mean(completed))
-    if not 0.0 < w < 1.0:
-        raise DegenerateMean(f"completed mean {w} outside (0, 1)")
-    c = w - ndtri(w) * math.sqrt(w * (1.0 - w))
-    return (np.asarray(imputed, dtype=float) > c).astype(float)
 
 
 # ---------------------------------------------------------------------------

@@ -353,7 +353,7 @@ def fit_lmm_arrays(
     n, p = X.shape
     if n <= p:
         raise RankDeficient(f"need n > p, got n={n}, p={p}")
-    qx, rx = np.linalg.qr(X)
+    rx = np.linalg.qr(X, mode="r")  # R alone: only its diagonal is used
     diag = np.abs(np.diag(rx))
     if diag.min() <= n * np.finfo(float).eps * max(diag.max(), 1.0):
         raise RankDeficient("design matrix is rank deficient")

@@ -624,44 +624,118 @@ def sidecar_path(csv_path: str) -> str:
     return stem + ".meta.json"
 
 
+def copy_path(csv_path: str) -> str:
+    """Where :func:`write_csv` puts the binary copy of a CSV's values."""
+    stem, _ = os.path.splitext(csv_path)
+    return stem + ".values.npz"
+
+
+# Part of every copy's key: change it whenever the text a value is written
+# as, or the value a text is read as, changes.
+COPY_CODEC = b"longmi csv codec 1"
+
+
+def _copy_key(path: str, meta_path: str) -> bytes:
+    """SHA-256 over the codec tag and the bytes of the CSV and its sidecar,
+    read 1 MiB at a time so that keying a long stack holds no copy of it."""
+    import hashlib  # not at import time: start-up stays flat
+
+    key = hashlib.sha256(COPY_CODEC)
+    for p in (path, meta_path):
+        key.update(os.path.getsize(p).to_bytes(8, "little"))
+        with open(p, "rb") as fh:
+            while chunk := fh.read(1 << 20):
+                key.update(chunk)
+    return key.digest()
+
+
 def write_csv(d: Dataset, path: str) -> None:
-    """Write data plus a JSON metadata sidecar, atomically.
+    """Write data plus a JSON metadata sidecar, atomically, and then the
+    binary copy that :func:`read_csv` may use instead of parsing.
 
     Masked cells are written as ``NA``, levels by label, integer-valued
     floats below 1e15 as ints, other floats by ``repr``. Each column's
     distinct values are formatted once; rows are then assembled from
     those texts in blocks of ``BLOCK_ROWS``, each cell's text found by
     binary search among its column's distinct values.
+
+    The copy (``<stem>.values.npz``) holds ``values``, the float matrix
+    that parsing the CSV gives (each text's value, so -0.0 is stored as
+    0 and a masked cell as NaN), streamed block by block beside the
+    text, and ``key``, the :func:`_copy_key` of the CSV and sidecar.
     """
+    import zipfile
+
     columns = [
         _column_texts(c, d.values[:, j], d.mask[:, j]) for j, c in enumerate(d.columns)
     ]
-    tmp = path + ".tmp"
-    with open(tmp, "w", newline="") as fh:
-        csv.writer(fh).writerow(d.col_names)
-        for start in range(0, d.n_rows, BLOCK_ROWS):
-            block = slice(start, start + BLOCK_ROWS)
-            cols = []
-            for j, (distinct, texts) in enumerate(columns):
-                index = np.searchsorted(distinct, d.values[block, j])
-                index[d.mask[block, j]] = len(distinct)
-                cols.append(texts[index].tolist())
-            fh.write("\r\n".join(map(",".join, zip(*cols))))
-            fh.write("\r\n")
-    os.replace(tmp, path)
-    meta = {
-        "shape": d.shape_kind,
-        "columns": [
-            {"name": c.name, "kind": c.kind, "role": c.role,
-             "levels": list(c.levels) if c.levels else None}
-            for c in d.columns
-        ],
-    }
-    tmp = sidecar_path(path) + ".tmp"
-    with open(tmp, "w") as fh:
-        json.dump(meta, fh, indent=2)
-        fh.write("\n")
-    os.replace(tmp, sidecar_path(path))
+    # the value each text of a column reads back as, NA last
+    parsed = [np.append(distinct + 0.0, np.nan) for distinct, _ in columns]
+    tmp, copy_tmp = path + ".tmp", copy_path(path) + ".tmp"
+    with zipfile.ZipFile(copy_tmp, "w") as copy:
+        with open(tmp, "w", newline="") as fh, copy.open(
+            "values.npy", "w", force_zip64=True
+        ) as npy:
+            np.lib.format.write_array_header_1_0(npy, {
+                "descr": np.lib.format.dtype_to_descr(np.dtype(float)),
+                "fortran_order": False,
+                "shape": d.values.shape,
+            })
+            csv.writer(fh).writerow(d.col_names)
+            for start in range(0, d.n_rows, BLOCK_ROWS):
+                block = slice(start, start + BLOCK_ROWS)
+                cols, back = [], []
+                for j, (distinct, texts) in enumerate(columns):
+                    index = np.searchsorted(distinct, d.values[block, j])
+                    index[d.mask[block, j]] = len(distinct)
+                    cols.append(texts[index].tolist())
+                    back.append(parsed[j][index])
+                fh.write("\r\n".join(map(",".join, zip(*cols))))
+                fh.write("\r\n")
+                npy.write(np.column_stack(back).tobytes())
+        os.replace(tmp, path)
+        meta = {
+            "shape": d.shape_kind,
+            "columns": [
+                {"name": c.name, "kind": c.kind, "role": c.role,
+                 "levels": list(c.levels) if c.levels else None}
+                for c in d.columns
+            ],
+        }
+        tmp = sidecar_path(path) + ".tmp"
+        with open(tmp, "w") as fh:
+            json.dump(meta, fh, indent=2)
+            fh.write("\n")
+        os.replace(tmp, sidecar_path(path))
+        key = np.frombuffer(_copy_key(path, sidecar_path(path)), dtype=np.uint8)
+        with copy.open("key.npy", "w") as npy:
+            np.lib.format.write_array(npy, key)
+    os.replace(copy_tmp, copy_path(path))
+
+
+def _read_copy(path: str, meta_path: str, n_cols: int) -> np.ndarray | None:
+    """The values that parsing ``path`` gives, from its binary copy.
+
+    None, so that the caller parses, unless the copy opens and its key
+    matches ``path`` and ``meta_path`` as they are now and its values
+    are an (n, ``n_cols``) float64 matrix. A missing, short or corrupt
+    copy is no copy: what opening, unzipping (which checks each member's
+    CRC-32) or decoding it raises is caught.
+    """
+    import zipfile
+
+    try:
+        with np.load(copy_path(path), allow_pickle=False) as copy:
+            key = copy["key"]
+            if key.dtype != np.uint8 or key.tobytes() != _copy_key(path, meta_path):
+                return None
+            values = copy["values"]
+    except (OSError, EOFError, ValueError, KeyError, TypeError, NotImplementedError,
+            zipfile.BadZipFile):
+        return None
+    if values.dtype != np.float64 or values.ndim != 2 or values.shape[1] != n_cols:
+        return None
+    return values
 
 
 def _parse_floats(tokens: list[str]) -> np.ndarray:
@@ -733,10 +807,47 @@ def _undecodable_line(path: str, err: UnicodeDecodeError) -> int:
     return 1
 
 
+def _parse_rows(path: str, reader, ordered: list[ColumnSpec]) -> np.ndarray:
+    """The rows left in ``reader``, parsed in blocks of ``BLOCK_ROWS``, one
+    column at a time; a row of the wrong width or a token its column
+    cannot parse raises ``BadConfig`` naming the line."""
+    k = len(ordered)
+    parsers = [_parse_floats if s.levels is None else _level_parser(s) for s in ordered]
+    blocks = []
+    done = 0
+    while rows := list(islice(reader, BLOCK_ROWS)):
+        wrong = np.fromiter(map(len, rows), int, len(rows)) != k
+        if wrong.any():
+            bad = int(np.argmax(wrong))
+            raise BadConfig(
+                f"{path}, line {_line_of(path, done + bad)}: "
+                f"{len(rows[bad])} fields, the header has {k}"
+            )
+        flat = list(chain.from_iterable(rows))
+        block = np.empty((len(rows), k))
+        for j, (spec, parse) in enumerate(zip(ordered, parsers)):
+            tokens = flat[j::k]
+            try:
+                block[:, j] = parse(tokens)
+            except (ValueError, UnknownLevel):
+                bad = [_parses(parse, t) for t in tokens].index(False)
+                what = "a number" if spec.levels is None else "one of its levels"
+                raise BadConfig(
+                    f"{path}, line {_line_of(path, done + bad)}: "
+                    f"{tokens[bad]!r} in column {spec.name!r} is not {what}"
+                ) from None
+        blocks.append(block)
+        done += len(rows)
+    return np.concatenate(blocks) if blocks else np.empty((0, k))
+
+
 def read_csv(path: str, meta_path: str | None = None) -> Dataset:
     """Read a CSV written by :func:`write_csv` (empty cell == NA).
 
-    Rows are parsed in blocks of ``BLOCK_ROWS``, one column at a time. A
+    When the binary copy beside the CSV matches it and its sidecar (see
+    :func:`_read_copy`), its values stand in for the parse; otherwise
+    rows are parsed in blocks of ``BLOCK_ROWS``, one column at a time.
+    Every check but the row parse runs either way. A
     missing or invalid sidecar, a header that does not match it, a row
     with the wrong number of fields, a token that is not a number or not
     a level of its column, a missing key cell, a row repeating an
@@ -762,6 +873,7 @@ def read_csv(path: str, meta_path: str | None = None) -> Dataset:
     except (KeyError, TypeError, ValueError) as e:  # ValueError covers bad JSON
         raise BadConfig(f"{meta_path}: invalid sidecar: {e!r}") from None
     by_name = {s.name: s for s in specs}
+    cached = _read_copy(path, meta_path, len(specs))
     try:
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
@@ -772,44 +884,13 @@ def read_csv(path: str, meta_path: str | None = None) -> Dataset:
                     f"columns {list(by_name)} of {meta_path}"
                 )
             ordered = [by_name[h] for h in header]
-            k = len(ordered)
-            parsers = [
-                _parse_floats if s.levels is None else _level_parser(s) for s in ordered
-            ]
-            blocks = []
-            done = 0
-            while rows := list(islice(reader, BLOCK_ROWS)):
-                wrong = np.fromiter(map(len, rows), int, len(rows)) != k
-                if wrong.any():
-                    bad = int(np.argmax(wrong))
-                    raise BadConfig(
-                        f"{path}, line {_line_of(path, done + bad)}: "
-                        f"{len(rows[bad])} fields, the header has {k}"
-                    )
-                flat = list(chain.from_iterable(rows))
-                block = np.empty((len(rows), k))
-                for j, (spec, parse) in enumerate(zip(ordered, parsers)):
-                    tokens = flat[j::k]
-                    try:
-                        block[:, j] = parse(tokens)
-                    except (ValueError, UnknownLevel):
-                        bad = [_parses(parse, t) for t in tokens].index(False)
-                        what = (
-                            "a number" if spec.levels is None else "one of its levels"
-                        )
-                        raise BadConfig(
-                            f"{path}, line {_line_of(path, done + bad)}: "
-                            f"{tokens[bad]!r} in column {spec.name!r} is not {what}"
-                        ) from None
-                blocks.append(block)
-                done += len(rows)
+            values = _parse_rows(path, reader, ordered) if cached is None else cached
     except csv.Error as e:
         raise BadConfig(f"{path}, line {reader.line_num}: {e}") from None
     except UnicodeDecodeError as e:
         raise BadConfig(
             f"{path}, line {_undecodable_line(path, e)}: not {e.encoding} text"
         ) from None
-    values = np.concatenate(blocks) if blocks else np.empty((0, k))
     hole = _missing_key(ordered, np.isnan(values))
     if hole:
         c, row = hole

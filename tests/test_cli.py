@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+import longmi.table
 from longmi.cli import _fmt, _write_series, _write_trace, main
 from longmi.jm import ChainTrace
 from longmi.methods import CATALOG, METHOD_NAMES
@@ -61,6 +62,9 @@ class TestSim:
         meta = json.loads((sim_dir / "run_manifest.json").read_text())
         assert meta["subcommand"] == "sim"
         assert meta["tool"] == "longmi"
+        for name in ("observed", "complete"):
+            assert {str(sim_dir / f"{name}{ext}") for ext in (
+                ".csv", ".meta.json", ".values.npz")} <= set(meta["outputs"])
 
 
 @pytest.fixture(scope="module")
@@ -418,6 +422,38 @@ def test_jm_same_seed_byte_identical(sim_dir, tmp_path, method):
         ) == 0
     for name in ("imputations.csv", "trace.csv"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+@pytest.mark.parametrize("method", METHOD_NAMES)
+def test_analyze_same_with_and_without_copy(sim_dir, tmp_path, monkeypatch, method):
+    imp = tmp_path / "imp"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # fcs-2l-di's advice
+        assert run(
+            "impute", "--input", str(sim_dir / "observed.csv"), "--method", method,
+            "--m", "2", "--maxit", "2", "--nburn", "5", "--nbetween", "100",
+            "--seed", "3", "--fallback-pmm", "--out-dir", str(imp),
+        ) == 0
+    manifest = json.loads((imp / "run_manifest.json").read_text())
+    assert str(imp / "imputations.values.npz") in manifest["outputs"]
+    outputs = []
+    for side in ("copy", "parse"):
+        if side == "copy":  # the copy must stand in for the row parse
+            monkeypatch.setattr(longmi.table, "_parse_rows", None)
+        else:
+            monkeypatch.undo()
+            (imp / "imputations.values.npz").unlink()
+        assert run("analyze", "--input", str(imp / "imputations.csv"), "--formula",
+                   EQ1, "--out-dir", str(tmp_path / side / "fits")) == 0
+        assert run("pool", "--fits", str(tmp_path / side / "fits"),
+                   "--out-dir", str(tmp_path / side / "pooled")) == 0
+        outputs.append({
+            name: (tmp_path / side / sub / name).read_bytes()
+            for sub, names in (("fits", ("fit_0001.json", "fit_0002.json")),
+                               ("pooled", ("pooled.csv", "pooled.json")))
+            for name in names
+        })
+    assert outputs[0] == outputs[1]
 
 
 def test_trace_writer_matches_row_generator(tmp_path):

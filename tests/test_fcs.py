@@ -3,9 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.special import ndtri
 
-from longmi.errors import ChainFailure, DegenerateMean, PerfectSeparation, TooFewDonors
+from longmi.errors import ChainFailure, PerfectSeparation, TooFewDonors
 from longmi import fcs
 from longmi.fcs import (
     NESTED_METHODS,
@@ -16,7 +15,6 @@ from longmi.fcs import (
     MethodVector,
     PredictorMatrix,
     UnivariateProblem,
-    adaptive_round,
     default_predictor_matrix,
     impute_univariate,
     run_fcs,
@@ -366,27 +364,6 @@ class TestPmmPick:
             tracemalloc.stop()
         # a 1000 x 4000 distance matrix alone is 32 MB
         assert peak < 4 * 2**20
-
-
-class TestAdaptiveRound:
-    def test_symmetric_mean(self):
-        out = adaptive_round(np.array([0.49, 0.51]), np.full(10, 0.5))
-        np.testing.assert_array_equal(out, [0.0, 1.0])
-
-    def test_threshold_against_quantile_oracle(self):
-        w = 0.7
-        c = w - ndtri(w) * np.sqrt(w * (1 - w))
-        assert c == pytest.approx(0.4597, abs=5e-4)
-        out = adaptive_round(np.array([c - 1e-6, c + 1e-6]), np.full(100, w))
-        np.testing.assert_array_equal(out, [0.0, 1.0])
-
-    def test_large_values_round_to_one(self):
-        out = adaptive_round(np.array([5.0, 80.0]), np.full(10, 0.3))
-        np.testing.assert_array_equal(out, [1.0, 1.0])
-
-    def test_degenerate_mean(self):
-        with pytest.raises(DegenerateMean):
-            adaptive_round(np.array([0.5]), np.ones(10))
 
 
 def test_design_maps_slope_columns_into_fixed_block():

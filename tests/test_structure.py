@@ -6,7 +6,8 @@ owns them (linear algebra and random draws live in ``rng``).
 
 scipy is imported only inside ``rng``'s functions, on first call, so
 subcommands that never call it (sim, pool, diag, a usage error) start
-without paying for its import.
+without paying for its import. ``hashlib``, which keys the binary copy
+of a CSV, is likewise imported only when a copy is written or read.
 
 Group sums use ``np.bincount`` (one call per column) rather than the
 unbuffered ``np.add.at``, and groupings over several columns are
@@ -109,7 +110,13 @@ import json, os, sys
 from longmi.cli import main
 
 work = sys.argv[1]
-loaded = {"import": "scipy" in sys.modules}
+
+
+def guarded():
+    return [m for m in ("scipy", "hashlib") if m in sys.modules]
+
+
+loaded = {"import": guarded()}
 
 
 def step(name, *argv):
@@ -117,7 +124,7 @@ def step(name, *argv):
         main(list(argv))
     except SystemExit:
         pass
-    loaded[name] = "scipy" in sys.modules
+    loaded[name] = guarded()
 
 
 cfg = os.path.join(work, "cfg.json")
@@ -149,8 +156,9 @@ def test_startup_leaves_scipy_unloaded(tmp_path):
     assert (tmp_path / "sim" / "observed.csv").exists()
     assert (tmp_path / "pooled" / "pooled.csv").exists()
     assert "must be at least 1" in res.stderr
-    assert loaded == {"import": False, "sim": False, "pool": False,
-                      "help": False, "bad_config": False}
+    # sim writes (and the bad-config impute reads) keyed copies: hashlib
+    assert loaded == {"import": [], "sim": ["hashlib"], "pool": ["hashlib"],
+                      "help": ["hashlib"], "bad_config": ["hashlib"]}
 
 
 def _slow_calls(path: pathlib.Path) -> list[str]:

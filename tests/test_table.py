@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import locale
+import os
 import warnings
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import longmi.table as table
 from longmi.errors import (
     BadConfig,
     DuplicateTimePoint,
@@ -23,6 +25,7 @@ from longmi.table import (
     ReshapeMap,
     available_case_filter,
     cluster_aggregate,
+    copy_path,
     dummy_expand,
     incomplete_fraction,
     read_csv,
@@ -610,6 +613,8 @@ def _write_pair(tmp_path, text):
     path = tmp_path / "d.csv"
     write_csv(d, str(path))
     path.write_text(text)
+    # the copy of the valid file stays beside the edited one, stale
+    assert (tmp_path / "d.values.npz").exists()
     return str(path)
 
 
@@ -767,6 +772,197 @@ def test_missing_sidecar(tmp_path):
     (tmp_path / "d.csv").write_text("id,x\r\n1,2\r\n")
     with pytest.raises(BadConfig, match="d.meta.json not found"):
         read_csv(str(tmp_path / "d.csv"))
+
+
+# -- the binary copy beside a written CSV ---------------------------------------
+
+
+def _parse_calls(mp):
+    """Count the row parses ``read_csv`` makes from here on."""
+    calls = []
+    parse = table._parse_rows
+
+    def spy(*args):
+        calls.append(args[0])
+        return parse(*args)
+
+    mp.setattr(table, "_parse_rows", spy)
+    return calls
+
+
+def _no_parse(*args):
+    raise AssertionError("the copy should have stood in for the parse")
+
+
+def _same_read(a, b):
+    assert a.columns == b.columns and a.shape_kind == b.shape_kind
+    np.testing.assert_array_equal(a.mask, b.mask)
+    np.testing.assert_array_equal(a.values.view(np.int64), b.values.view(np.int64))
+
+
+@given(n=st.sampled_from([0, 1, 5, BLOCK_ROWS + 1]), data=st.data())
+@settings(max_examples=12, deadline=None)
+def test_copy_read_matches_parse(tmp_path_factory, n, data):
+    # -0.0 (written 0), +-inf, ints of 1e15 and more, masked cells and
+    # labels that need csv quoting all come from codec_datasets
+    d = data.draw(codec_datasets(n))
+    path = str(tmp_path_factory.mktemp("copy") / "d.csv")
+    write_csv(d, path)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(table, "_parse_rows", _no_parse)
+        cached = read_csv(path)
+    os.remove(copy_path(path))
+    _same_read(cached, read_csv(path))
+
+
+def test_stack_copy_read_matches_parse(tmp_path, monkeypatch):
+    d = stacked_dataset(np.random.default_rng(5), m=3, n_units=1100)
+    path = str(tmp_path / "s.csv")
+    write_csv(d, path)
+    monkeypatch.setattr(table, "_parse_rows", _no_parse)
+    cached = read_csv(path)
+    monkeypatch.undo()
+    os.remove(copy_path(path))
+    _same_read(cached, read_csv(path))
+
+
+def _copy_pair(tmp_path):
+    d = Dataset.build(
+        [ColumnSpec("id", "continuous", "unit-id"),
+         ColumnSpec("g", "categorical", "analysis", ("lo", "h,i")),
+         ColumnSpec("x", "continuous", "analysis")],
+        {"id": [1, 2, 3], "g": [0, 1, NA], "x": [1.5, -0.0, 3.25]},
+        shape_kind="wide",
+    )
+    path = tmp_path / "d.csv"
+    write_csv(d, str(path))
+    return path, tmp_path / "d.meta.json", tmp_path / "d.values.npz"
+
+
+def _edit_csv(path, meta, copy):
+    path.write_bytes(path.read_bytes().replace(b"3.25", b"3.75"))
+
+
+def _edit_sidecar(path, meta, copy):
+    meta.write_text(json.dumps(json.loads(meta.read_text())))
+
+
+def _truncate_copy(path, meta, copy):
+    copy.write_bytes(copy.read_bytes()[: copy.stat().st_size // 2])
+
+
+def _corrupt_copy(path, meta, copy):
+    body = bytearray(copy.read_bytes())
+    body[len(body) // 2: len(body) // 2 + 16] = b"\xff" * 16
+    copy.write_bytes(bytes(body))
+
+
+def _empty_copy(path, meta, copy):
+    copy.write_bytes(b"")
+
+
+def _copy_of_other_csv(path, meta, copy):
+    other = path.parent / "other"
+    other.mkdir()
+    write_csv(read_csv(str(path)).take(np.array([2, 1, 0])), str(other / "d.csv"))
+    copy.write_bytes((other / "d.values.npz").read_bytes())
+
+
+def _plain_npy_copy(path, meta, copy):
+    with np.load(copy) as z:
+        values = z["values"]
+    with open(copy, "wb") as fh:
+        np.save(fh, values)
+
+
+def _recast_copy(dtype, cols):
+    def edit(path, meta, copy):
+        with np.load(copy) as z:
+            key, values = z["key"], z["values"]
+        with open(copy, "wb") as fh:
+            np.savez(fh, key=key, values=values[:, cols].astype(dtype))
+    return edit
+
+
+@pytest.mark.parametrize("edit", [
+    _edit_csv, _edit_sidecar, _truncate_copy, _corrupt_copy, _empty_copy,
+    _copy_of_other_csv, _plain_npy_copy, _recast_copy(np.float32, slice(None)),
+    _recast_copy(float, slice(0, 2)), _recast_copy(float, [0, 1, 2, 2]),
+])
+def test_stale_or_broken_copy_falls_back_to_parse(tmp_path, monkeypatch, edit):
+    path, meta, copy = _copy_pair(tmp_path)
+    edit(path, meta, copy)
+    calls = _parse_calls(monkeypatch)
+    back = read_csv(str(path))
+    assert calls == [str(path)]
+    monkeypatch.undo()
+    copy.unlink()
+    _same_read(back, read_csv(str(path)))
+
+
+@given(at=st.floats(0, 1, exclude_max=True), byte=st.integers(0, 255),
+       cut=st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_damaged_copy_never_raises(tmp_path_factory, at, byte, cut):
+    path, meta, copy = _copy_pair(tmp_path_factory.mktemp("damage"))
+    body = bytearray(copy.read_bytes())
+    i = int(at * len(body))
+    if cut:
+        del body[i:]
+    else:
+        body[i] = byte
+    copy.write_bytes(bytes(body))
+    back = read_csv(str(path))
+    copy.unlink()
+    _same_read(back, read_csv(str(path)))
+
+
+def test_rewritten_copy_is_used(tmp_path, monkeypatch):
+    path, meta, copy = _copy_pair(tmp_path)
+    _recast_copy(float, slice(None))(path, meta, copy)  # same key and values
+    monkeypatch.setattr(table, "_parse_rows", _no_parse)
+    back = read_csv(str(path))
+    assert back.column("x").tolist() == [1.5, 0.0, 3.25]
+    assert np.signbit(back.column("x")).tolist() == [False, False, False]
+
+
+# Each malformed input of the tests above, as (CSV bytes, sidecar text or None)
+MALFORMED = [
+    (b"id,g,x\r\n1,lo,2\r\n2\r\n", None),
+    (b'id,g,x\r\n1,lo,"a\r\nb"\r\n2,lo,3,4\r\n', None),
+    (b"id,g,x\r\n1,lo,2\r\n\r\n", None),
+    (b"id,g,x\r\n1,lo,2\r\n2,lo," + b"9" * (csv.field_size_limit() + 1) + b"\r\n", None),
+    (b"id,g,x\r\n1,lo,2\r\n2,lo,3\xff\r\n", None),
+    (b"id,g,y\r\n1,lo,2\r\n", None),
+    (b"", None),
+    (b"id,g,x\r\n1,lo,2\r\n2,lo,abc\r\n", None),
+    (b"id,g,x\r\n1,lo,2\r\n2,mid,3\r\n", None),
+    (b"id,g,x\r\n1,lo,2\r\nNA,lo,3\r\n", None),
+    (b"id,g,x\r\n1,lo,2\r\n2,lo,3\r\n1,lo,4\r\n", None),
+    (b"id,g,x\r\n" + b"".join(b"%d,lo,%d\r\n" % (r, r) for r in range(BLOCK_ROWS + 9))
+     + b"1,lo,2.5x\r\n", None),
+    (b"id,g,x\r\n1,lo,2\r\n", '{"shape": "wide", "columns": ['),
+    (b"id,g,x\r\n1,lo,2\r\n", '{"columns": []}'),
+    (b"id,g,x\r\n1,lo,2\r\n", json.dumps({"shape": "wide", "columns": [
+        {"name": "id", "kind": "continuous", "role": "unit-id"},
+        {"name": "g", "kind": "categorical", "role": "analysis", "levels": ["lo", "NA"]},
+        {"name": "x", "kind": "continuous"}]})),
+]
+
+
+@pytest.mark.parametrize("body, sidecar", MALFORMED)
+def test_stale_copy_keeps_bad_config(tmp_path, body, sidecar):
+    path, meta, copy = _copy_pair(tmp_path)
+    path.write_bytes(body)
+    if sidecar is not None:
+        meta.write_text(sidecar)
+    errors = []
+    for _ in ("with the stale copy", "without"):
+        with pytest.raises(BadConfig) as err:
+            read_csv(str(path))
+        errors.append(str(err.value))
+        copy.unlink(missing_ok=True)
+    assert errors[0] == errors[1] and errors[0].startswith(str(tmp_path))
 
 
 # -- vectorised reshape against the row loop it replaced ----------------------
