@@ -719,19 +719,20 @@ def _read_copy(path: str, meta_path: str, n_cols: int) -> np.ndarray | None:
     None, so that the caller parses, unless the copy opens and its key
     matches ``path`` and ``meta_path`` as they are now and its values
     are an (n, ``n_cols``) float64 matrix. A missing, short or corrupt
-    copy is no copy: what opening, unzipping (which checks each member's
-    CRC-32) or decoding it raises is caught.
+    copy is no copy, and this never raises: unzipping (which checks each
+    member's CRC-32) and decoding damaged bytes fail in many ways
+    (``BadZipFile``, ``RuntimeError`` for a set encryption flag,
+    ``NotImplementedError`` or ``OSError`` for a changed compression
+    method, ``ValueError``, ``EOFError``, ``KeyError``...), and every
+    one of them means the CSV is parsed instead.
     """
-    import zipfile
-
     try:
         with np.load(copy_path(path), allow_pickle=False) as copy:
             key = copy["key"]
             if key.dtype != np.uint8 or key.tobytes() != _copy_key(path, meta_path):
                 return None
             values = copy["values"]
-    except (OSError, EOFError, ValueError, KeyError, TypeError, NotImplementedError,
-            zipfile.BadZipFile):
+    except Exception:  # noqa: BLE001 - the copy is optional; the parse is the fallback
         return None
     if values.dtype != np.float64 or values.ndim != 2 or values.shape[1] != n_cols:
         return None

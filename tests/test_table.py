@@ -800,19 +800,26 @@ def _same_read(a, b):
     np.testing.assert_array_equal(a.values.view(np.int64), b.values.view(np.int64))
 
 
-@given(n=st.sampled_from([0, 1, 5, BLOCK_ROWS + 1]), data=st.data())
+@given(n=st.sampled_from([0, 1, 5, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1]),
+       data=st.data())
 @settings(max_examples=12, deadline=None)
 def test_copy_read_matches_parse(tmp_path_factory, n, data):
     # -0.0 (written 0), +-inf, ints of 1e15 and more, masked cells and
     # labels that need csv quoting all come from codec_datasets
     d = data.draw(codec_datasets(n))
-    path = str(tmp_path_factory.mktemp("copy") / "d.csv")
+    tmp = tmp_path_factory.mktemp("copy")
+    path = str(tmp / "d.csv")
     write_csv(d, path)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(table, "_parse_rows", _no_parse)
         cached = read_csv(path)
     os.remove(copy_path(path))
-    _same_read(cached, read_csv(path))
+    parsed = read_csv(path)
+    _same_read(cached, parsed)
+    # the block parser still agrees with the per-cell reader it replaced
+    values, mask = percell_read(path, str(tmp / "d.meta.json"))
+    np.testing.assert_array_equal(parsed.mask, mask)
+    np.testing.assert_array_equal(parsed.values.view(np.int64), values.view(np.int64))
 
 
 def test_stack_copy_read_matches_parse(tmp_path, monkeypatch):
@@ -868,6 +875,13 @@ def _copy_of_other_csv(path, meta, copy):
     copy.write_bytes((other / "d.values.npz").read_bytes())
 
 
+def _encrypted_flag_copy(path, meta, copy):
+    body = bytearray(copy.read_bytes())
+    entry = body.find(b"PK\x01\x02")  # first central directory entry
+    body[entry + 8] |= 1  # zipfile then asks for a password: RuntimeError
+    copy.write_bytes(bytes(body))
+
+
 def _plain_npy_copy(path, meta, copy):
     with np.load(copy) as z:
         values = z["values"]
@@ -886,7 +900,8 @@ def _recast_copy(dtype, cols):
 
 @pytest.mark.parametrize("edit", [
     _edit_csv, _edit_sidecar, _truncate_copy, _corrupt_copy, _empty_copy,
-    _copy_of_other_csv, _plain_npy_copy, _recast_copy(np.float32, slice(None)),
+    _copy_of_other_csv, _encrypted_flag_copy, _plain_npy_copy,
+    _recast_copy(np.float32, slice(None)),
     _recast_copy(float, slice(0, 2)), _recast_copy(float, [0, 1, 2, 2]),
 ])
 def test_stale_or_broken_copy_falls_back_to_parse(tmp_path, monkeypatch, edit):
