@@ -14,8 +14,9 @@ side with the difference of the medians.
     python scripts/startup_times.py --runs 8 /path/to/parent/src src
 
 The inputs (a simulated cohort, a jm-2l-wide imputation with its trace,
-an fcs-3l imputation and its fits) are made once, with the first tree,
-and read by every timed run.
+an fcs-3l imputation and its fits) are made once per tree, by that tree,
+in its own work directory, so each tree reads files it wrote itself
+(with the binary copies it writes beside its CSVs).
 """
 
 from __future__ import annotations
@@ -100,14 +101,19 @@ def main(argv=None) -> int:
         if not os.path.isdir(os.path.join(src, "longmi")):
             ap.error(f"no longmi package under {src}")
 
-    with tempfile.TemporaryDirectory(prefix="longmi-startup-") as work:
-        prepare(args.src[0], work)
-        plan = steps(work)
+    with tempfile.TemporaryDirectory(prefix="longmi-startup-") as tmp:
+        plans = {}
+        for i, src in enumerate(args.src):
+            work = os.path.join(tmp, f"tree{i + 1}")
+            prepare(src, work)
+            plans[src] = steps(work)
+        plan = plans[args.src[0]]
         times = {(label, src): [] for label, _, _ in plan for src in args.src}
         for run in range(args.runs):
             order = args.src if run % 2 == 0 else args.src[::-1]
-            for label, expect, step_argv in plan:
+            for step in range(len(plan)):
                 for src in order:
+                    label, expect, step_argv = plans[src][step]
                     times[label, src].append(longmi(src, step_argv, expect))
 
     print(f"wall time over {args.runs} fresh interpreters (s): median [quartiles]")

@@ -7,7 +7,6 @@ from .table import (  # noqa: F401
     Dataset,
     ReshapeMap,
     available_case_filter,
-    cluster_aggregate,
     dummy_expand,
     incomplete_fraction,
     read_csv,
@@ -50,6 +49,6 @@ from .fcs import (  # noqa: F401
     mtw_predictor_matrix,
     run_fcs,
 )
-from .pooling import PooledResult, imputation_count_rule, pool  # noqa: F401
+from .pooling import PooledResult, pool  # noqa: F401
 from .stack import ImputedStack  # noqa: F401
 from .methods import METHOD_NAMES, build_and_run, detect_map  # noqa: F401

@@ -256,7 +256,7 @@ def cmd_analyze(args) -> int:
     formula = parse_formula(args.formula)
     os.makedirs(args.out_dir, exist_ok=True)
     if IMPUTATION_COL in data.col_names:
-        stack = ImputedStack.from_stacked(data)
+        stack = ImputedStack.from_stacked(data, args.input)
         datasets = stack.imputations
         if not datasets:
             raise BadConfig("stacked input holds no imputations")

@@ -35,10 +35,11 @@ from .fitters import (
 from .rng import (
     RngStream,
     chol,
-    inv_wishart_draw,
+    precision_draw,
     solve_triangular,
     sym,
     trunc_normal_array,
+    wishart_precision_draw,
 )
 from .stack import ImputedStack
 from .table import Dataset, ReshapeMap
@@ -240,15 +241,10 @@ class UnivariateProblem:
     X_mis: np.ndarray
     kind: str
     n_levels: int
-    Z_obs: np.ndarray | None = None   # random design (slope methods)
-    Z_mis: np.ndarray | None = None
-    group_obs: np.ndarray | None = None  # cluster codes (slope methods)
-    group_mis: np.ndarray | None = None
-    n_groups: int = 0
-    nested_obs: tuple[np.ndarray, ...] = ()  # codes per nested level
-    nested_mis: tuple[np.ndarray, ...] = ()
-    nested_sizes: tuple[int, ...] = ()
-    z_to_x: tuple[int, ...] = ()
+    codes_obs: tuple[np.ndarray, ...] = ()  # unit codes per random-effect level
+    codes_mis: tuple[np.ndarray, ...] = ()
+    sizes: tuple[int, ...] = ()             # units per level
+    z_to_x: tuple[int, ...] = ()            # X columns with random coefficients
     donor_k: int = PMM_DONORS
 
 
@@ -297,117 +293,112 @@ def _group_sums(group, W, n_groups):
     return out
 
 
-class _SlopeGibbs:
-    """LMM Gibbs state for one cluster factor with random coefficients."""
+class _LmmGibbs:
+    """LMM Gibbs state for y = X beta + sum_k Z u_k[codes_k] + e.
 
-    def __init__(self, p, q, n_groups, var_y, fixed_sigma=False, z_to_x=None):
+    Level k has ``sizes[k]`` units with q = len(z_to_x) random
+    coefficients each, on the columns Z = X[:, z_to_x] that all levels
+    share; z_to_x[0] is column 0 of X, the intercept. A priori
+    psi_k ~ IW(I, q), so given u_k it is IW(I + u_k'u_k, q + G_k): an
+    inverse chi-square with 1 + G_k dof for a random intercept. At q = 1
+    the draws are scalar and Z is never built.
+    """
+
+    def __init__(self, p, sizes, z_to_x, var_y):
+        q = len(z_to_x)
+        psi = max(var_y, 1e-6) / max(len(sizes), 1)
         self.beta = np.zeros(p)
-        self.u = np.zeros((n_groups, q))
-        self.psi = np.eye(q) * max(var_y, 1e-6)
-        self.sigma2 = 1.0 if fixed_sigma else max(var_y, 1e-6)
-        self.fixed_sigma = fixed_sigma
-        self.z_to_x = np.arange(q) if z_to_x is None else np.asarray(z_to_x)
-        self.eta_hat = None
-
-    def advance(self, rng, sweeps, y, X, Z, group, n_groups):
-        q = Z.shape[1]
-        ZtZ = _group_sums(group, (Z[:, :, None] * Z[:, None, :]).reshape(-1, q * q),
-                          n_groups).reshape(n_groups, q, q)
-        XtX = X.T @ X
-        Cx = chol(XtX + 1e-10 * np.eye(X.shape[1]))
-        eta_sum = np.zeros(len(y))
-        for _ in range(sweeps):
-            # u | rest
-            r = y - X @ self.beta
-            Ztr = _group_sums(group, Z * r[:, None], n_groups)
-            prec = np.linalg.inv(self.psi)[None] + ZtZ / self.sigma2
-            cov = np.linalg.inv(prec)
-            cov = sym(cov)
-            mean = np.einsum("gij,gj->gi", cov, Ztr / self.sigma2)
-            L = chol(cov)
-            self.u = mean + np.einsum(
-                "gij,gj->gi", L, rng.normal(size=(n_groups, q))
-            )
-            # translation interweave: the mean of u trades against the
-            # matching fixed effects; resampling the split keeps the
-            # chain mixing when clusters are information-rich
-            shift = self.u.mean(axis=0) + chol(
-                (self.psi + self.psi.T) / (2.0 * n_groups)
-            ) @ rng.normal(size=q)
-            self.u = self.u - shift
-            self.beta[self.z_to_x] += shift
-            # psi | u
-            self.psi = inv_wishart_draw(
-                rng, np.eye(q) + self.u.T @ self.u, q + 1 + n_groups
-            )
-            # beta | rest
-            r2 = y - np.einsum("nq,nq->n", Z, self.u[group])
-            b_hat = np.linalg.solve(Cx.T, np.linalg.solve(Cx, X.T @ r2))
-            z = rng.normal(size=len(b_hat))
-            self.beta = b_hat + math.sqrt(self.sigma2) * np.linalg.solve(Cx.T, z)
-            # sigma2 | resid
-            if not self.fixed_sigma:
-                resid = y - X @ self.beta - np.einsum("nq,nq->n", Z, self.u[group])
-                self.sigma2 = float(resid @ resid) / rng.chisquare(max(len(y), 1))
-            eta_sum += X @ self.beta + np.einsum("nq,nq->n", Z, self.u[group])
-        self.eta_hat = eta_sum / sweeps
-
-    def eta(self, X, Z, group):
-        return X @ self.beta + np.einsum("nq,nq->n", Z, self.u[group])
-
-
-class _NestedGibbs:
-    """LMM Gibbs state with independent random intercepts per level."""
-
-    def __init__(self, p, sizes, var_y):
-        self.beta = np.zeros(p)
-        self.u = [np.zeros(s) for s in sizes]
-        self.psi = [max(var_y, 1e-6) / max(len(sizes), 1) for _ in sizes]
+        self.z_to_x = np.asarray(z_to_x)
+        self.u = [np.zeros(s) if q == 1 else np.zeros((s, q)) for s in sizes]
+        self.psi = [psi if q == 1 else psi * np.eye(q) for _ in sizes]
+        self.psi_prec = [np.eye(q) / psi for _ in sizes]
         self.sigma2 = max(var_y, 1e-6)
         self.eta_hat = None
 
-    def advance(self, rng, sweeps, y, X, nested, sizes):
-        """``sweeps`` Gibbs sweeps on the observed rows; column 0 of ``X``
-        must be the intercept."""
+    def _offsets(self, X, codes):
+        """Each level's random part Z u_k[codes_k] on the rows of X."""
+        if len(self.z_to_x) == 1:
+            return [u[c] for u, c in zip(self.u, codes)]
+        Z = X[:, self.z_to_x]
+        return [np.einsum("nq,nq->n", Z, u[c]) for u, c in zip(self.u, codes)]
+
+    def advance(self, rng, sweeps, y, X, codes, binary=False):
+        """``sweeps`` Gibbs sweeps on the observed rows.
+
+        With ``binary`` y is 0/1 and each sweep first redraws the latent
+        response z, N(eta, 1) truncated to z > 0 where y = 0 and z <= 0
+        where y = 1; sigma2 then stays at its starting value.
+        """
         n, p = X.shape
+        q = len(self.z_to_x)
+        sizes = [len(u) for u in self.u]
         Cx = chol(X.T @ X + 1e-10 * np.eye(p))
         Ci = solve_triangular(Cx, np.eye(p), lower=True)  # beta ~ N(Ci'Ci X'r, s2 Ci'Ci)
-        counts = [np.bincount(c, minlength=s) for c, s in zip(nested, sizes)]
-        offsets = [u[c] for u, c in zip(self.u, nested)]
+        if q == 1:
+            counts = [np.bincount(c, minlength=s) for c, s in zip(codes, sizes)]
+        else:
+            Z = X[:, self.z_to_x]
+            ZZ = (Z[:, :, None] * Z[:, None, :]).reshape(n, q * q)
+            ZtZ = [_group_sums(c, ZZ, s).reshape(s, q, q) for c, s in zip(codes, sizes)]
+        if binary:
+            lo = np.where(y == 0.0, 0.0, -np.inf)
+            hi = np.where(y == 0.0, np.inf, 0.0)
+        offsets = self._offsets(X, codes)
         xb = X @ self.beta
         eta_sum = np.zeros(n)
         for _ in range(sweeps):
-            for k, codes in enumerate(nested):
+            if binary:
+                y = trunc_normal_array(rng, xb + _total(offsets, n), 1.0, lo, hi)
+            for k, c in enumerate(codes):
                 r = y - xb - _total(offsets, n, skip=k)
-                sums = np.bincount(codes, weights=r, minlength=sizes[k])
-                prec = counts[k] / self.sigma2 + 1.0 / self.psi[k]
-                mean = (sums / self.sigma2) / prec
-                self.u[k] = mean + rng.normal(size=sizes[k]) / np.sqrt(prec)
-                # move the level mean into the intercept (interweaving)
-                shift = self.u[k].mean() + rng.normal() * math.sqrt(
-                    self.psi[k] / sizes[k]
+                if q == 1:
+                    sums = np.bincount(c, weights=r, minlength=sizes[k])
+                    prec = counts[k] / self.sigma2 + 1.0 / self.psi[k]
+                    mean = (sums / self.sigma2) / prec
+                    self.u[k] = mean + rng.normal(size=sizes[k]) / np.sqrt(prec)
+                    # move the level mean into the intercept (interweaving)
+                    shift = self.u[k].mean() + rng.normal() * math.sqrt(
+                        self.psi[k] / sizes[k]
+                    )
+                    self.u[k] = self.u[k] - shift
+                    self.beta[0] += shift
+                    xb += shift
+                    offsets[k] = self.u[k][c]
+                    self.psi[k] = float(
+                        (1.0 + self.u[k] @ self.u[k]) / rng.chisquare(1 + sizes[k])
+                    )
+                    continue
+                u = self._draw_u(rng, k, r, c, Z, ZtZ[k])
+                z = rng.normal(size=q)
+                shift = u.mean(axis=0) + chol(self.psi[k] / sizes[k]) @ z
+                self.u[k] = u - shift
+                self.beta[self.z_to_x] += shift
+                xb += Z @ shift
+                offsets[k] = np.einsum("nq,nq->n", Z, self.u[k][c])
+                P, Psi = wishart_precision_draw(
+                    rng, (np.eye(q) + self.u[k].T @ self.u[k])[None], q + sizes[k]
                 )
-                self.u[k] = self.u[k] - shift
-                self.beta[0] += shift
-                xb += shift
-                offsets[k] = self.u[k][codes]
-                self.psi[k] = float(
-                    (1.0 + self.u[k] @ self.u[k]) / rng.chisquare(1 + sizes[k])
-                )
+                self.psi_prec[k], self.psi[k] = P[0], Psi[0]
             offset = _total(offsets, n)
             r2 = y - offset
             z = rng.normal(size=p)
             self.beta = Ci.T @ (Ci @ (X.T @ r2) + math.sqrt(self.sigma2) * z)
             xb = X @ self.beta
-            resid = r2 - xb
-            self.sigma2 = float(resid @ resid) / rng.chisquare(max(n, 1))
+            if not binary:
+                resid = r2 - xb
+                self.sigma2 = float(resid @ resid) / rng.chisquare(max(n, 1))
             eta_sum += xb + offset
         self.eta_hat = eta_sum / sweeps
 
-    def eta(self, X, nested):
-        return X @ self.beta + _total(
-            [u[c] for u, c in zip(self.u, nested)], X.shape[0]
-        )
+    def _draw_u(self, rng, k, r, c, Z, ZtZ):
+        """u_k given the rest at q > 1, from the residual r of all else:
+        N(inv(lam) b, inv(lam)) per unit, with lam = Z'Z / sigma2 +
+        inv(psi_k) (``ZtZ`` holds each unit's Z'Z) and b = Z'r / sigma2."""
+        b = _group_sums(c, Z * r[:, None], len(ZtZ)) / self.sigma2
+        return precision_draw(rng, ZtZ / self.sigma2 + self.psi_prec[k], b)
+
+    def eta(self, X, codes):
+        return X @ self.beta + _total(self._offsets(X, codes), X.shape[0])
 
 
 def _total(parts, n, skip=None):
@@ -492,55 +483,22 @@ def impute_univariate(
         u = rng.random(n_mis)
         return np.argmax(u[:, None] < cum, axis=1).astype(float), state
 
-    if method in SLOPE_METHODS:
-        Z_obs, Z_mis = prob.Z_obs, prob.Z_mis
-        g_obs, g_mis = prob.group_obs, prob.group_mis
-        latent = method == "2l.latent"
+    if method in SLOPE_METHODS + NESTED_METHODS:
+        binary = method == "2l.latent"
         if state is None:
-            state = _SlopeGibbs(
-                X_obs.shape[1], Z_obs.shape[1], prob.n_groups,
-                float(np.var(y_obs)) if not latent else 1.0,
-                fixed_sigma=latent,
-                z_to_x=prob.z_to_x if prob.z_to_x else None,
-            )
+            state = _LmmGibbs(X_obs.shape[1], prob.sizes, prob.z_to_x,
+                              1.0 if binary else float(np.var(y_obs)))
             sweeps = _FIRST_VISIT_SWEEPS
         else:
             sweeps = _LATER_VISIT_SWEEPS
-        if latent:
-            # probit-style latent response for observed cells, resampled
-            # inside the advance loop around the current linear predictor
-            for _ in range(sweeps):
-                eta_obs = state.eta(X_obs, Z_obs, g_obs)
-                lo = np.where(y_obs == 0.0, 0.0, -np.inf)
-                hi = np.where(y_obs == 0.0, np.inf, 0.0)
-                z_obs = trunc_normal_array(rng, eta_obs, 1.0, lo, hi)
-                state.advance(rng, 1, z_obs, X_obs, Z_obs, g_obs, prob.n_groups)
-            eta_mis = state.eta(X_mis, Z_mis, g_mis)
-            z_mis = eta_mis + rng.normal(size=n_mis)
-            return (z_mis <= 0.0).astype(float), state
-        state.advance(rng, sweeps, y_obs, X_obs, Z_obs, g_obs, prob.n_groups)
-        eta_mis = state.eta(X_mis, Z_mis, g_mis)
-        if method == "2l.pan":
+        state.advance(rng, sweeps, y_obs, X_obs, prob.codes_obs, binary)
+        eta_mis = state.eta(X_mis, prob.codes_mis)
+        if binary:
+            return (eta_mis + rng.normal(size=n_mis) <= 0.0).astype(float), state
+        if method in ("2l.pan", "ml.lmer.continuous"):
             return eta_mis + math.sqrt(state.sigma2) * rng.normal(size=n_mis), state
-        # 2l.pmm: donors matched on the linear predictor incl. cluster effects
-        # (eta_hat averages the visit's sweeps over the observed rows)
-        return (
-            _pmm_pick(rng, state.eta_hat, y_obs, eta_mis, prob.donor_k),
-            state,
-        )
-
-    if method in NESTED_METHODS:
-        if state is None:
-            state = _NestedGibbs(
-                X_obs.shape[1], prob.nested_sizes, float(np.var(y_obs))
-            )
-            sweeps = _FIRST_VISIT_SWEEPS
-        else:
-            sweeps = _LATER_VISIT_SWEEPS
-        state.advance(rng, sweeps, y_obs, X_obs, prob.nested_obs, prob.nested_sizes)
-        eta_mis = state.eta(X_mis, prob.nested_mis)
-        if method == "ml.lmer.continuous":
-            return eta_mis + math.sqrt(state.sigma2) * rng.normal(size=n_mis), state
+        # pmm: donors matched on the linear predictor incl. the random
+        # effects (eta_hat averages the visit's sweeps over the observed rows)
         return _pmm_pick(rng, state.eta_hat, y_obs, eta_mis, prob.donor_k), state
 
     raise ValueError(f"method {method!r} must be routed by the chain")
@@ -602,16 +560,12 @@ class _VisitPlan:
     mis: np.ndarray               # rows (units) to impute
     rows: np.ndarray              # data rows of the target's missing cells
     x_cols: np.ndarray            # design columns forming X
-    z_cols: np.ndarray | None = None
     z_to_x: tuple[int, ...] = ()
-    group_obs: np.ndarray | None = None
-    group_mis: np.ndarray | None = None
-    n_groups: int = 0
     level: _Factor | None = None
     fill: np.ndarray | None = None
-    nested_obs: tuple[np.ndarray, ...] = ()
-    nested_mis: tuple[np.ndarray, ...] = ()
-    nested_sizes: tuple[int, ...] = ()
+    codes_obs: tuple[np.ndarray, ...] = ()
+    codes_mis: tuple[np.ndarray, ...] = ()
+    sizes: tuple[int, ...] = ()
 
 
 def _plan_run(
@@ -635,7 +589,7 @@ def _plan_run(
     for target in methods.targets(d):
         row = pred.row(target)
         cluster_col = next((c for c, v in row.items() if v == -2), None)
-        x_cols, z_cols, z_to_x = [0], [0], [0]
+        x_cols, z_to_x = [0], [0]
         for col, code in row.items():
             if col == target or code not in (1, 2, 3):
                 continue
@@ -647,7 +601,6 @@ def _plan_run(
             block = range(blocks[j].start, blocks[j].stop)
             if code == 2:
                 z_to_x.extend(range(len(x_cols), len(x_cols) + len(block)))
-                z_cols.extend(block)
             x_cols.extend(block)
             if code == 3:
                 if (j, cluster_col) not in mean_block:
@@ -661,7 +614,7 @@ def _plan_run(
         try:
             plans[target] = _visit_plan(
                 d, target, methods[target], cluster_col, levels, factor,
-                np.asarray(x_cols), np.asarray(z_cols), tuple(z_to_x),
+                np.asarray(x_cols), tuple(z_to_x),
             )
         except ValueError as e:
             # a fixed property of the data: every chain would fail on its
@@ -670,7 +623,7 @@ def _plan_run(
     return _Layout(width, blocks, means), plans
 
 
-def _visit_plan(d, target, method, cluster_col, levels, factor, x_cols, z_cols, z_to_x):
+def _visit_plan(d, target, method, cluster_col, levels, factor, x_cols, z_to_x):
     """One target's ``_VisitPlan``; ``factor`` factorizes a data column."""
     j = d.col_index(target)
     sp = d.spec(target)
@@ -693,27 +646,25 @@ def _visit_plan(d, target, method, cluster_col, levels, factor, x_cols, z_cols, 
         miss = miss[level.first]
     obs, mis = np.flatnonzero(~miss), np.flatnonzero(miss)
     fill = None if level is None else np.searchsorted(mis, level.codes[rows])
-    groups = levels.clusters.get(target, ()) if method in NESTED_METHODS else ()
-    nested = [
-        factor(g) if level is None else _Factor.of(d.column(g)[level.first])
-        for g in groups
-    ]
-    slope = method in SLOPE_METHODS
-    group = factor(cluster_col) if slope else None
+    if method in SLOPE_METHODS:
+        units = [factor(cluster_col)]
+    elif method in NESTED_METHODS:
+        units = [
+            factor(g) if level is None else _Factor.of(d.column(g)[level.first])
+            for g in levels.clusters.get(target, ())
+        ]
+        z_to_x = (0,)
+    else:
+        units, z_to_x = [], ()
     if method in ONLY_METHODS:
         method = "norm" if method == "2lonly.norm" else "pmm"
     return _VisitPlan(
         col=j, method=method, kind=sp.kind, n_levels=sp.n_levels,
-        obs=obs, mis=mis, rows=rows, x_cols=x_cols,
-        z_cols=z_cols if slope else None,
-        z_to_x=z_to_x if slope else (),
-        group_obs=group.codes[obs] if slope else None,
-        group_mis=group.codes[mis] if slope else None,
-        n_groups=group.size if slope else 0,
+        obs=obs, mis=mis, rows=rows, x_cols=x_cols, z_to_x=z_to_x,
         level=level, fill=fill,
-        nested_obs=tuple(f.codes[obs] for f in nested),
-        nested_mis=tuple(f.codes[mis] for f in nested),
-        nested_sizes=tuple(f.size for f in nested),
+        codes_obs=tuple(f.codes[obs] for f in units),
+        codes_mis=tuple(f.codes[mis] for f in units),
+        sizes=tuple(f.size for f in units),
     )
 
 
@@ -766,13 +717,9 @@ class _Chain:
             y_obs = self.completed[p.level.first[p.obs], p.col]
             X = np.column_stack([p.level.means(E[:, c]) for c in p.x_cols])
             X_obs, X_mis = X[p.obs], X[p.mis]
-        Z_obs = Z_mis = None
-        if p.z_cols is not None:
-            Z_obs, Z_mis = E[np.ix_(p.obs, p.z_cols)], E[np.ix_(p.mis, p.z_cols)]
         prob = UnivariateProblem(
-            y_obs, X_obs, X_mis, p.kind, p.n_levels, Z_obs, Z_mis,
-            p.group_obs, p.group_mis, p.n_groups,
-            p.nested_obs, p.nested_mis, p.nested_sizes, p.z_to_x,
+            y_obs, X_obs, X_mis, p.kind, p.n_levels,
+            p.codes_obs, p.codes_mis, p.sizes, p.z_to_x,
         )
         vals, self.state[col] = impute_univariate(
             self.rng, p.method, prob, self.state.get(col), self.fallback

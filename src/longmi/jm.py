@@ -44,9 +44,11 @@ from .rng import (
     MvnParams,
     RngStream,
     cho_solve,
+    cho_solve_stack,
     chol,
     conditional_mvn,
     mvn_draw,
+    precision_draw,
     solve_triangular,
     sym,
     wishart_precision_draw,
@@ -246,33 +248,6 @@ def _matrix_normal_draw(rng, b_hat, sqrt_row, col_factor):
     return b_hat + sqrt_row @ E @ col_factor.T
 
 
-def _cho_solve(L, b):
-    """Solve L L' x = b row by row, for a stack of lower Cholesky factors.
-
-    Forward then back substitution, vectorised over the stack; for the
-    small blocks here this beats a batched LU solve several times over.
-    """
-    x = b.copy()
-    for i in range(b.shape[1]):
-        x[:, i] -= np.einsum("nj,nj->n", L[:, i, :i], x[:, :i])
-        x[:, i] /= L[:, i, i]
-    for i in reversed(range(b.shape[1])):
-        x[:, i] -= np.einsum("nj,nj->n", L[:, i + 1:, i], x[:, i + 1:])
-        x[:, i] /= L[:, i, i]
-    return x
-
-
-def _precision_draw(rng, lam, b):
-    """One draw from N(inv(lam) b, inv(lam)) for each entry of the stack.
-
-    With lam = L L', inv(L L') (b + L z) is the mean inv(lam) b plus the
-    noise inv(L') z, so one Cholesky factor serves both.
-    """
-    L = chol(lam)
-    z = rng.normal(size=b.shape)
-    return _cho_solve(L, b + np.einsum("gij,gj->gi", L, z))
-
-
 def _kron_sum(A, B):
     """sum_g kron(A[g], B[g]) over stacks (G, r, r) and (G, f, f), as one
     (r*r, G) x (G, f*f) GEMM and a transpose to (r*f, r*f)."""
@@ -345,7 +320,7 @@ def _draw_missing(rng, Y, mu, Q, plan: _DrawPlan):
     dev = np.where(plan.unknown, 0.0, y - m)
     z = rng.normal(size=y.shape)
     rhs = np.einsum("nij,nj->ni", L, z) - np.einsum("nij,nj->ni", Qg, dev)
-    Y[plan.rows] = np.where(plan.unknown, m + _cho_solve(L, rhs), y)
+    Y[plan.rows] = np.where(plan.unknown, m + cho_solve_stack(L, rhs), y)
 
 
 @dataclass(frozen=True)
@@ -692,7 +667,7 @@ class _MlmmSampler:
         P = self.Psi_prec
         if self.r2:
             lin = lin - self._v_resid() @ P[qr:, :qr]
-        u_flat = _precision_draw(rng, sym(P[:qr, :qr][None] + K), lin)
+        u_flat = precision_draw(rng, sym(P[:qr, :qr][None] + K), lin)
         # response-major flat vector -> (q, r) coefficient matrix
         self.U = u_flat.reshape(C, r, q).transpose(0, 2, 1)
 

@@ -10,13 +10,11 @@ attached to them).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import MisalignedParams, TooFewImputations
-from .table import Dataset, ReshapeMap, incomplete_fraction
 
 
 @dataclass(frozen=True)
@@ -98,19 +96,3 @@ def pool(fits, strict: bool = False) -> PooledResult:
         k: float(np.mean([f.var_components[k] for f in fits])) for k in comp_names
     }
     return PooledResult(params, comps, m, n_nonconverged)
-
-
-def imputation_count_rule(
-    d: Dataset, shape_kind: str, m: ReshapeMap | None = None
-) -> int:
-    """Recommended imputation count: the percentage of incomplete records,
-    rounded up, floored at 2."""
-    frac = incomplete_fraction(d, shape_kind, m)
-    count = math.ceil(100.0 * frac)
-    if count < 2:
-        warnings.warn(
-            f"incomplete fraction {frac:.3f} suggests m={count}; flooring at 2",
-            stacklevel=2,
-        )
-        return 2
-    return count

@@ -195,6 +195,33 @@ def _solve_lower(L: np.ndarray, B: np.ndarray) -> np.ndarray:
     return X
 
 
+def cho_solve_stack(L: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve L L' x = b row by row, for a stack of lower Cholesky factors.
+
+    Forward then back substitution, vectorised over the stack; for the
+    small blocks here this beats a batched LU solve several times over.
+    """
+    x = b.copy()
+    for i in range(b.shape[1]):
+        x[:, i] -= np.einsum("nj,nj->n", L[:, i, :i], x[:, :i])
+        x[:, i] /= L[:, i, i]
+    for i in reversed(range(b.shape[1])):
+        x[:, i] -= np.einsum("nj,nj->n", L[:, i + 1:, i], x[:, i + 1:])
+        x[:, i] /= L[:, i, i]
+    return x
+
+
+def precision_draw(rng: RngStream, lam: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """One draw from N(inv(lam) b, inv(lam)) for each entry of the stack.
+
+    With lam = L L', inv(L L') (b + L z) is the mean inv(lam) b plus the
+    noise inv(L') z, so one Cholesky factor serves both.
+    """
+    L = chol(lam)
+    z = rng.normal(size=b.shape)
+    return cho_solve_stack(L, b + np.einsum("gij,gj->gi", L, z))
+
+
 def inv_wishart_draw(
     rng: RngStream, scale: np.ndarray, dof, size: int | None = None
 ) -> np.ndarray:

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import BadConfig
 from .table import ColumnSpec, Dataset
 
 IMPUTATION_COL = "Imputation"
@@ -46,27 +47,27 @@ class ImputedStack:
         )
 
     @classmethod
-    def from_stacked(cls, d: Dataset) -> "ImputedStack":
-        tags = d.column(IMPUTATION_COL).astype(int)
-        present = set(np.unique(tags))
-        if present != set(range(int(tags.max()) + 1)):
-            raise ValueError(
-                "stacked file must carry contiguous Imputation tags 0..m "
-                f"(0 = original); found {sorted(present)}"
+    def from_stacked(cls, d: Dataset, source: str = "stacked input") -> "ImputedStack":
+        """Split a stacked dataset by its Imputation tags, which must be
+        the whole numbers 0..m, each present; ``source`` names the input
+        in the error otherwise."""
+        tags = d.column(IMPUTATION_COL)
+        present = np.unique(tags)
+        if not np.array_equal(present, np.arange(present.size)) or not present.size:
+            shown = ", ".join(f"{t:g}" for t in present[:12])
+            raise BadConfig(
+                f"{source}: stacked file must carry contiguous Imputation tags "
+                f"0..m (0 = original); found [{shown}"
+                f"{', ...' if present.size > 12 else ''}]"
             )
+        # one stable sort keeps each imputation's rows in file order
+        order = np.argsort(tags, kind="stable")
         j = d.col_index(IMPUTATION_COL)
         cols = [c for c in d.columns if c.name != IMPUTATION_COL]
-        keep = [i for i in range(len(d.columns)) if i != j]
-        parts = []
-        for tag in range(int(tags.max()) + 1):
-            rows = tags == tag
-            parts.append(
-                Dataset(
-                    cols,
-                    d.values[np.ix_(rows, keep)],
-                    d.mask[np.ix_(rows, keep)],
-                    shape_kind=d.shape_kind,
-                    validate=False,
-                )
-            )
+        parts = [
+            Dataset(cols, np.delete(d.values[rows], j, axis=1),
+                    np.delete(d.mask[rows], j, axis=1), shape_kind=d.shape_kind,
+                    validate=False)
+            for rows in np.split(order, np.cumsum(np.bincount(tags.astype(int)))[:-1])
+        ]
         return cls(parts[0], parts[1:])

@@ -511,42 +511,6 @@ def dummy_expand(d: Dataset, col: str, drop_first: bool = True) -> Dataset:
     return d.with_columns(cols, values, mask)
 
 
-def cluster_aggregate(d: Dataset, group: str, variables: Sequence[str]) -> Dataset:
-    """Per-group means of the given columns over non-missing cells.
-
-    Output has one row per group (order of first appearance); a group
-    with no observed cells for a variable gets a masked cell.
-    """
-    g = d.column(group)
-    if d.column_mask(group).any():
-        row = int(np.argmax(d.column_mask(group)))
-        raise BadConfig(f"group column {group!r} has a missing cell (row {row + 1})")
-    sorted_groups, first_rows, sorted_codes = np.unique(
-        g, return_index=True, return_inverse=True
-    )
-    appearance = np.argsort(np.argsort(first_rows, kind="stable"))
-    groups = sorted_groups[np.argsort(first_rows, kind="stable")]
-    codes = appearance[sorted_codes]
-
-    cols = [ColumnSpec(group, d.spec(group).kind, "unit-id", d.spec(group).levels)]
-    out = [groups]
-    masks = [np.zeros(len(groups), dtype=bool)]
-    for v in variables:
-        x = d.column(v)
-        miss = d.column_mask(v)
-        seen = codes[~miss]
-        sums = np.bincount(seen, weights=x[~miss], minlength=len(groups))
-        counts = np.bincount(seen, minlength=len(groups)).astype(float)
-        with np.errstate(invalid="ignore"):
-            mean = sums / counts
-        cols.append(ColumnSpec(v, "continuous", "analysis"))
-        out.append(mean)
-        masks.append(counts == 0)
-    values = np.column_stack(out)
-    mask = np.column_stack(masks)
-    return Dataset(cols, values, mask, shape_kind="wide", validate=False)
-
-
 def available_case_filter(d: Dataset, model_vars: Sequence[str]) -> Dataset:
     """Keep exactly the rows fully observed on ``model_vars``."""
     idx = [d.col_index(v) for v in model_vars]

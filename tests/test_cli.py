@@ -295,6 +295,27 @@ class TestAnalyzePool:
         err = capsys.readouterr().err
         assert f"{path}, line 3: '9' in column 'ses'" in err
 
+    @pytest.mark.parametrize("old, new, found", [
+        (b"1", b"4", "found [0, 2, 3, 4]"),      # tag 1 skipped
+        (b"0", b"-1", "found [-1, 1, 2, 3]"),    # negative, no original
+        (b"2", b"1.5", "found [0, 1, 1.5, 3]"),  # not a whole number
+    ])
+    def test_bad_imputation_tags_exit(self, imputed, tmp_path, capsys, old, new, found):
+        lines = (imputed / "imputations.csv").read_bytes().split(b"\r\n")
+        lines[1:] = [new + ln[len(old):] if ln.startswith(old + b",") else ln
+                     for ln in lines[1:]]
+        path = tmp_path / "in" / "imputations.csv"
+        path.parent.mkdir()
+        path.write_bytes(b"\r\n".join(lines))
+        (path.parent / "imputations.meta.json").write_bytes(
+            (imputed / "imputations.meta.json").read_bytes()
+        )
+        assert run("analyze", "--input", str(path), "--formula", EQ1,
+                   "--out-dir", str(tmp_path / "fits")) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: stacked file must carry contiguous Imputation tags" in err
+        assert found in err and "Traceback" not in err
+
     @pytest.mark.parametrize("command, column, role", [
         ("impute", "school", "cluster-id"),
         ("analyze", "school", "cluster-id"),

@@ -19,13 +19,12 @@ from longmi.fcs import (
     impute_univariate,
     run_fcs,
     _Chain,
-    _NestedGibbs,
+    _LmmGibbs,
     _plan_run,
     _pmm_pick,
-    _SlopeGibbs,
 )
 from longmi.methods import build_and_run
-from longmi.rng import RngStream, chol, inv_wishart_draw, sym
+from longmi.rng import RngStream, chol
 from longmi.simulate import SimConfig, simulate
 from longmi.table import ColumnSpec, Dataset
 
@@ -400,11 +399,10 @@ def test_design_maps_slope_columns_into_fixed_block():
     layout, plans = _plan_run(d, mv, pred, None)
     chain = _Chain(RngStream(41), d, layout, plans, False)
     plan = plans["y"]
-    X, Z = chain.design[:, plan.x_cols], chain.design[:, plan.z_cols]
-    assert plan.n_groups == C  # clustered on g
-    assert Z.shape[1] == 2  # intercept + t
-    for zj, xj in enumerate(plan.z_to_x):
-        np.testing.assert_array_equal(Z[:, zj], X[:, xj])
+    Z = chain.design[:, plan.x_cols][:, list(plan.z_to_x)]
+    assert plan.sizes == (C,)  # clustered on g
+    np.testing.assert_array_equal(plan.codes_obs[0], np.repeat(np.arange(C), n // C)[plan.obs])
+    np.testing.assert_array_equal(Z, np.column_stack([np.ones(n), d.column("t")]))
 
 
 def test_collapse_rejects_nonconstant_cluster_target():
@@ -516,18 +514,17 @@ def rebuilt_problem(d, completed, methods, pred, levels, col):
     else:
         nested = [rebuilt_factor(d.column(g))[:2] for g in groups]
     obs = ~miss
+    if method in SLOPE_METHODS:
+        nested = [rebuilt_factor(d.column(cluster_col))[:2]]
+        np.testing.assert_array_equal(X[:, z_to_x], Z)
     fields = dict(
         y_obs=y[obs], X_obs=X[obs], X_mis=X[miss],
-        nested_obs=tuple(c[obs] for c, _ in nested),
-        nested_mis=tuple(c[miss] for c, _ in nested),
-        nested_sizes=tuple(s for _, s in nested),
+        codes_obs=tuple(c[obs] for c, _ in nested),
+        codes_mis=tuple(c[miss] for c, _ in nested),
+        sizes=tuple(s for _, s in nested),
     )
-    if method in SLOPE_METHODS:
-        group, n_g, _ = rebuilt_factor(d.column(cluster_col))
-        fields.update(
-            Z_obs=Z[obs], Z_mis=Z[miss], group_obs=group[obs],
-            group_mis=group[miss], n_groups=n_g, z_to_x=tuple(z_to_x),
-        )
+    if method in SLOPE_METHODS + NESTED_METHODS:
+        fields.update(z_to_x=tuple(z_to_x) if method in SLOPE_METHODS else (0,))
     return method, fields, write
 
 
@@ -557,8 +554,7 @@ def test_visits_match_a_rebuilt_design(method, small_cohort, monkeypatch):
             X, Z, _, z_to_x = rebuilt_design(run["d"], chain.completed, run["pred"],
                                              target)
             np.testing.assert_array_equal(chain.design[:, plan.x_cols], X)
-            if plan.z_cols is not None:
-                np.testing.assert_array_equal(chain.design[:, plan.z_cols], Z)
+            if plan.method in SLOPE_METHODS:
                 assert plan.z_to_x == tuple(z_to_x)
 
     def spy_impute(rng, name, prob, state=None, fallback_pmm=False):
@@ -590,9 +586,16 @@ def test_visits_match_a_rebuilt_design(method, small_cohort, monkeypatch):
     assert visited == targets * 2
 
 
-class ReferenceNestedGibbs(_NestedGibbs):
-    """The sweep as first written: X @ beta and every level's offset
-    recomputed per draw, beta solved through the Cholesky factor."""
+class ReferenceNestedGibbs:
+    """The nested-intercept sweep as first written: X @ beta and every
+    level's offset recomputed per draw, beta solved through the Cholesky
+    factor."""
+
+    def __init__(self, p, sizes, var_y):
+        self.beta = np.zeros(p)
+        self.u = [np.zeros(s) for s in sizes]
+        self.psi = [max(var_y, 1e-6) / len(sizes) for _ in sizes]
+        self.sigma2 = max(var_y, 1e-6)
 
     def _offset(self, nested, n, skip=None):
         out = np.zeros(n)
@@ -630,6 +633,9 @@ class ReferenceNestedGibbs(_NestedGibbs):
             eta_sum += X @ self.beta + self._offset(nested, n)
         self.eta_hat = eta_sum / sweeps
 
+    def eta(self, X, nested):
+        return X @ self.beta + self._offset(nested, X.shape[0])
+
 
 def nested_problem(seed, n_school=12, p=6):
     """Unbalanced students (1-3 rows) within unbalanced schools; with equal
@@ -651,11 +657,11 @@ def nested_problem(seed, n_school=12, p=6):
 def test_nested_sweep_matches_reference(levels):
     y, X, nested, sizes = nested_problem(13)
     nested, sizes = nested[:levels], sizes[:levels]
-    new = _NestedGibbs(X.shape[1], sizes, float(np.var(y)))
+    new = _LmmGibbs(X.shape[1], sizes, (0,), float(np.var(y)))
     ref = ReferenceNestedGibbs(X.shape[1], sizes, float(np.var(y)))
     rng_new, rng_ref = RngStream(14), RngStream(14)
     for sweeps in (15, 5, 5):  # a first visit and two later ones
-        new.advance(rng_new, sweeps, y, X, nested, sizes)
+        new.advance(rng_new, sweeps, y, X, nested)
         ref.advance(rng_ref, sweeps, y, X, nested, sizes)
         np.testing.assert_equal(rng_new.gen.bit_generator.state,
                                 rng_ref.gen.bit_generator.state)
@@ -666,61 +672,36 @@ def test_nested_sweep_matches_reference(levels):
                                    rtol=0, atol=1e-10)
 
 
-class ReferenceSlopeGibbs(_SlopeGibbs):
-    """The sweep with its group sums accumulated by ``np.add.at``."""
-
-    def advance(self, rng, sweeps, y, X, Z, group, n_groups):
-        q = Z.shape[1]
-        ZtZ = np.zeros((n_groups, q, q))
-        np.add.at(ZtZ, group, Z[:, :, None] * Z[:, None, :])
-        Cx = chol(X.T @ X + 1e-10 * np.eye(X.shape[1]))
-        eta_sum = np.zeros(len(y))
-        for _ in range(sweeps):
-            r = y - X @ self.beta
-            Ztr = np.zeros((n_groups, q))
-            np.add.at(Ztr, group, Z * r[:, None])
-            prec = np.linalg.inv(self.psi)[None] + ZtZ / self.sigma2
-            cov = sym(np.linalg.inv(prec))
-            mean = np.einsum("gij,gj->gi", cov, Ztr / self.sigma2)
-            L = chol(cov)
-            self.u = mean + np.einsum("gij,gj->gi", L, rng.normal(size=(n_groups, q)))
-            shift = self.u.mean(axis=0) + chol(
-                (self.psi + self.psi.T) / (2.0 * n_groups)
-            ) @ rng.normal(size=q)
-            self.u = self.u - shift
-            self.beta[self.z_to_x] += shift
-            self.psi = inv_wishart_draw(
-                rng, np.eye(q) + self.u.T @ self.u, q + 1 + n_groups
-            )
-            r2 = y - np.einsum("nq,nq->n", Z, self.u[group])
-            b_hat = np.linalg.solve(Cx.T, np.linalg.solve(Cx, X.T @ r2))
-            z = rng.normal(size=len(b_hat))
-            self.beta = b_hat + np.sqrt(self.sigma2) * np.linalg.solve(Cx.T, z)
-            if not self.fixed_sigma:
-                resid = y - X @ self.beta - np.einsum("nq,nq->n", Z, self.u[group])
-                self.sigma2 = float(resid @ resid) / rng.chisquare(max(len(y), 1))
-            eta_sum += X @ self.beta + np.einsum("nq,nq->n", Z, self.u[group])
-        self.eta_hat = eta_sum / sweeps
-
-
-@pytest.mark.parametrize("fixed_sigma", [False, True])
-def test_slope_sweep_matches_add_at_reference(fixed_sigma):
+def test_slope_step_follows_dense_conditional():
+    # with beta, sigma2 and psi held fixed, u | rest for q = 2 random
+    # coefficients is N(inv(lam) b, inv(lam)) over all units at once, with
+    # lam = Z'Z / sigma2 + I (x) inv(psi) and b = Z'(y - X beta) / sigma2
+    # for the dense n x Gq design Z; its blocks are per unit
     g = np.random.default_rng(15)
-    n, n_groups = 3000, 40
-    group = g.integers(0, n_groups, n)
-    t = g.normal(size=n)
-    X = np.column_stack([np.ones(n), g.normal(size=n), t])
-    Z = X[:, [0, 2]]
-    y = X @ [0.3, 1.0, -0.5] + (g.normal(size=(n_groups, 2)) * [0.6, 0.3])[group] @ [1, 0]
-    y = y + g.normal(0, 0.3, n_groups)[group] * t + g.normal(size=n)
-    states = [
-        cls(3, 2, n_groups, float(np.var(y)), fixed_sigma, z_to_x=(0, 2))
-        for cls in (_SlopeGibbs, ReferenceSlopeGibbs)
-    ]
-    for state in states:
-        state.advance(RngStream(16), 6, y, X, Z, group, n_groups)
-    new, ref = states
-    for a, b in [(new.beta, ref.beta), (new.u, ref.u), (new.psi, ref.psi),
-                 (new.eta_hat, ref.eta_hat)]:
-        np.testing.assert_array_equal(a, b)
-    assert new.sigma2 == ref.sigma2
+    n, G, q, reps = 60, 5, 2, 20_000
+    group = g.integers(0, G, n)  # unbalanced units
+    X = np.column_stack([np.ones(n), g.normal(size=n), g.normal(size=n)])
+    z_to_x = (0, 2)
+    Z = X[:, z_to_x]
+    y = g.normal(size=n)
+    state = _LmmGibbs(3, (G,), z_to_x, 1.0)
+    state.beta = np.array([0.3, 1.0, -0.5])
+    state.sigma2 = 0.7
+    state.psi[0] = np.array([[0.5, 0.2], [0.2, 0.3]])
+    state.psi_prec[0] = np.linalg.inv(state.psi[0])
+    r = y - X @ state.beta
+    ZtZ = np.stack([Z[group == h].T @ Z[group == h] for h in range(G)])
+    rng = RngStream(16)
+    draws = np.stack([state._draw_u(rng, 0, r, group, Z, ZtZ) for _ in range(reps)])
+
+    dense = np.zeros((n, G * q))
+    for i, h in enumerate(group):
+        dense[i, h * q:(h + 1) * q] = Z[i]
+    lam = dense.T @ dense / state.sigma2 + np.kron(np.eye(G), state.psi_prec[0])
+    cov = np.linalg.inv(lam)
+    mean = cov @ dense.T @ r / state.sigma2
+    flat = draws.reshape(reps, G * q)
+    sd = np.sqrt(np.diag(cov))
+    assert (np.abs(flat.mean(axis=0) - mean) < 5 * sd / np.sqrt(reps)).all()
+    got = np.cov(flat, rowvar=False)
+    assert (np.abs(got - cov) <= 0.05 * np.outer(sd, sd)).all()

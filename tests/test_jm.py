@@ -14,14 +14,13 @@ from longmi.jm import (
     _mh_refresh,
     _MlmmSampler,
     _MvnSampler,
-    _precision_draw,
     _SlotPlan,
     autocorr,
     decode_latent,
     encode_latent,
     run_jm,
 )
-from longmi.rng import MvnParams, RngStream, conditional_mvn
+from longmi.rng import MvnParams, RngStream, conditional_mvn, precision_draw
 from longmi.table import ColumnSpec, Dataset
 
 
@@ -297,7 +296,7 @@ class TestPrecisionDraw:
             a = gen.normal(size=(qr, qr))
             lams.append(a @ a.T + qr * np.eye(qr))
         lam, b = np.array(lams), gen.normal(size=(G, qr))
-        draws = _precision_draw(
+        draws = precision_draw(
             RngStream(9), np.tile(lam, (reps, 1, 1)), np.tile(b, (reps, 1))
         )
         for g in range(G):

@@ -217,5 +217,5 @@ def test_from_stacked_rejects_missing_original(small_sim):
     res = build_and_run(RngStream(11), "fcs-1l-wide", obs, m=2, maxit=2)
     stacked = res.stack.to_stacked()
     only_imps = stacked.take(stacked.column("Imputation") > 0)
-    with pytest.raises(ValueError, match="contiguous Imputation tags"):
+    with pytest.raises(BadConfig, match="contiguous Imputation tags"):
         ImputedStack.from_stacked(only_imps)

@@ -5,7 +5,7 @@ import pytest
 
 from longmi.errors import MisalignedParams, TooFewImputations
 from longmi.lmm import LmmFit
-from longmi.pooling import imputation_count_rule, pool
+from longmi.pooling import pool
 from longmi.table import ColumnSpec, Dataset
 
 
@@ -110,27 +110,3 @@ class TestPool:
             pool([make_fit(["b"], [1.0], [1.0])])
         with pytest.raises(MisalignedParams):
             pool([make_fit(["a"], [1.0], [1.0]), make_fit(["b"], [1.0], [1.0])])
-
-
-class TestCountRule:
-    def make(self, n_missing, n=100):
-        vals = np.arange(float(n))
-        vals[:n_missing] = np.nan
-        return Dataset.build(
-            [
-                ColumnSpec("id", "continuous", "unit-id"),
-                ColumnSpec("x", "continuous", "analysis"),
-            ],
-            {"id": np.arange(n), "x": vals},
-            shape_kind="wide",
-        )
-
-    def test_sixty_five_percent(self):
-        assert imputation_count_rule(self.make(65), "wide") == 65
-
-    def test_fully_observed_floors_at_two(self):
-        with pytest.warns(UserWarning, match="flooring"):
-            assert imputation_count_rule(self.make(0), "wide") == 2
-
-    def test_forty_six_percent(self):
-        assert imputation_count_rule(self.make(46), "wide") == 46

@@ -24,7 +24,6 @@ from longmi.table import (
     Dataset,
     ReshapeMap,
     available_case_filter,
-    cluster_aggregate,
     copy_path,
     dummy_expand,
     incomplete_fraction,
@@ -282,71 +281,20 @@ class TestDummyExpand:
             dummy_expand(d, "g")
 
 
-class TestClusterAggregate:
-    def make(self, vals):
-        return Dataset.build(
+def test_missing_cell_in_cluster_id_column():
+    with pytest.raises(BadConfig, match=r"cluster-id column 'g' has a missing "
+                       r"cell \(row 2\)"):
+        Dataset.build(
             [
                 ColumnSpec("id", "continuous", "unit-id"),
                 ColumnSpec("g", "continuous", "cluster-id"),
                 ColumnSpec("x", "continuous", "analysis"),
                 ColumnSpec("time", "continuous", "time"),
             ],
-            {
-                "id": np.arange(len(vals)),
-                "g": [v[0] for v in vals],
-                "x": [v[1] for v in vals],
-                "time": np.arange(len(vals)),
-            },
+            {"id": np.arange(3), "g": [1, NA, NA], "x": [1.0, 2.0, 3.0],
+             "time": np.arange(3)},
             shape_kind="long",
         )
-
-    def test_missing_cells_in_key_and_group_columns(self):
-        with pytest.raises(BadConfig, match=r"cluster-id column 'g' has a missing "
-                           r"cell \(row 2\)"):
-            self.make([(1, 1.0), (NA, 2.0), (NA, 3.0)])
-        d = Dataset.build(
-            [ColumnSpec("id", "continuous", "unit-id"),
-             ColumnSpec("h", "continuous", "analysis"),
-             ColumnSpec("x", "continuous", "analysis")],
-            {"id": np.arange(3), "h": [1.0, 2.0, NA], "x": [1.0, 2.0, 3.0]},
-            shape_kind="wide",
-        )
-        with pytest.raises(BadConfig, match=r"'h' has a missing cell \(row 3\)"):
-            cluster_aggregate(d, "h", ["x"])
-
-    def test_plain_mean(self):
-        d = self.make([(1, 1.0), (1, 2.0), (1, 3.0)])
-        out = cluster_aggregate(d, "g", ["x"])
-        assert out.n_rows == 1
-        assert out.column("x")[0] == pytest.approx(2.0)
-
-    def test_missing_excluded(self):
-        d = self.make([(1, 1.0), (1, NA), (1, 3.0)])
-        out = cluster_aggregate(d, "g", ["x"])
-        assert out.column("x")[0] == pytest.approx(2.0)
-
-    def test_all_missing_masked(self):
-        d = self.make([(1, NA), (2, 5.0)])
-        out = cluster_aggregate(d, "g", ["x"])
-        assert out.column_mask("x")[0]
-        assert out.column("x")[1] == 5.0
-
-    def test_matches_two_pass_oracle(self):
-        rng = np.random.default_rng(42)
-        g = rng.integers(0, 30, size=400)
-        x = rng.normal(size=400)
-        x[rng.random(400) < 0.3] = NA
-        d = self.make(list(zip(g, x)))
-        out = cluster_aggregate(d, "g", ["x"])
-        for i, grp in enumerate(out.column("g")):
-            member = x[(g == grp) & ~np.isnan(x)]
-            if member.size == 0:
-                assert out.column_mask("x")[i]
-            else:
-                total = 0.0
-                for v in member:
-                    total += v
-                assert out.column("x")[i] == pytest.approx(total / member.size)
 
 
 class TestAvailableCase:
