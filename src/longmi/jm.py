@@ -1,19 +1,24 @@
-"""Joint-model imputation: multivariate-normal Gibbs samplers.
+"""Joint-model imputation: one multivariate-normal Gibbs sampler.
 
-Two samplers share one chassis. The single-level sampler treats the
-incomplete variables as one MVN response block given complete
-covariates. The two-level sampler adds cluster random effects and an
+The incomplete row-level variables form one MVN response block given
+complete fixed-effect covariates, cluster random effects and an
 optional block of incomplete cluster-constant variables whose residuals
-are drawn jointly with the random effects.
+are drawn jointly with the random effects. The single-level model is
+the case with no random effects: all rows in one cluster, q = 0 random
+coefficients and no cluster-level block, so the sweep skips the
+random-effect steps (after jomo; Quartagno, Grund & Carpenter, R
+Journal 11(2), 2019).
 
 Residual covariances come in groups: a common covariance is the
 one-group case, and a cluster-specific one gives every cluster its own
-group. The samplers carry precisions: each inverse-Wishart draw of Omega
-(per group) or Psi returns the precision with the covariance, and every
-conditional is written in the precision, so no sweep inverts a
+group. The sampler carries precisions: each inverse-Wishart draw of
+Omega (per group) or Psi returns the precision with the covariance, and
+every conditional is written in the precision, so no sweep inverts a
 covariance. Per-cluster and per-group sums of row products are batched
 matrix products over rows laid out by label once (``_Blocks``), and the
-fixed-effect precision sum_g Q_g (x) X_g'X_g is one GEMM.
+fixed-effect precision sum_g Q_g (x) X_g'X_g is one GEMM. With one
+group it is Q (x) X'X, whose factor chol(Q) (x) chol(X'X) gives the
+draw of B in closed form.
 
 Missing cells are drawn by one kernel that takes the stack of group
 precisions and a plan of the incomplete rows, built once per sampler,
@@ -36,6 +41,7 @@ import numpy as np
 from .errors import (
     BadConfig,
     DegenerateSeries,
+    RankDeficient,
     TooFewClusters,
     UnknownLevel,
     UnknownParam,
@@ -242,10 +248,28 @@ def autocorr(series: np.ndarray, lag: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _matrix_normal_draw(rng, b_hat, sqrt_row, col_factor):
-    """Draw from MN(b_hat, sqrt_row sqrt_row', col_factor col_factor')."""
-    E = rng.normal(size=b_hat.shape)
+def _matrix_normal_draw(b_hat, sqrt_row, E, col_factor):
+    """Draw from MN(b_hat, sqrt_row sqrt_row', col_factor col_factor')
+    given standard normals E of b_hat's shape."""
     return b_hat + sqrt_row @ E @ col_factor.T
+
+
+def _gram_chol(X: np.ndarray, names: list[str], what: str) -> np.ndarray:
+    """Lower Cholesky factor of X'X, or ``RankDeficient`` naming the
+    design's columns when one of them is a linear combination of the
+    others: a pivot whose square is within 1e-10 of its column's sum of
+    squares (1 - R^2 on the earlier columns) counts as zero."""
+    xtx = X.T @ X
+    try:
+        L = np.linalg.cholesky(xtx)
+    except np.linalg.LinAlgError:
+        L = None
+    if L is None or (np.diag(L) ** 2 <= 1e-10 * np.diag(xtx)).any():
+        raise RankDeficient(
+            f"{what} design ({', '.join(names)}) is rank deficient: "
+            "some column is a linear combination of the others"
+        )
+    return L
 
 
 def _kron_sum(A, B):
@@ -377,7 +401,7 @@ class JmSpec:
     the automatic random intercept. ``y2_cols``/``x2_cols`` describe
     incomplete and complete cluster-constant variables. ``cov_mode``
     chooses one residual covariance for all clusters or one per
-    cluster.
+    cluster. Without ``clus`` the model is single-level.
     """
 
     y_cols: tuple[str, ...]
@@ -392,17 +416,21 @@ class JmSpec:
     nimp: int = 5
 
     def __post_init__(self):
-        object.__setattr__(self, "y_cols", tuple(self.y_cols))
-        object.__setattr__(self, "x_cols", tuple(self.x_cols))
-        object.__setattr__(self, "z_cols", tuple(self.z_cols))
-        object.__setattr__(self, "y2_cols", tuple(self.y2_cols))
-        object.__setattr__(self, "x2_cols", tuple(self.x2_cols))
+        for name in ("y_cols", "x_cols", "z_cols", "y2_cols", "x2_cols"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         if self.nimp < 1 or self.nburn < 1 or self.nbetween < 1:
-            raise ValueError("nimp, nburn and nbetween must be >= 1")
+            raise BadConfig("nimp, nburn and nbetween must be >= 1")
         if self.cov_mode not in ("common", "cluster-specific"):
-            raise ValueError("cov_mode must be 'common' or 'cluster-specific'")
+            raise BadConfig("cov_mode must be 'common' or 'cluster-specific'")
         if self.clus is None and (self.y2_cols or self.z_cols):
-            raise ValueError("cluster-level blocks require a clus column")
+            raise BadConfig("cluster-level blocks require a clus column")
+        if self.clus is None and self.cov_mode == "cluster-specific":
+            raise BadConfig("cluster-specific covariances require a clus column")
+
+
+def _upper_pairs(prefix: str, names: list[str]) -> list[str]:
+    """Trace names of a symmetric matrix's upper triangle, row by row."""
+    return [f"{prefix}.{a}.{b}" for i, a in enumerate(names) for b in names[i:]]
 
 
 def _design_block(d: Dataset, cols, rows=None) -> tuple[np.ndarray, list[str]]:
@@ -423,81 +451,22 @@ def _design_block(d: Dataset, cols, rows=None) -> tuple[np.ndarray, list[str]]:
 
 
 # ---------------------------------------------------------------------------
-# single-level sampler
-# ---------------------------------------------------------------------------
-
-
-class _MvnSampler:
-    def __init__(self, rng: RngStream, spec: JmSpec, d: Dataset):
-        self.d = d
-        self.layout = _Layout(d, list(spec.y_cols))
-        self.X, self.x_names = _design_block(d, spec.x_cols)
-        self.Y = self.layout.build_matrix(rng, d)
-        self.n, self.r = self.Y.shape
-        self.f = self.X.shape[1]
-        self.B = np.zeros((self.f, self.r))
-        self.Omega = np.eye(self.r)
-        Cx = chol(self.X.T @ self.X)
-        self._xtx_chol = Cx
-        self._sqrt_xtx_inv = np.linalg.solve(Cx.T, np.eye(self.f))
-        group = np.zeros(self.n, dtype=int)
-        self.plan = _DrawPlan.build(self.layout.unknown_mask(), group)
-        self.mh_plan = _mh_plan(self.layout, d, group)
-        self._prior_dof = self.r + 1
-        self._prior_scale = np.eye(self.r)
-        self.trace_names = [
-            f"beta.{y}.{x}" for x in self.x_names for y in self.layout.col_names
-        ] + [
-            f"omega.{self.layout.col_names[i]}.{self.layout.col_names[j]}"
-            for i in range(self.r)
-            for j in range(i, self.r)
-        ]
-
-    def _trace_row(self):
-        iu = np.triu_indices(self.r)
-        return np.concatenate([self.B.ravel(), self.Omega[iu]])
-
-    def sweep(self, rng: RngStream):
-        # B | Y, Omega (flat prior, matrix normal)
-        b_hat = np.linalg.solve(
-            self._xtx_chol.T, np.linalg.solve(self._xtx_chol, self.X.T @ self.Y)
-        )
-        self.B = _matrix_normal_draw(
-            rng, b_hat, self._sqrt_xtx_inv, chol(self.Omega)
-        )
-        # Omega | Y, B
-        resid = self.Y - self.X @ self.B
-        Q, Omega = wishart_precision_draw(
-            rng, (self._prior_scale + resid.T @ resid)[None], self._prior_dof + self.n
-        )
-        self.Omega = Omega[0]
-        mu = self.X @ self.B
-        _draw_missing(rng, self.Y, mu, Q, self.plan)
-        _mh_refresh(rng, self.Y, mu, Q, self.mh_plan)
-
-    def snapshot(self) -> Dataset:
-        values = self.d.values.copy()
-        mask = self.d.mask.copy()
-        col_of = {c.name: j for j, c in enumerate(self.d.columns)}
-        self.layout.snapshot_into(values, mask, self.Y, self.d, col_of)
-        if mask.any():
-            raise RuntimeError("snapshot left masked cells")
-        return self.d.completed(values)
-
-
-# ---------------------------------------------------------------------------
-# two-level sampler
+# sampler
 # ---------------------------------------------------------------------------
 
 
 class _MlmmSampler:
     def __init__(self, rng: RngStream, spec: JmSpec, d: Dataset):
         self.d = d
-        self.spec = spec
-        raw = d.column(spec.clus)
-        uniq, self.first_row, clus = np.unique(
-            raw, return_index=True, return_inverse=True
-        )
+        if spec.clus is None:
+            # single level: every row in one cluster, no random effects
+            uniq, first_row, clus = np.zeros(1), np.zeros(1, int), np.zeros(d.n_rows)
+            self.Z, self.z_names = np.zeros((d.n_rows, 0)), []
+        else:
+            uniq, first_row, clus = np.unique(
+                d.column(spec.clus), return_index=True, return_inverse=True
+            )
+            self.Z, self.z_names = _design_block(d, spec.z_cols)
         self.clus = clus.astype(int)
         self.C = len(uniq)
         if spec.cov_mode == "cluster-specific" and self.C < 3:
@@ -511,7 +480,6 @@ class _MlmmSampler:
         self.group = self.clus_group[self.clus]
         self.layout = _Layout(d, list(spec.y_cols))
         self.X, self.x_names = _design_block(d, spec.x_cols)
-        self.Z, self.z_names = _design_block(d, spec.z_cols)
         self.Y = self.layout.build_matrix(rng, d)
         self.n, self.r = self.Y.shape
         self.f = self.X.shape[1]
@@ -519,7 +487,7 @@ class _MlmmSampler:
 
         # cluster-constant block
         if spec.y2_cols:
-            ref = self.first_row[self.clus]
+            ref = first_row[self.clus]
             for nm in spec.y2_cols:
                 vals, msk = d.column(nm), d.column_mask(nm)
                 varies = (msk != msk[ref]) | (~msk & (vals != vals[ref]))
@@ -530,14 +498,13 @@ class _MlmmSampler:
                         f"{spec.clus!r}: a cluster-level variable must be "
                         "observed, with one value, in all or none of its rows"
                     )
-            self.layout2 = _Layout(d, list(spec.y2_cols), rows=self.first_row)
-            self.X2, self.x2_names = _design_block(d, spec.x2_cols, self.first_row)
+            self.layout2 = _Layout(d, list(spec.y2_cols), rows=first_row)
+            self.X2, self.x2_names = _design_block(d, spec.x2_cols, first_row)
             self.Y2 = self.layout2.build_matrix(rng, d)
             self.r2 = self.Y2.shape[1]
             self.f2 = self.X2.shape[1]
             self.B2 = np.zeros((self.f2, self.r2))
-            C2 = chol(self.X2.T @ self.X2)
-            self._x2_chol = C2
+            self._x2_chol = C2 = _gram_chol(self.X2, self.x2_names, "level-2")
             self._sqrt_x2_inv = np.linalg.solve(C2.T, np.eye(self.f2))
             one = np.zeros(self.C, dtype=int)
             self.plan2 = _DrawPlan.build(self.layout2.unknown_mask(), one)
@@ -558,7 +525,11 @@ class _MlmmSampler:
         self.B = np.zeros((self.f, self.r))
         self.Omega = np.tile(np.eye(self.r), (self.G, 1, 1))
         self.Q = self.Omega.copy()
-        self.psi_fixed_zero = False  # test hook: collapses to single level
+        # every G factors X'X, so a collinear design fails here by name;
+        # the one-group draw of B reuses the factor
+        Lx = _gram_chol(self.X, self.x_names, "fixed-effect")
+        self._sqrt_xtx_inv = np.linalg.solve(Lx.T, np.eye(self.f))
+        self._xtx_inv = self._sqrt_xtx_inv @ self._sqrt_xtx_inv.T
 
         self.plan = _DrawPlan.build(self.layout.unknown_mask(), self.group)
         self.mh_plan = _mh_plan(self.layout, d, self.group)
@@ -571,11 +542,7 @@ class _MlmmSampler:
         self.n_g = np.bincount(self.group, minlength=self.G).astype(float)
         self._prior_dof = self.r + 1
         self._prior_scale = np.eye(self.r)
-
-        psi_names = [f"u.{z}.{y}" for y in self.layout.col_names for z in self.z_names]
-        if self.layout2:
-            psi_names += [f"v.{y}" for y in self.layout2.col_names]
-        self.psi_names = psi_names
+        self._iu_r, self._iu_p = np.triu_indices(self.r), np.triu_indices(self.dim_psi)
 
         # translation-interweaving bookkeeping: the mean of each random
         # effect trades off against a fixed effect of the same covariate,
@@ -587,33 +554,23 @@ class _MlmmSampler:
         for j, nm in enumerate(self.z_names):
             if nm in self.x_names:
                 self._shift_b_row[j] = self.x_names.index(nm)
-                for c in range(self.r):
-                    self._shiftable[c * self.q + j] = True
-        if self.r2:
-            self._shiftable[self.qr:] = True
-        self.trace_names = (
-            [f"beta.{y}.{x}" for x in self.x_names for y in self.layout.col_names]
-            + [
-                f"omega.{self.layout.col_names[i]}.{self.layout.col_names[j]}"
-                for i in range(self.r)
-                for j in range(i, self.r)
-            ]
-            + [
-                f"psi.{psi_names[i]}.{psi_names[j]}"
-                for i in range(self.dim_psi)
-                for j in range(i, self.dim_psi)
-            ]
-            + (
-                [f"beta2.{y}.{x}" for x in self.x2_names for y in self.layout2.col_names]
-                if self.layout2
-                else []
-            )
-        )
+                self._shiftable[j:self.qr:self.q] = True
+        self._shiftable[self.qr:] = True
+
+        ys = self.layout.col_names
+        psi_names = [f"u.{z}.{y}" for y in ys for z in self.z_names]
+        beta2 = []
+        if self.layout2:
+            psi_names += [f"v.{y}" for y in self.layout2.col_names]
+            beta2 = [f"beta2.{y}.{x}" for x in self.x2_names
+                     for y in self.layout2.col_names]
+        self.trace_names = ([f"beta.{y}.{x}" for x in self.x_names for y in ys]
+                            + _upper_pairs("omega", ys) + _upper_pairs("psi", psi_names)
+                            + beta2)
 
     def _trace_row(self):
-        iu_r = np.triu_indices(self.r)
-        iu_p = np.triu_indices(self.dim_psi)
-        parts = [self.B.ravel(), self.Omega.mean(axis=0)[iu_r], self.Psi[iu_p]]
+        parts = [self.B.ravel(), self.Omega.mean(axis=0)[self._iu_r],
+                 self.Psi[self._iu_p]]
         if self.layout2:
             parts.append(self.B2.ravel())
         return np.concatenate(parts)
@@ -647,10 +604,8 @@ class _MlmmSampler:
             shift[self._shiftable] = mvn_draw(rng, cond)
         u_shift = shift[:qr].reshape(r, q).T  # (q, r)
         self.U = self.U - u_shift[None, :, :]
-        for j in range(q):
-            row = self._shift_b_row[j]
-            if row >= 0:
-                self.B[row] += u_shift[j]
+        moved = self._shift_b_row >= 0
+        self.B[self._shift_b_row[moved]] += u_shift[moved]
         if self.r2:
             self.B2[0] += shift[qr:]
 
@@ -674,13 +629,25 @@ class _MlmmSampler:
     def _draw_b(self, rng: RngStream, T: np.ndarray):
         """B | rest given T, the responses less the random-effect offsets:
         normal with precision sum_g Q_g (x) X_g'X_g over response-major
-        vec(B), drawn from one Cholesky factor."""
+        vec(B), drawn from one Cholesky factor L of it as
+        inv(L')(inv(L) lin + z).
+
+        With one group the precision is Q (x) X'X and L = Lq (x) Lx, so
+        the draw is the OLS mean plus inv(Lx)' E inv(Lq), E the same z
+        laid out as an (f, r) matrix."""
         f, r, G, Q = self.f, self.r, self.G, self.Q
+        z = rng.normal(size=f * r)
+        if G == 1:
+            col_factor = np.linalg.solve(chol(Q[0]), np.eye(r)).T
+            self.B = _matrix_normal_draw(self._xtx_inv @ (self.X.T @ T),
+                                         self._sqrt_xtx_inv, z.reshape(r, f).T,
+                                         col_factor)
+            return
         XtT = _Blocks.cross(self._X_group, self._by_group.gather(T))  # (G, f, r)
         lin = XtT.transpose(1, 0, 2).reshape(f, G * r) @ Q.reshape(G * r, r)
         L = chol(_kron_sum(Q, self.XtX_g))
         draw = solve_triangular(L, lin.T.ravel(), lower=True)
-        draw = solve_triangular(L, draw + rng.normal(size=f * r), lower=True, trans="T")
+        draw = solve_triangular(L, draw + z, lower=True, trans="T")
         self.B = draw.reshape(r, f).T
 
     def _draw_level2(self, rng: RngStream):
@@ -696,39 +663,41 @@ class _MlmmSampler:
         )
         # inv(Lv)' is a factor of the covariance inv(P_vv)
         col_factor = solve_triangular(Lv, np.eye(self.r2), lower=True).T
-        self.B2 = _matrix_normal_draw(rng, b2_hat, self._sqrt_x2_inv, col_factor)
+        self.B2 = _matrix_normal_draw(b2_hat, self._sqrt_x2_inv,
+                                      rng.normal(size=b2_hat.shape), col_factor)
         mu2 = self.X2 @ self.B2 + m_v
         Q2 = P[qr:, qr:][None]
         _draw_missing(rng, self.Y2, mu2, Q2, self.plan2)
         _mh_refresh(rng, self.Y2, mu2, Q2, self.mh_plan2)
 
+    def _draw_psi(self, rng: RngStream):
+        """Psi | U, V: one inverse-Wishart draw over the clusters."""
+        W = self.U.transpose(0, 2, 1).reshape(self.C, self.qr)
+        if self.r2:
+            W = np.concatenate([W, self._v_resid()], axis=1)
+        P, Psi = wishart_precision_draw(
+            rng, (np.eye(self.dim_psi) + W.T @ W)[None], self.dim_psi + 1 + self.C
+        )
+        self.Psi_prec, self.Psi = P[0], Psi[0]
+
+    def _offset(self):
+        """Each row's random-effect term z_i' U_c (none without random
+        effects, where the einsum over q = 0 would cost as much)."""
+        return np.einsum("nq,nqr->nr", self.Z, self.U[self.clus]) if self.q else 0.0
+
     def sweep(self, rng: RngStream):
-        qr, r, q, C = self.qr, self.r, self.q, self.C
-        if self.psi_fixed_zero:
-            self.U = np.zeros((C, q, r))
-        else:
+        # the single-level model has no random effects to draw
+        if self.dim_psi:
             self._draw_u(rng)
-
-        # --- translation interweave: move the random-effect means into the
-        # matching fixed effects (likelihood-invariant split) ---
-        if not self.psi_fixed_zero and self._shiftable.any():
-            self._recenter(rng)
-
-        # --- Psi | U, V ---
-        if not self.psi_fixed_zero:
-            W = self.U.transpose(0, 2, 1).reshape(C, qr)
-            if self.r2:
-                W = np.concatenate([W, self._v_resid()], axis=1)
-            P, Psi = wishart_precision_draw(
-                rng, (np.eye(self.dim_psi) + W.T @ W)[None], self.dim_psi + 1 + C
-            )
-            self.Psi_prec, self.Psi = P[0], Psi[0]
+            # translation interweave: move the random-effect means into
+            # the matching fixed effects (likelihood-invariant split)
+            if self._shiftable.any():
+                self._recenter(rng)
+            self._draw_psi(rng)
 
         # --- Omega | residuals, one inverse-Wishart per group ---
-        offset = np.einsum("nq,nqr->nr", self.Z, self.U[self.clus])
-        T = self.Y - offset
-        E = T - self.X @ self.B
-        E = self._by_group.gather(E)
+        T = self.Y - self._offset()
+        E = self._by_group.gather(T - self.X @ self.B)
         EtE = _Blocks.cross(E, E)
         self.Q, self.Omega = wishart_precision_draw(
             rng, self._prior_scale[None] + EtE, self._prior_dof + self.n_g
@@ -740,8 +709,7 @@ class _MlmmSampler:
             self._draw_level2(rng)
 
         # --- missing level-1 cells and latent refresh ---
-        offset = np.einsum("nq,nqr->nr", self.Z, self.U[self.clus])
-        mu = self.X @ self.B + offset
+        mu = self.X @ self.B + self._offset()
         _draw_missing(rng, self.Y, mu, self.Q, self.plan)
         _mh_refresh(rng, self.Y, mu, self.Q, self.mh_plan)
 
@@ -755,9 +723,7 @@ class _MlmmSampler:
             for s in self.layout2.slots:
                 j = col_of[s.name]
                 z = self.Y2[:, s.cols]
-                vals_c = (
-                    decode_latent(z) if s.n_levels else z[:, 0]
-                )
+                vals_c = decode_latent(z) if s.n_levels else z[:, 0]
                 rows_missing = np.where(self.d.mask[:, j])[0]
                 values[rows_missing, j] = vals_c[self.clus[rows_missing]]
                 mask[rows_missing, j] = False
@@ -780,20 +746,13 @@ def run_jm(
     of them.
     """
     covered = set(spec.y_cols) | set(spec.y2_cols)
-    uncovered = [
-        c.name
-        for c in data.columns
-        if data.column_mask(c.name).any() and c.name not in covered
-    ]
+    uncovered = [c.name for c in data.columns
+                 if data.column_mask(c.name).any() and c.name not in covered]
     if uncovered:
-        raise ValueError(
+        raise BadConfig(
             f"incomplete columns {uncovered} are not listed in y_cols/y2_cols"
         )
-    sampler = (
-        _MvnSampler(rng, spec, data)
-        if spec.clus is None
-        else _MlmmSampler(rng, spec, data)
-    )
+    sampler = _MlmmSampler(rng, spec, data)
     trace = ChainTrace(sampler.trace_names)
     imputations = []
     total = spec.nburn + (spec.nimp - 1) * spec.nbetween
