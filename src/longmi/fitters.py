@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyCategory, PerfectSeparation, RankDeficient
-from .rng import RngStream, cho_factor, cho_solve, solve_triangular
+from .rng import RngStream, check_rank, cho_factor, cho_solve, solve_triangular
 
 _SIGMA2_FLOOR = 1e-10
 
@@ -33,16 +33,6 @@ def _settled(step) -> bool:
 
 def _expit(x):
     return 0.5 * (1.0 + np.tanh(0.5 * x))
-
-
-def _check_rank(X: np.ndarray, r: np.ndarray | None = None) -> None:
-    """Raise ``RankDeficient`` unless X has full column rank, judged from
-    the diagonal of R in X = QR (computed without Q when not given)."""
-    if r is None:
-        r = np.linalg.qr(X, mode="r")
-    diag = np.abs(np.diag(r))
-    if diag.min() <= X.shape[0] * np.finfo(float).eps * max(diag.max(), 1.0):
-        raise RankDeficient("design matrix is rank deficient")
 
 
 @dataclass
@@ -65,7 +55,7 @@ def fit_linear_and_draw(rng: RngStream, X: np.ndarray, y: np.ndarray) -> LinearD
     if n <= p:
         raise RankDeficient(f"need n > p, got n={n}, p={p}")
     q, r = np.linalg.qr(X)
-    _check_rank(X, r)
+    check_rank(X, r)
     beta_hat = solve_triangular(r, q.T @ y)
     resid = y - X @ beta_hat
     s2 = float(resid @ resid) / (n - p)
@@ -111,7 +101,7 @@ def fit_logistic(X: np.ndarray, y: np.ndarray, max_iter: int = 100) -> GlmFit:
     y = np.asarray(y, dtype=float)
     if not np.isin(y, (0.0, 1.0)).all():
         raise ValueError("logistic response must be 0/1")
-    _check_rank(X)
+    check_rank(X)
     n, p = X.shape
     beta = np.zeros(p)
     ll = _logistic_loglik(X, y, beta)
@@ -237,7 +227,7 @@ def fit_polr(X: np.ndarray, y: np.ndarray, max_iter: int = 100) -> GlmFit:
     # drop constant columns: cutpoints play the intercept role
     keep = ~np.all(X == X[0], axis=0)
     Xr = X[:, keep]
-    _check_rank(np.column_stack([np.ones(len(yk)), Xr]))
+    check_rank(np.column_stack([np.ones(len(yk)), Xr]))
     p = Xr.shape[1]
     k1 = K - 1
     m = k1 + p

@@ -1,4 +1,4 @@
-"""Random-intercept linear mixed models with 1 or 2 nested groupings.
+"""Random-intercept linear mixed models with 0, 1 or 2 nested groupings.
 
 The residual variance has a closed form given the ratios rho_k =
 sigma_k^2 / sigma_e^2, so the exact ML or REML deviance is profiled over
@@ -11,7 +11,8 @@ so its determinant, solves and inverse diagonal have a closed form in
 per-group sums: a Schur complement on the inner diagonal, the structure
 behind Henderson's mixed-model equations and lme4's profiled deviance
 (Bates, Maechler, Bolker & Walker, J. Stat. Softw. 67(1), 2015). A
-one-level model is the same path without the outer row.
+one-level model is the same path without the outer row, and a model
+with no grouping (ordinary least squares) the same path with M empty.
 
 Components that collapse onto the boundary are pinned at zero and
 flagged; non-convergence returns the best point found with
@@ -21,21 +22,21 @@ flagged; non-convergence returns the best point found with
 from __future__ import annotations
 
 import copy
+import dataclasses
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import RankDeficient, UnsupportedNesting
 from .formula import ModelFormula, build_design, grouping_codes, parse_formula
-from .rng import cho_factor, cho_solve
+from .rng import check_rank, cho_factor, cho_solve
 from .table import Dataset
 
 _LOG2PI = math.log(2.0 * math.pi)
 _MAX_NEWTON = 50
 
 
-@dataclass
+@dataclasses.dataclass
 class LmmFit:
     """Fixed effects with SEs, variance components and fit diagnostics."""
 
@@ -66,21 +67,26 @@ class _Blocks:
     is an (outer, inner) label pair, so inner labels reused across outer
     groups still nest. With two levels the inner groups are sorted by
     outer group: ``up`` maps each to its outer group and ``starts`` marks
-    where each outer group's run begins.
+    where each outer group's run begins. With no grouping both lists are
+    empty.
     """
 
     def __init__(self, X: np.ndarray, y: np.ndarray, codes: list[np.ndarray]):
-        if not 1 <= len(codes) <= 2:
+        if len(codes) > 2:
             raise UnsupportedNesting(
-                f"random intercepts take 1 or 2 nested groupings, got {len(codes)}"
+                f"random intercepts take at most 2 nested groupings, got {len(codes)}"
             )
         self.n, self.p = X.shape
         F = np.column_stack([X, y])
         self.FtF = F.T @ F
-        self.XtX = self.FtF[:-1, :-1]
-        self.Xty = self.FtF[:-1, -1]
-        self.yty = float(self.FtF[-1, -1])
         self.var_y = float(np.var(y))
+        self.counts, self.sums = [], []
+        self.up = self.starts = None
+        if codes:
+            self._group(F, codes)
+        self.q_level = np.array([len(c) for c in self.counts], dtype=int)
+
+    def _group(self, F: np.ndarray, codes: list[np.ndarray]) -> None:
         key = codes[0]
         if len(codes) == 2:
             _, outer = np.unique(codes[0], return_inverse=True)
@@ -91,13 +97,11 @@ class _Blocks:
         inner_n = np.bincount(code).astype(float)
         inner_F = np.add.reduceat(F[order], _run_starts(code[order]), axis=0)
         self.counts, self.sums = [inner_n], [inner_F]
-        self.up = self.starts = None
         if len(codes) == 2:
             self.up = outer[first]
             self.starts = _run_starts(self.up)
             self.counts.insert(0, np.add.reduceat(inner_n, self.starts))
             self.sums.insert(0, np.add.reduceat(inner_F, self.starts, axis=0))
-        self.q_level = np.array([len(c) for c in self.counts])
 
 
 def _run_starts(sorted_codes: np.ndarray) -> np.ndarray:
@@ -105,12 +109,14 @@ def _run_starts(sorted_codes: np.ndarray) -> np.ndarray:
 
 
 def _restrict_blocks(blocks: _Blocks, keep: np.ndarray) -> _Blocks:
-    """The one-level blocks of the single kept level."""
-    (k,) = np.flatnonzero(keep)
+    """The blocks of the levels where ``keep`` is True, alone."""
+    if keep.all():
+        return blocks
     sub = copy.copy(blocks)
-    sub.counts, sub.sums = [blocks.counts[k]], [blocks.sums[k]]
+    sub.counts = [c for c, k in zip(blocks.counts, keep) if k]
+    sub.sums = [s for s, k in zip(blocks.sums, keep) if k]
     sub.up = sub.starts = None
-    sub.q_level = blocks.q_level[[k]]
+    sub.q_level = blocks.q_level[keep]
     return sub
 
 
@@ -122,8 +128,11 @@ def _solve(blocks: _Blocks, lam: np.ndarray):
     complement t_s = lam_0 + lam_1 * sum_j n_j / d_j, log det M is
     sum log d + sum log t, and M^-1 b solves x_s = (b_s - sum_j n_j b_j /
     d_j) / t_s, then x_j = (b_j - n_j x_s) / d_j. Returns log det M,
-    F'Z M^-1 Z'F, and per level M^-1 Z'F and the diagonal of M^-1.
+    F'Z M^-1 Z'F, and per level M^-1 Z'F and the diagonal of M^-1; with
+    no level M is empty, so both of the first are 0.
     """
+    if not blocks.counts:
+        return 0.0, 0.0, [], []
     n1, F1 = blocks.counts[-1], blocks.sums[-1]
     d = n1 + lam[-1]
     sol1 = F1 / d[:, None]
@@ -199,23 +208,6 @@ def _gradient(blocks: _Blocks, theta: np.ndarray, criterion: str) -> np.ndarray:
     return _deviance_core(blocks, theta[:-1] / theta[-1], criterion, theta[-1])[2]
 
 
-def _residual_only(
-    blocks: _Blocks, criterion: str, sig_e: float | None = None
-) -> tuple[float, float]:
-    """sigma_e^2 and deviance with every level dropped: the deviance of
-    the OLS model at ``sig_e``, profiled over it when that is None."""
-    S_cf = cho_factor(blocks.XtX, lower=True)
-    beta = cho_solve(S_cf, blocks.Xty)
-    reml = criterion == "REML"
-    dof = blocks.n - blocks.p * reml
-    s2 = max(blocks.yty - float(beta @ blocks.Xty), 1e-300) / dof
-    sig_e = s2 if sig_e is None else sig_e
-    dev = dof * (_LOG2PI + s2 / sig_e + math.log(sig_e))
-    if reml:
-        dev += 2.0 * float(np.sum(np.log(np.diag(S_cf[0]))))
-    return s2, dev
-
-
 def _fit_components(blocks: _Blocks, criterion: str):
     """Newton on the log variance ratios of the deviance profiled over
     sigma_e^2; returns (theta, deviance, converged, n_iter, boundary_mask).
@@ -229,6 +221,9 @@ def _fit_components(blocks: _Blocks, criterion: str):
     lower deviance wins, and a tie goes to the smaller model.
     """
     L = len(blocks.q_level)
+    if L == 0:
+        dev, s2 = _deviance_core(blocks, np.empty(0), criterion)[:2]
+        return np.array([s2]), dev, True, 0, np.zeros(0, dtype=bool)
     floor = 1e-7 * max(blocks.var_y, 1e-12)
 
     def at(x):
@@ -267,41 +262,17 @@ def _fit_components(blocks: _Blocks, criterion: str):
     rho = np.exp(x)
     low = (rho * s2 < floor) | ((g / rho > tol) & (not converged))
     if low.any():
-        theta = np.zeros(L + 1)
-        boundary = low.copy()
         keep = np.flatnonzero(~low)
-        if keep.size:
-            sub = _restrict_blocks(blocks, ~low)
-            th, sub_dev, sub_cv, sub_it, sub_bd = _fit_components(sub, criterion)
-            theta[keep], theta[-1] = th[:-1], th[-1]
-            boundary[keep[sub_bd]] = True
-        else:
-            theta[-1], sub_dev = _residual_only(blocks, criterion)
-            sub_cv, sub_it = True, 0
+        sub = _restrict_blocks(blocks, ~low)
+        th, sub_dev, sub_cv, sub_it, sub_bd = _fit_components(sub, criterion)
+        theta = np.zeros(L + 1)
+        theta[keep], theta[-1] = th[:-1], th[-1]
+        boundary = low.copy()
+        boundary[keep[sub_bd]] = True
         if sub_dev <= dev + dev_tol:
             # iterations before the drop count too
             return theta, sub_dev, sub_cv, it + sub_it, boundary
     return np.append(rho * s2, s2), dev, converged, it, np.zeros(L, dtype=bool)
-
-
-def _ols_fit(y, X, names, criterion, n_obs) -> LmmFit:
-    n, p = X.shape
-    q, r = np.linalg.qr(X)
-    diag = np.abs(np.diag(r))
-    if diag.min() <= n * np.finfo(float).eps * max(diag.max(), 1.0):
-        raise RankDeficient("design matrix is rank deficient")
-    beta = np.linalg.solve(r, q.T @ y)
-    resid = y - X @ beta
-    dfree = n - p if criterion == "REML" else n
-    s2 = float(resid @ resid) / max(dfree, 1)
-    r_inv = np.linalg.solve(r, np.eye(p))
-    se = np.sqrt(s2 * np.sum(r_inv**2, axis=1))
-    ll = -0.5 * (dfree * _LOG2PI + dfree * math.log(s2) + float(resid @ resid) / s2)
-    if criterion == "REML":
-        ll -= 0.5 * 2.0 * np.sum(np.log(diag)) - 0.5 * p * math.log(s2)
-    return LmmFit(
-        names, beta, se, {"residual": s2}, ll, criterion, (), True, (), n, 0
-    )
 
 
 def fit_lmm(
@@ -310,33 +281,14 @@ def fit_lmm(
     """Fit a random-intercept LMM to fully observed model variables."""
     if isinstance(formula, str):
         formula = parse_formula(formula)
-    if criterion not in ("REML", "ML"):
-        raise ValueError("criterion must be 'REML' or 'ML'")
     y, X, names = build_design(d, formula)
-    if not formula.random:
-        return _ols_fit(y, X, names, criterion, d.n_rows)
-    codes = grouping_codes(d, formula)
-    fit = fit_lmm_arrays(y, X, codes, criterion, names=names)
-    comps = {
-        g: fit.var_components[f"level{k}"]
-        for k, g in enumerate(formula.random)
-    }
-    comps["residual"] = fit.var_components["residual"]
-    boundary = tuple(
-        formula.random[int(b.removeprefix("level"))] for b in fit.boundary
-    )
-    return LmmFit(
-        fit.names,
-        fit.beta,
-        fit.se,
-        comps,
-        fit.loglik,
-        criterion,
-        tuple(formula.random),
-        fit.converged,
-        boundary,
-        fit.n_obs,
-        fit.n_iter,
+    fit = fit_lmm_arrays(y, X, grouping_codes(d, formula), criterion, names=names)
+    group = dict(zip(fit.grouping, formula.random))
+    return dataclasses.replace(
+        fit,
+        var_components={group.get(k, k): v for k, v in fit.var_components.items()},
+        grouping=tuple(formula.random),
+        boundary=tuple(group[b] for b in fit.boundary),
     )
 
 
@@ -348,27 +300,22 @@ def fit_lmm_arrays(
     names: list[str] | None = None,
 ) -> LmmFit:
     """Array-level fit; ``codes`` lists integer groupings, outermost first."""
+    if criterion not in ("REML", "ML"):
+        raise ValueError("criterion must be 'REML' or 'ML'")
     y = np.asarray(y, dtype=float)
     X = np.asarray(X, dtype=float)
     n, p = X.shape
     if n <= p:
         raise RankDeficient(f"need n > p, got n={n}, p={p}")
-    rx = np.linalg.qr(X, mode="r")  # R alone: only its diagonal is used
-    diag = np.abs(np.diag(rx))
-    if diag.min() <= n * np.finfo(float).eps * max(diag.max(), 1.0):
-        raise RankDeficient("design matrix is rank deficient")
+    check_rank(X)
     blocks = _Blocks(X, y, [np.asarray(c, dtype=int) for c in codes])
     theta, dev, converged, n_iter, boundary = _fit_components(blocks, criterion)
     # final GLS at the optimum (boundary components pinned at zero)
     live = theta[:-1] > 0
-    if not live.any():
-        beta = np.linalg.solve(blocks.XtX, blocks.Xty)
-        cov = np.linalg.inv(blocks.XtX) * theta[-1]
-    else:
-        sub = blocks if live.all() else _restrict_blocks(blocks, live)
-        *_, beta, S_cf = _deviance_core(sub, theta[:-1][live] / theta[-1], criterion)
-        cov = cho_solve(S_cf, np.eye(p)) * theta[-1]
-    se = np.sqrt(np.maximum(np.diag(cov), 0.0))
+    *_, beta, S_cf = _deviance_core(
+        _restrict_blocks(blocks, live), theta[:-1][live] / theta[-1], criterion
+    )
+    se = np.sqrt(np.maximum(np.diag(cho_solve(S_cf, np.eye(p)) * theta[-1]), 0.0))
     comps = {f"level{k}": float(theta[k]) for k in range(len(codes))}
     comps["residual"] = float(theta[-1])
     names = names or [f"x{j}" for j in range(p)]
@@ -403,7 +350,6 @@ def deviance(
     )
     theta = np.asarray(theta, dtype=float)
     live = theta[:-1] > 0
-    if not live.any():
-        return _residual_only(blocks, criterion, theta[-1])[1]
-    sub = blocks if live.all() else _restrict_blocks(blocks, live)
-    return _deviance(sub, np.append(theta[:-1][live], theta[-1]), criterion)
+    return _deviance(
+        _restrict_blocks(blocks, live), np.append(theta[:-1][live], theta[-1]), criterion
+    )

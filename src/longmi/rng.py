@@ -11,7 +11,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyInterval, InvalidDof, NotPositiveDefinite, SingularObservedBlock
+from .errors import (
+    EmptyInterval,
+    InvalidDof,
+    NotPositiveDefinite,
+    RankDeficient,
+    SingularObservedBlock,
+)
 
 
 class RngStream:
@@ -51,9 +57,6 @@ class RngStream:
 
     def choice(self, *a, **k):
         return self.gen.choice(*a, **k)
-
-    def shuffle(self, *a, **k):
-        return self.gen.shuffle(*a, **k)
 
 
 # scipy is imported on first call, not with the package: its import is
@@ -106,6 +109,16 @@ def chol(cov: np.ndarray) -> np.ndarray:
         raise NotPositiveDefinite(
             f"{p}x{p} covariance is not positive definite"
         ) from None
+
+
+def check_rank(X: np.ndarray, r: np.ndarray | None = None) -> None:
+    """Raise ``RankDeficient`` unless X has full column rank, judged from
+    the diagonal of R in X = QR (computed without Q when not given)."""
+    if r is None:
+        r = np.linalg.qr(X, mode="r")
+    diag = np.abs(np.diag(r))
+    if diag.min() <= X.shape[0] * np.finfo(float).eps * max(diag.max(), 1.0):
+        raise RankDeficient("design matrix is rank deficient")
 
 
 def sym(a: np.ndarray) -> np.ndarray:

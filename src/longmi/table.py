@@ -275,9 +275,6 @@ class Dataset:
     def time_col(self) -> str | None:
         return next((c.name for c in self.columns if c.role == "time"), None)
 
-    def roles(self, *roles: str) -> list[str]:
-        return [c.name for c in self.columns if c.role in roles]
-
     # -- derivation -------------------------------------------------------
 
     def take(self, rows: np.ndarray) -> "Dataset":

@@ -520,14 +520,15 @@ class TestNestedLmm:
     def test_three_groupings_rejected(self):
         rng = np.random.default_rng(26)
         y, X, grp = one_way(rng, 6, 4, 0.5, 1.0)
-        with pytest.raises(UnsupportedNesting):
+        with pytest.raises(UnsupportedNesting, match="at most 2"):
             fit_lmm_arrays(y, X, [grp // 2, grp, np.arange(len(y))], "REML")
-        with pytest.raises(UnsupportedNesting):
+        with pytest.raises(UnsupportedNesting, match="at most 2"):
             deviance(y, X, [grp // 2, grp, grp], np.ones(4), "REML")
 
 
 class TestFitLmmFormulaInterface:
-    def make_dataset(self, seed=19, n_units=40):
+    @staticmethod
+    def make_dataset(seed=19, n_units=40):
         from longmi.table import ColumnSpec, Dataset
 
         rng = np.random.default_rng(seed)
@@ -587,3 +588,94 @@ class TestFitLmmFormulaInterface:
 
         with pytest.raises(UnknownColumn):
             fit_lmm("y ~ nope + (1|id)", self.make_dataset())
+
+
+def no_cluster_variance_dataset(seed=28, n_school=6, per_school=5, rows=4):
+    """Every student holds the same (x, y) rows, so no student or school
+    mean differs from another and both components' optima are zero."""
+    from longmi.table import ColumnSpec, Dataset
+
+    rng = np.random.default_rng(seed)
+    x1 = rng.normal(size=rows)
+    y1 = 1.0 + 0.5 * x1 + rng.normal(0, 0.5, rows)
+    n_units = n_school * per_school
+    return Dataset.build(
+        [
+            ColumnSpec("school", "continuous", "cluster-id"),
+            ColumnSpec("id", "continuous", "unit-id"),
+            ColumnSpec("time", "continuous", "time"),
+            ColumnSpec("x", "continuous", "analysis"),
+            ColumnSpec("y", "continuous", "analysis"),
+        ],
+        {
+            "school": np.repeat(np.arange(n_school), per_school * rows),
+            "id": np.repeat(np.arange(n_units), rows),
+            "time": np.tile(np.arange(1.0, rows + 1), n_units),
+            "x": np.tile(x1, n_units),
+            "y": np.tile(y1, n_units),
+        },
+        shape_kind="long",
+    )
+
+
+class TestZeroLevelLmm:
+    """A formula with no random part is the zero-level case of the
+    profiled deviance: its log-likelihood is R's ``logLik.lm``."""
+
+    @pytest.mark.parametrize("crit", ["ML", "REML"])
+    def test_both_components_on_boundary_equal_fixed_only_fit(self, crit):
+        from longmi.lmm import fit_lmm
+
+        d = no_cluster_variance_dataset()
+        nested = fit_lmm("y ~ x + (1|school/id)", d, crit)
+        flat = fit_lmm("y ~ x", d, crit)
+        assert nested.boundary == ("school", "id")
+        assert nested.var_components["school"] == nested.var_components["id"] == 0.0
+        np.testing.assert_allclose(nested.beta, flat.beta, rtol=1e-12)
+        np.testing.assert_allclose(nested.se, flat.se, rtol=1e-12)
+        assert nested.var_components["residual"] == pytest.approx(
+            flat.var_components["residual"], rel=1e-12
+        )
+        assert nested.loglik == pytest.approx(flat.loglik, rel=1e-12)
+
+    @staticmethod
+    def fixed_only(crit):
+        from longmi.formula import build_design
+        from longmi.lmm import fit_lmm
+
+        d = TestFitLmmFormulaInterface.make_dataset()
+        formula = parse_formula("y ~ x + factor(g)")
+        y, X, _ = build_design(d, formula)
+        return fit_lmm(formula, d, crit), y, X, d.column("id").astype(int)
+
+    @pytest.mark.parametrize("crit", ["ML", "REML"])
+    def test_loglik_is_deviance_at_zero_components(self, crit):
+        fit, y, X, ids = self.fixed_only(crit)
+        s2 = fit.var_components["residual"]
+        assert fit.loglik == pytest.approx(
+            -0.5 * deviance(y, X, [ids], np.array([0.0, s2]), crit), rel=1e-12
+        )
+
+    @pytest.mark.parametrize("crit", ["ML", "REML"])
+    def test_loglik_matches_loglik_lm(self, crit):
+        fit, y, X, _ = self.fixed_only(crit)
+        n, p = X.shape
+        q, r = np.linalg.qr(X)
+        resid = y - X @ np.linalg.solve(r, q.T @ y)
+        dof = n - p if crit == "REML" else n
+        s2 = float(resid @ resid) / dof
+        ll = -0.5 * dof * (np.log(2 * np.pi) + 1.0 + np.log(s2))
+        if crit == "REML":
+            ll -= np.sum(np.log(np.abs(np.diag(r))))
+        assert fit.var_components["residual"] == pytest.approx(s2, rel=1e-12)
+        assert fit.loglik == pytest.approx(ll, rel=1e-12)
+
+    @pytest.mark.parametrize("crit", ["ML", "REML"])
+    def test_array_fit_without_groupings(self, crit):
+        fit, y, X, _ = self.fixed_only(crit)
+        arr = fit_lmm_arrays(y, X, [], crit, names=fit.names)
+        np.testing.assert_array_equal(arr.beta, fit.beta)
+        np.testing.assert_array_equal(arr.se, fit.se)
+        assert arr.var_components == fit.var_components
+        assert arr.loglik == fit.loglik
+        assert (arr.grouping, arr.boundary, arr.converged, arr.n_iter) == ((), (), True, 0)

@@ -4,6 +4,10 @@ A name with a leading underscore (dunders such as ``__version__``
 aside) is private to the module that defines it; helpers shared across modules get a public name in the module that
 owns them (linear algebra and random draws live in ``rng``).
 
+Fits solve with their Cholesky or QR factors rather than forming a
+matrix inverse: ``np.linalg.inv`` appears only in ``rng``, where
+``inv_wishart_draw`` backs the Wishart law tests.
+
 scipy is imported only inside ``rng``'s functions, on first call, so
 subcommands that never call it (sim, pool, diag, a usage error) start
 without paying for its import. ``hashlib``, which keys the binary copy
@@ -102,6 +106,38 @@ def test_scipy_checker_sees_module_level_imports(tmp_path):
     assert _scipy_imports(probe) == [
         "probe.py:1 module", "probe.py:2 module", "probe.py:4 module",
         "probe.py:6 function",
+    ]
+
+
+def _inverse_calls(path: pathlib.Path) -> list[str]:
+    """Calls of ``*.linalg.inv`` and imports of ``inv`` from a linalg module."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Call):
+            name = ast.unparse(node.func)
+            if name.split(".")[-2:] == ["linalg", "inv"]:
+                found.append((node.lineno, name))
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linalg"):
+            if any(a.name == "inv" for a in node.names):
+                found.append((node.lineno, "import inv"))
+    return [f"{path.name}:{line} {what}" for line, what in sorted(found)]
+
+
+def test_matrix_inverse_only_in_rng():
+    hits = [hit for path in sorted(PKG.glob("*.py")) for hit in _inverse_calls(path)]
+    assert hits and all(h.startswith("rng.py:") for h in hits), hits
+
+
+def test_inverse_checker_sees_calls_and_imports(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "import numpy as np\nnp.linalg.inv(a)\nnumpy.linalg.inv(b)\n"
+        "np.linalg.pinv(c)\nfrom numpy.linalg import inv\n"
+        "from scipy.linalg import cho_solve\nnp.linalg.solve(a, b)\n"
+    )
+    assert _inverse_calls(probe) == [
+        "probe.py:2 np.linalg.inv", "probe.py:3 numpy.linalg.inv",
+        "probe.py:5 import inv",
     ]
 
 
