@@ -1,19 +1,24 @@
 #!/usr/bin/env python3
-"""Time the joint-model Gibbs sweep in process, for one or two trees.
+"""Time the JM Gibbs sweep or the LMM fit in process, for one or two trees.
 
-Each run is a fresh interpreter with BLAS pinned to one thread. It
-simulates the cohorts 2946-2948, warms every joint-model method up
-once, and then reports, per method, the CPU time of
-``build_and_run(<method>, m=1, nburn=K)`` over the three cohorts
+Each run is a fresh interpreter with BLAS pinned to one thread that
+simulates the cohorts 2946-2948. ``--layer jm`` (the default) warms
+every joint-model method up once, and then reports, per method, the CPU
+time of ``build_and_run(<method>, m=1, nburn=K)`` over the three cohorts
 divided by the 3K sweeps (set-up, reshapes and the one snapshot are
-included, so K should be large enough to amortise them). Given two
-``src/`` directories the runs come in pairs, one per tree, and the
+included, so K should be large enough to amortise them). ``--layer lmm``
+imputes each cohort with ``fcs-3l`` (m 5, maxit 3) and reports, for the
+``(1|id)`` and ``(1|school/id)`` REML fits of the benchmark's analysis
+formula over the 15 completed datasets, the CPU ms per fit (median of
+``--repeats`` passes) and the ``lmm._deviance_core`` calls per fit. Given
+two ``src/`` directories the runs come in pairs, one per tree, and the
 trees alternate which goes first. The script prints each tree's median
-per method and, with two trees, the median of the per-pair ratios
-tree 2 / tree 1 and the number of pairs in which tree 2 was faster.
+per row and, with two trees, the median of the per-pair ratios tree 2 /
+tree 1 and the number of pairs in which tree 2 was lower.
 
     python scripts/sweep_times.py src
     python scripts/sweep_times.py --pairs 10 /path/to/parent/src src
+    python scripts/sweep_times.py --layer lmm --pairs 5 /path/to/parent/src src
 """
 
 from __future__ import annotations
@@ -28,36 +33,81 @@ import time
 
 COHORTS = (2946, 2947, 2948)
 SEED = 7
+FORMULA = ("numeracy_score ~ prev_dep + time + age + numeracy_scorew1 + sex"
+           " + factor(ses) + ")
+TITLES = {"jm": "CPU ms per sweep", "lmm": "CPU ms and _deviance_core calls per fit"}
 
 
-def measure(nburn: int) -> dict[str, float]:
-    """CPU seconds per sweep of each joint-model method (worker side)."""
+def cohorts():
     import warnings
 
-    from longmi.methods import CATALOG, build_and_run
     from longmi.rng import RngStream
     from longmi.simulate import SimConfig, simulate
 
     warnings.simplefilter("ignore")
+    return [simulate(RngStream(s), SimConfig(seed=s)).observed for s in COHORTS]
+
+
+def measure_jm(args) -> dict[str, float]:
+    """CPU ms per sweep of each joint-model method (worker side)."""
+    from longmi.methods import CATALOG, build_and_run
+    from longmi.rng import RngStream
+
     methods = [name for name, row in CATALOG.items() if row.engine == "jm"]
-    cohorts = [simulate(RngStream(s), SimConfig(seed=s)).observed for s in COHORTS]
+    observed = cohorts()
     for method in methods:
-        build_and_run(RngStream(SEED), method, cohorts[0], m=1, nburn=2)
+        build_and_run(RngStream(SEED), method, observed[0], m=1, nburn=2)
     out = {}
     for method in methods:
         t = time.process_time()
-        for d in cohorts:
-            build_and_run(RngStream(SEED), method, d, m=1, nburn=nburn)
-        out[method] = (time.process_time() - t) / (nburn * len(cohorts))
+        for d in observed:
+            build_and_run(RngStream(SEED), method, d, m=1, nburn=args.nburn)
+        out[method] = 1e3 * (time.process_time() - t) / (args.nburn * len(observed))
     return out
 
 
-def run(src: str, nburn: int) -> dict[str, float]:
+def measure_lmm(args) -> dict[str, float]:
+    """CPU ms and deviance evaluations per REML fit (worker side)."""
+    from longmi import lmm
+    from longmi.methods import build_and_run
+    from longmi.rng import RngStream
+
+    data = [imp for d in cohorts() for imp in build_and_run(
+        RngStream(SEED), "fcs-3l", d, m=5, maxit=3).stack.imputations]
+    out = {}
+    for random in ("(1|id)", "(1|school/id)"):
+        formula = FORMULA + random
+        lmm.fit_lmm(formula, data[0])  # warm-up
+        passes = []
+        for _ in range(args.repeats):
+            t = time.process_time()
+            for d in data:
+                lmm.fit_lmm(formula, d)
+            passes.append(1e3 * (time.process_time() - t) / len(data))
+        out[f"{random} ms"] = statistics.median(passes)
+        core, calls = lmm._deviance_core, [0]
+
+        def counted(*a, **k):
+            calls[0] += 1
+            return core(*a, **k)
+
+        lmm._deviance_core = counted
+        try:
+            for d in data:
+                lmm.fit_lmm(formula, d)
+        finally:
+            lmm._deviance_core = core
+        out[f"{random} calls"] = calls[0] / len(data)
+    return out
+
+
+def run(src: str, args) -> dict[str, float]:
     """One fresh-interpreter run on ``src``."""
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
-    cmd = [sys.executable, os.path.abspath(__file__), "--worker", "--nburn", str(nburn)]
+    cmd = [sys.executable, os.path.abspath(__file__), "--worker", "--layer", args.layer,
+           "--nburn", str(args.nburn), "--repeats", str(args.repeats)]
     res = subprocess.run(cmd, env=env, capture_output=True, text=True)
     if res.returncode != 0:
         raise SystemExit(f"run under {src} exited {res.returncode}:\n{res.stderr}")
@@ -69,13 +119,18 @@ def main(argv=None) -> int:
     ap.add_argument("src", nargs="*", help="one or two src/ directories")
     ap.add_argument("--pairs", type=int, default=5,
                     help="runs per tree (pairs of runs with two trees)")
-    ap.add_argument("--nburn", type=int, default=100, help="sweeps per cohort")
+    ap.add_argument("--layer", choices=sorted(TITLES), default="jm",
+                    help="what to time: the JM sweep or the LMM fit")
+    ap.add_argument("--nburn", type=int, default=100, help="jm: sweeps per cohort")
+    ap.add_argument("--repeats", type=int, default=5,
+                    help="lmm: timed passes over the fits, median taken")
     ap.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
-    if args.nburn < 1:
-        ap.error("--nburn must be at least 1")
+    if args.nburn < 1 or args.repeats < 1:
+        ap.error("--nburn and --repeats must be at least 1")
     if args.worker:
-        print(json.dumps(measure(args.nburn)))
+        measure = measure_jm if args.layer == "jm" else measure_lmm
+        print(json.dumps(measure(args)))
         return 0
     if not 1 <= len(args.src) <= 2:
         ap.error("give one or two src/ directories")
@@ -88,19 +143,20 @@ def main(argv=None) -> int:
     runs = {src: [] for src in args.src}
     for i in range(args.pairs):
         for src in args.src if i % 2 == 0 else args.src[::-1]:
-            runs[src].append(run(src, args.nburn))
+            runs[src].append(run(src, args))
         print(f"pair {i + 1}/{args.pairs} done", file=sys.stderr, flush=True)
 
     first = runs[args.src[0]]
-    print(f"CPU ms per sweep, median over {args.pairs} runs per tree "
-          f"(nburn {args.nburn}, cohorts {COHORTS[0]}-{COHORTS[-1]})")
-    head = f"{'method':16s}" + "".join(f"{'tree ' + str(i + 1):>10s}"
-                                       for i in range(len(args.src)))
-    print(head + ("   ratio 2/1  pairs 2 faster" if len(args.src) == 2 else ""))
+    setting = f"nburn {args.nburn}" if args.layer == "jm" else f"repeats {args.repeats}"
+    print(f"{TITLES[args.layer]}, median over {args.pairs} runs per tree "
+          f"({setting}, cohorts {COHORTS[0]}-{COHORTS[-1]})")
+    head = f"{'row':20s}" + "".join(f"{'tree ' + str(i + 1):>10s}"
+                                    for i in range(len(args.src)))
+    print(head + ("   ratio 2/1  pairs 2 lower" if len(args.src) == 2 else ""))
     for method in first[0]:
-        row = f"{method:16s}"
+        row = f"{method:20s}"
         for src in args.src:
-            row += f"{1e3 * statistics.median(r[method] for r in runs[src]):10.3f}"
+            row += f"{statistics.median(r[method] for r in runs[src]):10.3f}"
         if len(args.src) == 2:
             pairs = list(zip(first, runs[args.src[1]]))
             ratio = statistics.median(b[method] / a[method] for a, b in pairs)

@@ -3,16 +3,21 @@
 The residual variance has a closed form given the ratios rho_k =
 sigma_k^2 / sigma_e^2, so the exact ML or REML deviance is profiled over
 it and minimised by Newton over the log ratios alone (Lindstrom & Bates,
-J. Am. Stat. Assoc. 83(404), 1988). V is never materialized: through the
-Woodbury identity everything runs on the capacitance matrix M = Z'Z +
-diag(1 / rho_k). With random intercepts each outer group's block of M is
-an arrowhead (the outer intercept over a diagonal of its inner groups),
-so its determinant, solves and inverse diagonal have a closed form in
-per-group sums: a Schur complement on the inner diagonal, the structure
-behind Henderson's mixed-model equations and lme4's profiled deviance
-(Bates, Maechler, Bolker & Walker, J. Stat. Softw. 67(1), 2015). A
-one-level model is the same path without the outer row, and a model
-with no grouping (ordinary least squares) the same path with M empty.
+J. Am. Stat. Assoc. 83(404), 1988). One evaluation gives the deviance
+with its gradient and its Hessian in the log ratios, both in closed
+form, so a Newton step costs one evaluation; nothing is differenced. V
+is never materialized: through the Woodbury identity everything runs on
+the capacitance matrix M = Z'Z + diag(1 / rho_k). With random intercepts
+each outer group's block of M is an arrowhead (the outer intercept over
+a diagonal of its inner groups), so its determinant, solves and inverse
+blocks have a closed form in per-group sums: a Schur complement on the
+inner diagonal, the structure behind Henderson's mixed-model equations
+and lme4's profiled deviance (Bates, Maechler, Bolker & Walker, J. Stat.
+Softw. 67(1), 2015). An inner group enters only through its size and
+its sums, so each sum runs over (inner size, outer group) cells rather
+than over inner groups. A one-level model is the same path without the
+outer row, and a model with no grouping (ordinary least squares) the
+same path with M empty.
 
 Components that collapse onto the boundary are pinned at zero and
 flagged; non-convergence returns the best point found with
@@ -29,11 +34,12 @@ import numpy as np
 
 from .errors import RankDeficient, UnsupportedNesting
 from .formula import ModelFormula, build_design, grouping_codes, parse_formula
-from .rng import check_rank, cho_factor, cho_solve
+from .rng import check_rank, chol_inverse
 from .table import Dataset
 
 _LOG2PI = math.log(2.0 * math.pi)
 _MAX_NEWTON = 50
+_POWERS = np.array([[1.0], [2.0], [3.0]])
 
 
 @dataclasses.dataclass
@@ -60,15 +66,16 @@ class LmmFit:
 
 
 class _Blocks:
-    """Per-group sums of the data for nested random intercepts.
+    """Per-group sums of the data for nested random intercepts, by size.
 
-    ``counts[k]`` and ``sums[k]`` hold each level-k group's row count and
-    its column sums of F = [X | y], outermost level first. An inner group
-    is an (outer, inner) label pair, so inner labels reused across outer
-    groups still nest. With two levels the inner groups are sorted by
-    outer group: ``up`` maps each to its outer group and ``starts`` marks
-    where each outer group's run begins. With no grouping both lists are
-    empty.
+    ``levels[k]`` summarises level k's groups, outermost first: the
+    distinct group sizes n, how many groups have each size, and per size
+    the sum of F_g F_g' (flattened) over its groups' column sums F_g of F
+    = [X | y]. With two levels ``nest`` also holds, per inner size and
+    outer group, the number of inner groups and the sum of their F_g, and
+    each outer group's F_g. An inner group is an (outer, inner) label
+    pair, so inner labels reused across outer groups still nest. With no
+    grouping ``levels`` is empty.
     """
 
     def __init__(self, X: np.ndarray, y: np.ndarray, codes: list[np.ndarray]):
@@ -80,11 +87,10 @@ class _Blocks:
         F = np.column_stack([X, y])
         self.FtF = F.T @ F
         self.var_y = float(np.var(y))
-        self.counts, self.sums = [], []
-        self.up = self.starts = None
+        self.levels, self.nest = [], None
         if codes:
             self._group(F, codes)
-        self.q_level = np.array([len(c) for c in self.counts], dtype=int)
+        self.q_level = np.array([m.sum() for _, m, _ in self.levels], dtype=int)
 
     def _group(self, F: np.ndarray, codes: list[np.ndarray]) -> None:
         key = codes[0]
@@ -92,20 +98,34 @@ class _Blocks:
             _, outer = np.unique(codes[0], return_inverse=True)
             _, inner = np.unique(codes[1], return_inverse=True)
             key = outer * (inner.max() + 1) + inner
-        _, first, code = np.unique(key, return_index=True, return_inverse=True)
-        order = np.argsort(code, kind="stable")
-        inner_n = np.bincount(code).astype(float)
-        inner_F = np.add.reduceat(F[order], _run_starts(code[order]), axis=0)
-        self.counts, self.sums = [inner_n], [inner_F]
+        _, first, code, n_g = np.unique(
+            key, return_index=True, return_inverse=True, return_counts=True
+        )
+        inner_F = _sums(code, F, len(n_g))
+        level, size = _by_size(n_g, inner_F)
+        self.levels = [level]
         if len(codes) == 2:
-            self.up = outer[first]
-            self.starts = _run_starts(self.up)
-            self.counts.insert(0, np.add.reduceat(inner_n, self.starts))
-            self.sums.insert(0, np.add.reduceat(inner_F, self.starts, axis=0))
+            shape = len(level[0]), outer.max() + 1  # (inner size, outer group)
+            cell = np.ravel_multi_index((size, outer[first]), shape)
+            n_cell = np.bincount(cell, minlength=shape[0] * shape[1]).reshape(shape)
+            F_cell = _sums(cell, inner_F, n_cell.size).reshape(shape[0], -1)
+            F_outer = F_cell.reshape(*shape, -1).sum(axis=0)
+            self.nest = n_cell, F_cell, F_outer
+            self.levels.insert(0, _by_size(level[0] @ n_cell, F_outer)[0])
 
 
-def _run_starts(sorted_codes: np.ndarray) -> np.ndarray:
-    return np.flatnonzero(np.diff(sorted_codes, prepend=-1))
+def _sums(code: np.ndarray, F: np.ndarray, size: int) -> np.ndarray:
+    """Column sums of the rows of F per code in range(size)."""
+    return np.array([np.bincount(code, weights=col, minlength=size) for col in F.T]).T
+
+
+def _by_size(n_g: np.ndarray, F_g: np.ndarray):
+    """(distinct sizes, groups per size, per-size sum of F_g F_g') and
+    each group's index into the sizes."""
+    n, size = np.unique(n_g, return_inverse=True)
+    one_hot = size == np.arange(len(n))[:, None]
+    FF = F_g.T @ (one_hot[:, :, None] * F_g)
+    return (n.astype(float), one_hot.sum(axis=1), FF.reshape(len(n), -1)), size
 
 
 def _restrict_blocks(blocks: _Blocks, keep: np.ndarray) -> _Blocks:
@@ -113,9 +133,8 @@ def _restrict_blocks(blocks: _Blocks, keep: np.ndarray) -> _Blocks:
     if keep.all():
         return blocks
     sub = copy.copy(blocks)
-    sub.counts = [c for c, k in zip(blocks.counts, keep) if k]
-    sub.sums = [s for s, k in zip(blocks.sums, keep) if k]
-    sub.up = sub.starts = None
+    sub.levels = [lv for lv, k in zip(blocks.levels, keep) if k]
+    sub.nest = None
     sub.q_level = blocks.q_level[keep]
     return sub
 
@@ -124,38 +143,58 @@ def _solve(blocks: _Blocks, lam: np.ndarray):
     """Closed-form pieces of M = Z'Z + diag(lam) for lam = 1 / rho.
 
     Each outer group's block of M is an arrowhead: the outer row over a
-    diagonal d_j = n_j + lam_1 of its inner groups. With the Schur
-    complement t_s = lam_0 + lam_1 * sum_j n_j / d_j, log det M is
-    sum log d + sum log t, and M^-1 b solves x_s = (b_s - sum_j n_j b_j /
-    d_j) / t_s, then x_j = (b_j - n_j x_s) / d_j. Returns log det M,
-    F'Z M^-1 Z'F, and per level M^-1 Z'F and the diagonal of M^-1; with
-    no level M is empty, so both of the first are 0.
+    diagonal d_j = n_j + lam_1 of its inner groups. With f = n / d and
+    the Schur complement t_s = lam_0 + lam_1 sum_j f_j, log det M is sum
+    log d + sum log t, and M^-1 b solves x_s = (b_s - sum_j f_j b_j) /
+    t_s, then x_j = b_j / d_j - f_j x_s. With sol = M^-1 Z'F, sol_k its
+    level-k rows and E_l the projection on level l's rows, returns log
+    det M, F'Z sol, and per level G_k = sol_k'sol_k, per pair C_kl =
+    sol_k'(M^-1 E_l sol)_k and N_kl = ||(M^-1)_kl||_F^2, and per level
+    tr (M^-1)_kk. As d depends on a group's size alone, each is a sum
+    over (inner size, outer group) cells, never over inner groups.
     """
-    if not blocks.counts:
-        return 0.0, 0.0, [], []
-    n1, F1 = blocks.counts[-1], blocks.sums[-1]
-    d = n1 + lam[-1]
-    sol1 = F1 / d[:, None]
-    diag1 = 1.0 / d
-    logdet = float(np.sum(np.log(d)))
-    K = F1.T @ sol1
-    if blocks.starts is None:
-        return logdet, K, [sol1], [diag1]
-    f = n1 * diag1
-    t = lam[0] + lam[1] * np.add.reduceat(f, blocks.starts)
-    R = blocks.sums[0] - np.add.reduceat(f[:, None] * F1, blocks.starts, axis=0)
-    sol0 = R / t[:, None]
-    K += R.T @ sol0
-    logdet += float(np.sum(np.log(t)))
-    sol1 -= f[:, None] * sol0[blocks.up]
-    diag1 += f**2 / t[blocks.up]
-    return logdet, K, [sol0, sol1], [1.0 / t, diag1]
+    P = blocks.p + 1
+    if not blocks.levels:
+        return (
+            0.0, 0.0, np.zeros((0, P, P)), np.zeros((0, 0, P, P)), np.zeros((0, 0)),
+            np.zeros(0),
+        )
+    n, m, FF = blocks.levels[-1]
+    w = 1.0 / (n + lam[-1])
+    ww = w ** _POWERS  # w, w^2, w^3 per inner size
+    K, G1, C1 = (ww @ FF).reshape(3, P, P)
+    dsum1, N1, _ = ww @ m
+    logdet = -float(m @ np.log(w))
+    if blocks.nest is None:
+        return logdet, K, G1[None], C1[None, None], np.array([[N1]]), np.array([dsum1])
+    n_cell, F_cell, F_outer = blocks.nest
+    f = n * w
+    sf, phi, phi2 = np.array([f, f * f, f * f * w]) @ n_cell
+    fF, H, H2 = ((n * ww) @ F_cell).reshape(3, -1, P)  # f w^k = n w^(k+1)
+    t = lam[0] + lam[1] * sf
+    it = 1.0 / t
+    R = F_outer - fF
+    sol0 = R * it[:, None]
+    Gf = H - phi[:, None] * sol0  # sum_j f_j sol_j per outer group
+    s0T = sol0.T
+    HS, H2S = s0T @ H, s0T @ H2
+    C01 = -s0T @ (it[:, None] * Gf)
+    C11 = C1 + s0T @ (phi2[:, None] * sol0) - H2S - H2S.T + Gf.T @ (it[:, None] * Gf)
+    N01 = phi @ (it * it)
+    return (
+        logdet + float(np.log(t).sum()),
+        K + R.T @ sol0,
+        np.array([s0T @ sol0, G1 + s0T @ (phi[:, None] * sol0) - HS - HS.T]),
+        np.array([[s0T @ (it[:, None] * sol0), C01], [C01.T, C11]]),
+        np.array([[it @ it, N01], [N01, N1 + 2.0 * phi2 @ it + (phi * it) @ (phi * it)]]),
+        np.array([it.sum(), dsum1 + phi @ it]),
+    )
 
 
 def _deviance_core(
     blocks: _Blocks, rho: np.ndarray, criterion: str, sig_e: float | None = None
 ):
-    """Deviance, profiled sigma_e^2, gradient, beta and chol(S) at ratios rho.
+    """Deviance, profiled sigma_e^2, gradient, beta, S^-1 and Hessian at rho.
 
     Given rho_k = sigma_k^2 / sigma_e^2 everything but sigma_e^2 is fixed:
     with r0 = A_yy - beta'A_Xy and dof = n - p (REML) or n (ML), the
@@ -166,16 +205,24 @@ def _deviance_core(
     last: with u = M^-1 Z'(y - X beta) and W = M^-1 Z'X, Z'V^-1 = diag(lam)
     M^-1 Z' / sig_e and Z'V^-1 Z = (lam - lam^2 M^-1) / sig_e turn its trace
     and quadratic terms into per-level sums of u^2, diag(M^-1) and
-    tr(S^-1 W_k'W_k).
+    tr(S^-1 W_k'W_k). On the profile, in x = log rho, the gradient is g_k
+    = q_k - lam_k a_k with a_k = tr(M^-1)_kk + |u_k|^2 / s2 [+ tr(S^-1
+    W_k'W_k) under REML], and as dM/dx_l = -lam_l E_l the Hessian is
+    delta_kl lam_k a_k - lam_k lam_l T_kl (Lindstrom & Bates 1988) with
+    T_kl = N_kl + 2 (u_k'(M^-1 E_l u)_k + (W_k'u_k)'S^-1 (W_l'u_l)) / s2 +
+    |u_k|^2 |u_l|^2 / (dof s2^2) [+ tr(S^-1 W_l'W_l S^-1 W_k'W_k) + 2
+    tr(S^-1 W_k'(M^-1 E_l W)_k)]. As u and W are sol times c = (-beta,
+    1) and the first p unit vectors, each term contracts G or C.
     """
     n, p = blocks.n, blocks.p
     reml = criterion == "REML"
     dof = n - p * reml
     lam = 1.0 / rho
-    logdetM, K, sol, diag = _solve(blocks, lam)
+    logdetM, K, G, C, N, dsum = _solve(blocks, lam)
     A = blocks.FtF - K  # [S c; c' y'y_adj], profiled over the random effects
-    S_cf = cho_factor(A[:p, :p], lower=True)
-    beta = cho_solve(S_cf, A[:p, p])
+    L_inv = chol_inverse(A[:p, :p])
+    S_inv = L_inv.T @ L_inv
+    beta = L_inv.T @ (L_inv @ A[:p, p])
     s2 = max(A[p, p] - float(beta @ A[:p, p]), 1e-300) / dof
     sig_e = s2 if sig_e is None else sig_e
     dev = (
@@ -184,19 +231,23 @@ def _deviance_core(
         + logdetM
     )
     if reml:
-        dev += 2.0 * float(np.sum(np.log(np.diag(S_cf[0]))))
-    usq, dsum, tw = np.empty((3, len(sol)))
-    for k, (s, dg) in enumerate(zip(sol, diag)):
-        W = s[:, :p]
-        u = s[:, p] - W @ beta
-        usq[k] = u @ u
-        dsum[k] = dg.sum()
-        tw[k] = np.trace(cho_solve(S_cf, W.T @ W))
+        dev -= 2.0 * float(np.log(L_inv.diagonal()).sum())
+    c = np.concatenate((-beta, [1.0]))
+    Gc = G @ c
+    usq, Wu = Gc @ c, Gc[:, :p]
+    SW = S_inv @ G[:, :p, :p]  # S^-1 W_k'W_k
+    tw = np.einsum("kii->k", SW)
     sig = rho * sig_e
     grad_sig = blocks.q_level / sig - (sig_e * (dsum + reml * tw) + usq) / sig**2
     trV_e = n - blocks.q_level.sum() + float(lam @ dsum) - reml * (p - float(lam @ tw))
     grad_e = trV_e / sig_e - (dof * s2 - float(lam @ usq)) / sig_e**2
-    return dev, s2, np.append(grad_sig, grad_e), beta, S_cf
+    T = N + 2.0 * ((C @ c) @ c + Wu @ S_inv @ Wu.T) / s2
+    T += usq[:, None] * usq / (dof * s2 * s2)
+    if reml:
+        T += np.einsum("kij,lji->kl", SW, SW)
+        T += 2.0 * np.einsum("ij,klji->kl", S_inv, C[..., :p, :p])
+    hess = np.diag(lam * (dsum + usq / s2 + reml * tw)) - lam[:, None] * lam * T
+    return dev, s2, np.append(grad_sig, grad_e), beta, S_inv, hess
 
 
 def _deviance(blocks, theta, criterion):
@@ -210,29 +261,33 @@ def _gradient(blocks: _Blocks, theta: np.ndarray, criterion: str) -> np.ndarray:
 
 def _fit_components(blocks: _Blocks, criterion: str):
     """Newton on the log variance ratios of the deviance profiled over
-    sigma_e^2; returns (theta, deviance, converged, n_iter, boundary_mask).
+    sigma_e^2; returns (theta, deviance, converged, n_iter, boundary_mask,
+    beta, S^-1), the last two from the GLS at the returned point.
 
     It starts at rho = 1 (lme4's default) and steps with the absolute
-    eigenvalues of a central-difference Hessian, which is indefinite there
-    for nested fits. On the log scale the gradient vanishes as rho_k -> 0,
-    so convergence is tested on d(deviance)/d(rho). A ratio that falls
+    eigenvalues of the analytic Hessian from ``_deviance_core``, which is
+    indefinite there for nested fits, so each step costs one evaluation
+    plus any halvings. On the log scale the gradient vanishes as rho_k ->
+    0, so convergence is tested on d(deviance)/d(rho). A ratio that falls
     below the floor, or whose gradient still points at zero when the loop
     stops unconverged, is checked against the fit without its level: the
     lower deviance wins, and a tie goes to the smaller model.
     """
     L = len(blocks.q_level)
     if L == 0:
-        dev, s2 = _deviance_core(blocks, np.empty(0), criterion)[:2]
-        return np.array([s2]), dev, True, 0, np.zeros(0, dtype=bool)
+        dev, s2, _, beta, S_inv, _ = _deviance_core(blocks, np.empty(0), criterion)
+        return np.array([s2]), dev, True, 0, np.zeros(0, dtype=bool), beta, S_inv
     floor = 1e-7 * max(blocks.var_y, 1e-12)
 
     def at(x):
-        """Deviance, sigma_e^2 and d(deviance)/d(log rho) at rho = exp(x)."""
-        dev, s2, grad = _deviance_core(blocks, np.exp(x), criterion)[:3]
-        return dev, s2, grad[:-1] * np.exp(x) * s2
+        """Deviance, sigma_e^2, d(deviance)/d(log rho), its Hessian, beta
+        and S^-1 at rho = exp(x)."""
+        dev, s2, grad, beta, S_inv, hess = _deviance_core(blocks, np.exp(x), criterion)
+        return dev, s2, grad[:-1] * np.exp(x) * s2, hess, beta, S_inv
 
     x = np.zeros(L)
-    dev, s2, g = at(x)
+    ev = at(x)
+    dev, s2, g, H = ev[:4]
     tol = 1e-9 * max(1.0, abs(dev))  # on d(deviance)/d(rho)
     dev_tol = 1e-2 * tol  # above the deviance's rounding noise
     it = 0
@@ -242,9 +297,6 @@ def _fit_components(blocks: _Blocks, criterion: str):
         if np.max(np.abs(g / np.exp(x))) < tol:
             converged = True
             break
-        H = np.empty((L, L))
-        for j, e in enumerate(1e-5 * np.eye(L)):
-            H[:, j] = (at(x + e)[2] - at(x - e)[2]) / 2e-5
         w, V = np.linalg.eigh((H + H.T) / 2.0)
         step = -V @ ((V.T @ g) / np.maximum(np.abs(w), 1e-8))
         step = np.clip(step, -4.0, 4.0)
@@ -256,7 +308,8 @@ def _fit_components(blocks: _Blocks, criterion: str):
         else:
             break
         x = x + step
-        dev, s2, g = new
+        ev = new
+        dev, s2, g, H = ev[:4]
         if (np.exp(x) * s2 < floor).any() or np.max(np.abs(step)) < 1e-11:
             break
     rho = np.exp(x)
@@ -264,15 +317,15 @@ def _fit_components(blocks: _Blocks, criterion: str):
     if low.any():
         keep = np.flatnonzero(~low)
         sub = _restrict_blocks(blocks, ~low)
-        th, sub_dev, sub_cv, sub_it, sub_bd = _fit_components(sub, criterion)
+        th, sub_dev, sub_cv, sub_it, sub_bd, *gls = _fit_components(sub, criterion)
         theta = np.zeros(L + 1)
         theta[keep], theta[-1] = th[:-1], th[-1]
         boundary = low.copy()
         boundary[keep[sub_bd]] = True
         if sub_dev <= dev + dev_tol:
             # iterations before the drop count too
-            return theta, sub_dev, sub_cv, it + sub_it, boundary
-    return np.append(rho * s2, s2), dev, converged, it, np.zeros(L, dtype=bool)
+            return theta, sub_dev, sub_cv, it + sub_it, boundary, *gls
+    return np.append(rho * s2, s2), dev, converged, it, np.zeros(L, dtype=bool), *ev[4:]
 
 
 def fit_lmm(
@@ -309,13 +362,10 @@ def fit_lmm_arrays(
         raise RankDeficient(f"need n > p, got n={n}, p={p}")
     check_rank(X)
     blocks = _Blocks(X, y, [np.asarray(c, dtype=int) for c in codes])
-    theta, dev, converged, n_iter, boundary = _fit_components(blocks, criterion)
-    # final GLS at the optimum (boundary components pinned at zero)
-    live = theta[:-1] > 0
-    *_, beta, S_cf = _deviance_core(
-        _restrict_blocks(blocks, live), theta[:-1][live] / theta[-1], criterion
+    theta, dev, converged, n_iter, boundary, beta, S_inv = _fit_components(
+        blocks, criterion
     )
-    se = np.sqrt(np.maximum(np.diag(cho_solve(S_cf, np.eye(p)) * theta[-1]), 0.0))
+    se = np.sqrt(np.maximum(np.diag(S_inv) * theta[-1], 0.0))
     comps = {f"level{k}": float(theta[k]) for k in range(len(codes))}
     comps["residual"] = float(theta[-1])
     names = names or [f"x{j}" for j in range(p)]

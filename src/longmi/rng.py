@@ -111,6 +111,12 @@ def chol(cov: np.ndarray) -> np.ndarray:
         ) from None
 
 
+def chol_inverse(a: np.ndarray) -> np.ndarray:
+    """inv(L) for the lower Cholesky factor L of an SPD matrix a: inv(a)
+    is inv(L)' inv(L) and log det a is -2 sum log diag(inv(L))."""
+    return np.linalg.inv(chol(a))
+
+
 def check_rank(X: np.ndarray, r: np.ndarray | None = None) -> None:
     """Raise ``RankDeficient`` unless X has full column rank, judged from
     the diagonal of R in X = QR (computed without Q when not given)."""
@@ -187,7 +193,9 @@ def conditional_mvn(
 
 def _bartlett(rng: RngStream, dof: np.ndarray, n: int, p: int) -> np.ndarray:
     """Lower-triangular T per draw with T T' ~ Wishart(dof, I_p)."""
-    if (dof <= p - 1).any():
+    if dof.size == 1:
+        dof = dof.item()  # a scalar takes chisquare's faster path, same draws
+    if np.any(np.less_equal(dof, p - 1)):
         raise InvalidDof(f"dof must exceed p - 1 = {p - 1}")
     T = np.zeros((n, p, p))
     for i in range(p):

@@ -146,8 +146,19 @@ def _row_key(columns, shape_kind: str) -> list[int]:
 
 def _first_repeat(values: np.ndarray, key: list[int]) -> int | None:
     """The first row that agrees with an earlier row on every key column
-    (NaN matches nothing), or None."""
+    (NaN matches nothing), or None.
+
+    Rows already in strictly increasing key order, the order ``impute``
+    writes, hold no repeat; one vectorised pass over adjacent rows
+    checks that before any sort. A NaN in the column that decides a
+    pair fails the check, so that pair goes to the sort.
+    """
     cols = [values[:, j] for j in key]
+    later = np.zeros(max(len(values) - 1, 0), dtype=bool)
+    for c in cols[::-1]:  # rows[i + 1] > rows[i] from this column on
+        later = (c[1:] > c[:-1]) | ((c[1:] == c[:-1]) & later)
+    if later.all():
+        return None
     order = np.lexsort(cols[::-1])  # stable: equal keys stay in row order
     rows = values[np.ix_(order, key)]
     repeats = order[1:][(rows[1:] == rows[:-1]).all(axis=1)]

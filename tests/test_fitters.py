@@ -433,6 +433,51 @@ class TestNestedLmm:
             ) / (2 * h[k])
             assert grad[k] == pytest.approx(fd, rel=1e-6, abs=1e-6)
 
+    @pytest.mark.parametrize("crit", ["ML", "REML"])
+    @pytest.mark.parametrize("levels", [1, 2])
+    def test_hessian_matches_central_differences(self, crit, levels):
+        from longmi import lmm
+
+        rng = np.random.default_rng(29)
+        y, X, school, student, pair = nested_data(
+            rng, rng.integers(8, 16, 12), 0.3, 0.5, 0.4
+        )
+        codes = [school, student] if levels == 2 else [pair]
+        blocks = lmm._Blocks(X, y, codes)
+
+        def terms(x):
+            """Profiled d(deviance)/d(log rho) and its analytic Hessian."""
+            _, s2, grad, _, _, hess = lmm._deviance_core(blocks, np.exp(x), crit)
+            return grad[:-1] * np.exp(x) * s2, hess
+
+        theta = np.array(list(fit_lmm_arrays(y, X, codes, crit).var_components.values()))
+        opt = np.log(theta[:-1] / theta[-1])
+        near_zero = opt.copy()
+        near_zero[0] = np.log(1e-4)
+        for x in (np.zeros(levels), opt, near_zero):
+            fd = fd_jacobian(lambda v: terms(v)[0], x)
+            np.testing.assert_allclose(
+                terms(x)[1], fd, rtol=1e-6, atol=1e-6 * np.abs(fd).max()
+            )
+
+    @pytest.mark.parametrize("crit", ["ML", "REML"])
+    def test_one_deviance_evaluation_per_newton_step(self, crit, monkeypatch):
+        from longmi import lmm
+
+        rng = np.random.default_rng(27)
+        y, X, school, student, pair = nested_data(
+            rng, rng.integers(20, 41, 30), 0.08, 0.25, 0.25
+        )
+        core, calls = lmm._deviance_core, []
+        monkeypatch.setattr(
+            lmm, "_deviance_core", lambda *a, **k: calls.append(1) or core(*a, **k)
+        )
+        for codes in ([pair], [school, student]):
+            calls.clear()
+            fit = fit_lmm_arrays(y, X, codes, crit)
+            assert fit.converged and fit.boundary == ()
+            assert 0 < len(calls) <= 2 * fit.n_iter
+
     def test_school_variance_on_boundary_equals_one_level_fit(self):
         rng = np.random.default_rng(23)
         # every school holds the same students' values: identical school means

@@ -191,6 +191,15 @@ class TestWishartPrecision:
         np.testing.assert_allclose(Q[:50] @ omega[:50], np.broadcast_to(
             np.eye(3), (50, 3, 3, 3)), atol=1e-10)
 
+    def test_one_entry_dof_array_draws_as_its_scalar(self):
+        scale = random_spd(np.random.default_rng(4), 11)[None]
+        a = wishart_precision_draw(RngStream(12), scale, np.array([30.0]))
+        b = wishart_precision_draw(RngStream(12), scale, 30.0)
+        for x, y in zip(a, b):
+            np.testing.assert_array_equal(x, y)
+        with pytest.raises(InvalidDof):
+            wishart_precision_draw(RngStream(0), scale, np.array([10.0]))
+
     def test_invalid_dof_and_scale(self):
         with pytest.raises(InvalidDof):
             wishart_precision_draw(RngStream(0), np.eye(3)[None], 1.5)

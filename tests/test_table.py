@@ -670,6 +670,38 @@ def test_stack_repeats_units_across_imputations(tmp_path):
         read_csv(path)
 
 
+def _lexsort_first_repeat(values, key):
+    """The sort-only search: first row equal to an earlier one on the key."""
+    order = np.lexsort([values[:, j] for j in key][::-1])
+    rows = values[np.ix_(order, key)]
+    repeats = order[1:][(rows[1:] == rows[:-1]).all(axis=1)]
+    return int(repeats.min()) if repeats.size else None
+
+
+def test_first_repeat_sorted_and_unsorted_stacks():
+    d = stacked_dataset(np.random.default_rng(5), m=3, n_units=6)
+    keys = d.values[:, :3]  # Imputation, id, time: written in sorted order
+    key = [0, 1, 2]
+    assert table._first_repeat(keys, key) is None
+    # a sorted stack with an adjacent repeat
+    sorted_rep = keys[np.r_[0:20, 19, 20:len(keys)]]
+    assert table._first_repeat(sorted_rep, key) == 20
+    assert _lexsort_first_repeat(sorted_rep, key) == 20
+    # an unsorted stack with a repeat: the earliest later copy is named
+    perm = np.random.default_rng(6).permutation(len(keys))
+    unsorted_rep = keys[np.r_[perm, perm[[30, 4]]]]
+    assert table._first_repeat(keys[perm], key) is None
+    assert table._first_repeat(unsorted_rep, key) == len(keys)
+    assert _lexsort_first_repeat(unsorted_rep, key) == len(keys)
+    # NaN matches nothing, in the deciding column or after it
+    nan_rows = sorted_rep.copy()
+    nan_rows[[19, 20], 2] = np.nan
+    assert table._first_repeat(nan_rows, key) is None
+    nan_rows[[19, 20], 2] = sorted_rep[19, 2]
+    nan_rows[5, 0] = np.nan
+    assert table._first_repeat(nan_rows, key) == _lexsort_first_repeat(nan_rows, key) == 20
+
+
 def test_unknown_level_names_line(tmp_path):
     d = Dataset.build(
         [ColumnSpec("id", "continuous", "unit-id"),
