@@ -168,6 +168,8 @@ def _solve(blocks: _Blocks, lam: np.ndarray):
     if blocks.nest is None:
         return logdet, K, G1[None], C1[None, None], np.array([[N1]]), np.array([dsum1])
     n_cell, F_cell, F_outer = blocks.nest
+    # sol_j = F_j / d_j - f_j sol0_s, so each product summed over the inner
+    # groups of s is one of F_j weighted by f w^k, f^2 w^k or 1, per cell
     f = n * w
     sf, phi, phi2 = np.array([f, f * f, f * f * w]) @ n_cell
     fF, H, H2 = ((n * ww) @ F_cell).reshape(3, -1, P)  # f w^k = n w^(k+1)
