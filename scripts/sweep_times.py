@@ -10,7 +10,7 @@ included, so K should be large enough to amortise them). ``--layer lmm``
 imputes each cohort with ``fcs-3l`` (m 5, maxit 3) and reports, for the
 ``(1|id)`` and ``(1|school/id)`` REML fits of the benchmark's analysis
 formula over the 15 completed datasets, the CPU ms per fit (median of
-``--repeats`` passes) and the ``lmm._deviance_core`` calls per fit. Given
+five passes) and the ``lmm._deviance_core`` calls per fit. Given
 two ``src/`` directories the runs come in pairs, one per tree, and the
 trees alternate which goes first. The script prints each tree's median
 per row and, with two trees, the median of the per-pair ratios tree 2 /
@@ -36,6 +36,7 @@ SEED = 7
 FORMULA = ("numeracy_score ~ prev_dep + time + age + numeracy_scorew1 + sex"
            " + factor(ses) + ")
 TITLES = {"jm": "CPU ms per sweep", "lmm": "CPU ms and _deviance_core calls per fit"}
+LMM_PASSES = 5
 
 
 def cohorts():
@@ -79,7 +80,7 @@ def measure_lmm(args) -> dict[str, float]:
         formula = FORMULA + random
         lmm.fit_lmm(formula, data[0])  # warm-up
         passes = []
-        for _ in range(args.repeats):
+        for _ in range(LMM_PASSES):
             t = time.process_time()
             for d in data:
                 lmm.fit_lmm(formula, d)
@@ -107,7 +108,7 @@ def run(src: str, args) -> dict[str, float]:
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
     cmd = [sys.executable, os.path.abspath(__file__), "--worker", "--layer", args.layer,
-           "--nburn", str(args.nburn), "--repeats", str(args.repeats)]
+           "--nburn", str(args.nburn)]
     res = subprocess.run(cmd, env=env, capture_output=True, text=True)
     if res.returncode != 0:
         raise SystemExit(f"run under {src} exited {res.returncode}:\n{res.stderr}")
@@ -122,12 +123,10 @@ def main(argv=None) -> int:
     ap.add_argument("--layer", choices=sorted(TITLES), default="jm",
                     help="what to time: the JM sweep or the LMM fit")
     ap.add_argument("--nburn", type=int, default=100, help="jm: sweeps per cohort")
-    ap.add_argument("--repeats", type=int, default=5,
-                    help="lmm: timed passes over the fits, median taken")
     ap.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
-    if args.nburn < 1 or args.repeats < 1:
-        ap.error("--nburn and --repeats must be at least 1")
+    if args.nburn < 1:
+        ap.error("--nburn must be at least 1")
     if args.worker:
         measure = measure_jm if args.layer == "jm" else measure_lmm
         print(json.dumps(measure(args)))
@@ -147,7 +146,7 @@ def main(argv=None) -> int:
         print(f"pair {i + 1}/{args.pairs} done", file=sys.stderr, flush=True)
 
     first = runs[args.src[0]]
-    setting = f"nburn {args.nburn}" if args.layer == "jm" else f"repeats {args.repeats}"
+    setting = f"nburn {args.nburn}" if args.layer == "jm" else f"{LMM_PASSES} passes"
     print(f"{TITLES[args.layer]}, median over {args.pairs} runs per tree "
           f"({setting}, cohorts {COHORTS[0]}-{COHORTS[-1]})")
     head = f"{'row':20s}" + "".join(f"{'tree ' + str(i + 1):>10s}"
