@@ -173,9 +173,9 @@ def cmd_impute(args) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
     if args.nbetween < 100:
         raise BadConfig("nbetween below 100 risks dependent imputations")
-    for flag in ("m", "maxit", "nburn"):
-        if getattr(args, flag) < 1:
-            raise BadConfig(f"--{flag} must be at least 1")
+    for flag, least in (("m", 1), ("maxit", 1), ("nburn", 1), ("seed", 0)):
+        if getattr(args, flag) < least:
+            raise BadConfig(f"--{flag} must be at least {least}")
     baseline = {}
     for item in args.mtw_baseline or []:
         col, _, wave = item.partition("=")

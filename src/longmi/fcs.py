@@ -35,6 +35,8 @@ from .fitters import (
 from .rng import (
     RngStream,
     chol,
+    expit,
+    group_sums,
     precision_draw,
     solve_triangular,
     sym,
@@ -53,10 +55,6 @@ ALL_METHODS = ("none",) + ROW_METHODS + SLOPE_METHODS + ONLY_METHODS + NESTED_ME
 PMM_DONORS = 5
 _FIRST_VISIT_SWEEPS = 15
 _LATER_VISIT_SWEEPS = 5
-
-
-def _expit(x):
-    return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
 # ---------------------------------------------------------------------------
@@ -239,13 +237,10 @@ class UnivariateProblem:
     y_obs: np.ndarray
     X_obs: np.ndarray             # fixed design incl. intercept
     X_mis: np.ndarray
-    kind: str
-    n_levels: int
     codes_obs: tuple[np.ndarray, ...] = ()  # unit codes per random-effect level
     codes_mis: tuple[np.ndarray, ...] = ()
     sizes: tuple[int, ...] = ()             # units per level
     z_to_x: tuple[int, ...] = ()            # X columns with random coefficients
-    donor_k: int = PMM_DONORS
 
 
 def _pmm_pick(rng, pred_obs, y_obs, pred_mis, k):
@@ -279,18 +274,17 @@ def _pmm_pick(rng, pred_obs, y_obs, pred_mis, k):
     return y_obs[pick]
 
 
+def _linear_pmm(rng, prob: UnivariateProblem):
+    """Predictive mean matching on a linear fit: donors by their fitted
+    values, recipients by the values of one posterior parameter draw."""
+    ld = fit_linear_and_draw(rng, prob.X_obs, prob.y_obs)
+    return _pmm_pick(rng, prob.X_obs @ ld.beta_hat, prob.y_obs,
+                     prob.X_mis @ ld.beta_draw, PMM_DONORS)
+
+
 def _draw_mvn_params(rng, mean, cov):
     cov = sym(cov) + 1e-12 * np.eye(len(mean))
     return mean + chol(cov) @ rng.normal(size=len(mean))
-
-
-def _group_sums(group, W, n_groups):
-    """Per-group column sums of ``W``, added in row order (one bincount
-    per column, so the same bits as accumulating row by row)."""
-    out = np.empty((n_groups, W.shape[1]))
-    for b in range(W.shape[1]):
-        out[:, b] = np.bincount(group, weights=W[:, b], minlength=n_groups)
-    return out
 
 
 class _LmmGibbs:
@@ -339,7 +333,7 @@ class _LmmGibbs:
         else:
             Z = X[:, self.z_to_x]
             ZZ = (Z[:, :, None] * Z[:, None, :]).reshape(n, q * q)
-            ZtZ = [_group_sums(c, ZZ, s).reshape(s, q, q) for c, s in zip(codes, sizes)]
+            ZtZ = [group_sums(c, ZZ, s).reshape(s, q, q) for c, s in zip(codes, sizes)]
         if binary:
             lo = np.where(y == 0.0, 0.0, -np.inf)
             hi = np.where(y == 0.0, np.inf, 0.0)
@@ -394,7 +388,7 @@ class _LmmGibbs:
         """u_k given the rest at q > 1, from the residual r of all else:
         N(inv(lam) b, inv(lam)) per unit, with lam = Z'Z / sigma2 +
         inv(psi_k) (``ZtZ`` holds each unit's Z'Z) and b = Z'r / sigma2."""
-        b = _group_sums(c, Z * r[:, None], len(ZtZ)) / self.sigma2
+        b = group_sums(c, Z * r[:, None], len(ZtZ)) / self.sigma2
         return precision_draw(rng, ZtZ / self.sigma2 + self.psi_prec[k], b)
 
     def eta(self, X, codes):
@@ -435,12 +429,7 @@ def impute_univariate(
         return draws, state
 
     if method == "pmm":
-        ld = fit_linear_and_draw(rng, X_obs, y_obs)
-        return (
-            _pmm_pick(rng, X_obs @ ld.beta_hat, y_obs, X_mis @ ld.beta_draw,
-                      prob.donor_k),
-            state,
-        )
+        return _linear_pmm(rng, prob), state
 
     if method == "logreg":
         try:
@@ -448,14 +437,9 @@ def impute_univariate(
         except PerfectSeparation:
             if not fallback_pmm:
                 raise
-            ld = fit_linear_and_draw(rng, X_obs, y_obs)
-            return (
-                _pmm_pick(rng, X_obs @ ld.beta_hat, y_obs, X_mis @ ld.beta_draw,
-                          prob.donor_k),
-                state,
-            )
+            return _linear_pmm(rng, prob), state
         beta = _draw_mvn_params(rng, fit.beta_hat, fit.cov_hat)
-        p = _expit(X_mis @ beta)
+        p = expit(X_mis @ beta)
         return (rng.random(n_mis) < p).astype(float), state
 
     if method == "polr":
@@ -464,12 +448,7 @@ def impute_univariate(
         except PerfectSeparation:
             if not fallback_pmm:
                 raise
-            ld = fit_linear_and_draw(rng, X_obs, y_obs)
-            return (
-                _pmm_pick(rng, X_obs @ ld.beta_hat, y_obs, X_mis @ ld.beta_draw,
-                          prob.donor_k),
-                state,
-            )
+            return _linear_pmm(rng, prob), state
         k1 = fit.n_cutpoints
         params = _draw_mvn_params(rng, fit.beta_hat, fit.cov_hat)
         for _ in range(10):
@@ -499,7 +478,7 @@ def impute_univariate(
             return eta_mis + math.sqrt(state.sigma2) * rng.normal(size=n_mis), state
         # pmm: donors matched on the linear predictor incl. the random
         # effects (eta_hat averages the visit's sweeps over the observed rows)
-        return _pmm_pick(rng, state.eta_hat, y_obs, eta_mis, prob.donor_k), state
+        return _pmm_pick(rng, state.eta_hat, y_obs, eta_mis, PMM_DONORS), state
 
     raise ValueError(f"method {method!r} must be routed by the chain")
 
@@ -554,8 +533,6 @@ class _VisitPlan:
 
     col: int
     method: str
-    kind: str
-    n_levels: int
     obs: np.ndarray               # rows (units) with an observed target
     mis: np.ndarray               # rows (units) to impute
     rows: np.ndarray              # data rows of the target's missing cells
@@ -626,7 +603,6 @@ def _plan_run(
 def _visit_plan(d, target, method, cluster_col, levels, factor, x_cols, z_to_x):
     """One target's ``_VisitPlan``; ``factor`` factorizes a data column."""
     j = d.col_index(target)
-    sp = d.spec(target)
     miss = d.mask[:, j]
     rows = np.flatnonzero(miss)
     level_col = cluster_col if method in ONLY_METHODS else (
@@ -659,9 +635,8 @@ def _visit_plan(d, target, method, cluster_col, levels, factor, x_cols, z_to_x):
     if method in ONLY_METHODS:
         method = "norm" if method == "2lonly.norm" else "pmm"
     return _VisitPlan(
-        col=j, method=method, kind=sp.kind, n_levels=sp.n_levels,
-        obs=obs, mis=mis, rows=rows, x_cols=x_cols, z_to_x=z_to_x,
-        level=level, fill=fill,
+        col=j, method=method, obs=obs, mis=mis, rows=rows, x_cols=x_cols,
+        z_to_x=z_to_x, level=level, fill=fill,
         codes_obs=tuple(f.codes[obs] for f in units),
         codes_mis=tuple(f.codes[mis] for f in units),
         sizes=tuple(f.size for f in units),
@@ -718,8 +693,7 @@ class _Chain:
             X = np.column_stack([p.level.means(E[:, c]) for c in p.x_cols])
             X_obs, X_mis = X[p.obs], X[p.mis]
         prob = UnivariateProblem(
-            y_obs, X_obs, X_mis, p.kind, p.n_levels,
-            p.codes_obs, p.codes_mis, p.sizes, p.z_to_x,
+            y_obs, X_obs, X_mis, p.codes_obs, p.codes_mis, p.sizes, p.z_to_x
         )
         vals, self.state[col] = impute_univariate(
             self.rng, p.method, prob, self.state.get(col), self.fallback

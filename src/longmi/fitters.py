@@ -14,9 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyCategory, PerfectSeparation, RankDeficient
-from .rng import RngStream, check_rank, cho_factor, cho_solve, solve_triangular
+from .rng import RngStream, check_rank, cho_factor, cho_solve, expit, solve_triangular
 
 _SIGMA2_FLOOR = 1e-10
+_MAX_ITER = 100  # Newton steps of a logistic or ordinal fit
 
 
 def _settled(step) -> bool:
@@ -31,19 +32,13 @@ def _settled(step) -> bool:
     return bool(np.max(np.abs(step), initial=0.0) < 1e-3)
 
 
-def _expit(x):
-    return 0.5 * (1.0 + np.tanh(0.5 * x))
-
-
 @dataclass
 class LinearDraw:
     """OLS estimate plus one proper-imputation parameter draw."""
 
     beta_hat: np.ndarray
     beta_draw: np.ndarray
-    sigma2_hat: float
     sigma2_draw: float
-    xtx_inv: np.ndarray
 
 
 def fit_linear_and_draw(rng: RngStream, X: np.ndarray, y: np.ndarray) -> LinearDraw:
@@ -64,9 +59,8 @@ def fit_linear_and_draw(rng: RngStream, X: np.ndarray, y: np.ndarray) -> LinearD
         s2 = _SIGMA2_FLOOR
     sigma2_draw = (n - p) * s2 / rng.chisquare(n - p)
     r_inv = solve_triangular(r, np.eye(p))
-    xtx_inv = r_inv @ r_inv.T
     beta_draw = beta_hat + np.sqrt(sigma2_draw) * (r_inv @ rng.normal(size=p))
-    return LinearDraw(beta_hat, beta_draw, s2, float(sigma2_draw), xtx_inv)
+    return LinearDraw(beta_hat, beta_draw, float(sigma2_draw))
 
 
 @dataclass
@@ -76,9 +70,7 @@ class GlmFit:
     beta_hat: np.ndarray
     cov_hat: np.ndarray
     converged: bool
-    iterations: int
     loglik: float
-    names: list[str] | None = None
     n_cutpoints: int = 0
 
 
@@ -88,7 +80,7 @@ def _logistic_loglik(X, y, beta):
     return float(np.sum(y * eta - np.logaddexp(0.0, eta)))
 
 
-def fit_logistic(X: np.ndarray, y: np.ndarray, max_iter: int = 100) -> GlmFit:
+def fit_logistic(X: np.ndarray, y: np.ndarray) -> GlmFit:
     """Logistic MLE by iteratively reweighted least squares.
 
     Stops when max |score| < 1e-8 or the relative log-likelihood change
@@ -106,10 +98,9 @@ def fit_logistic(X: np.ndarray, y: np.ndarray, max_iter: int = 100) -> GlmFit:
     beta = np.zeros(p)
     ll = _logistic_loglik(X, y, beta)
     step = np.zeros(p)
-    it = 0
     converged = False
-    for it in range(1, max_iter + 1):
-        mu = _expit(X @ beta)
+    for _ in range(_MAX_ITER):
+        mu = expit(X @ beta)
         w = mu * (1 - mu)
         score = X.T @ (y - mu)
         if np.max(np.abs(score)) < 1e-8:
@@ -139,14 +130,14 @@ def fit_logistic(X: np.ndarray, y: np.ndarray, max_iter: int = 100) -> GlmFit:
     if ll_final > -1e-8 * n:
         # only separated or degenerate data push the likelihood to 0
         raise PerfectSeparation("response is perfectly predicted; MLE diverges")
-    mu = _expit(X @ beta)
+    mu = expit(X @ beta)
     w = np.maximum(mu * (1 - mu), 1e-12)
     info = (X * w[:, None]).T @ X
     try:
         cov = cho_solve(cho_factor(info), np.eye(p))
     except np.linalg.LinAlgError:
         raise PerfectSeparation("information matrix singular at optimum") from None
-    return GlmFit(beta, (cov + cov.T) / 2.0, converged, it, ll_final)
+    return GlmFit(beta, (cov + cov.T) / 2.0, converged, ll_final)
 
 
 def _polr_terms(X, yk, K, cut, beta):
@@ -161,7 +152,7 @@ def _polr_terms(X, yk, K, cut, beta):
     """
     p = X.shape[1]
     k1 = K - 1
-    gu, gl = _expit(np.concatenate([[-np.inf], cut, [np.inf]])[[yk + 1, yk]] - X @ beta)
+    gu, gl = expit(np.concatenate([[-np.inf], cut, [np.inf]])[[yk + 1, yk]] - X @ beta)
     pi = np.maximum(gu - gl, 1e-300)
     ll = float(np.sum(np.log(pi)))
     su = gu * (1 - gu) / pi  # 0 on the top level
@@ -205,7 +196,7 @@ def _polr_theta_terms(X, yk, K, theta):
     return -ll, g, H
 
 
-def fit_polr(X: np.ndarray, y: np.ndarray, max_iter: int = 100) -> GlmFit:
+def fit_polr(X: np.ndarray, y: np.ndarray) -> GlmFit:
     """Proportional-odds MLE: P(y <= k) = expit(cut_k - x beta).
 
     ``y`` holds 0-based ordinal codes; every level must be observed.
@@ -237,9 +228,8 @@ def fit_polr(X: np.ndarray, y: np.ndarray, max_iter: int = 100) -> GlmFit:
     theta = np.concatenate([theta, np.zeros(p)])
     f, g, H = _polr_theta_terms(Xr, yk, K, theta)
     step = np.zeros(m)
-    it = 0
     converged = False
-    for it in range(1, max_iter + 1):
+    for _ in range(_MAX_ITER):
         if np.max(np.abs(g)) < 1e-8:
             converged = _settled(step)
             break
@@ -278,7 +268,7 @@ def fit_polr(X: np.ndarray, y: np.ndarray, max_iter: int = 100) -> GlmFit:
     full_cov = np.zeros((packed.size, packed.size))
     live = np.concatenate([np.ones(k1, bool), keep])
     full_cov[np.ix_(live, live)] = (cov + cov.T) / 2.0
-    return GlmFit(packed, full_cov, converged, it, ll_final, n_cutpoints=k1)
+    return GlmFit(packed, full_cov, converged, ll_final, n_cutpoints=k1)
 
 
 def polr_category_probs(fit_or_params, X: np.ndarray, k1: int) -> np.ndarray:
@@ -286,7 +276,7 @@ def polr_category_probs(fit_or_params, X: np.ndarray, k1: int) -> np.ndarray:
     params = fit_or_params.beta_hat if isinstance(fit_or_params, GlmFit) else fit_or_params
     cut, beta = params[:k1], params[k1:]
     eta = np.asarray(X, dtype=float) @ beta
-    cdf = _expit(cut[None, :] - eta[:, None])
+    cdf = expit(cut[None, :] - eta[:, None])
     cdf = np.concatenate([np.zeros((len(eta), 1)), cdf, np.ones((len(eta), 1))], axis=1)
     probs = np.diff(cdf, axis=1)
     return np.maximum(probs, 0.0)

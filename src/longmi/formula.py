@@ -117,7 +117,7 @@ def parse_formula(text: str) -> ModelFormula:
 
 
 def build_design(
-    d: Dataset, formula: ModelFormula, require_complete: bool = True
+    d: Dataset, formula: ModelFormula
 ) -> tuple[np.ndarray, np.ndarray, list[str]]:
     """Response vector, fixed-effect matrix (with intercept) and names."""
     names = ["(Intercept)"]
@@ -128,10 +128,9 @@ def build_design(
     for g in formula.random:
         if d.column_mask(g).any():
             raise IncompleteModelData(f"grouping column {g!r} has missing cells")
-    if require_complete:
-        bad = [v for v in used if d.column_mask(v).any()]
-        if bad:
-            raise IncompleteModelData(f"masked cells in model variables {bad}")
+    bad = [v for v in used if d.column_mask(v).any()]
+    if bad:
+        raise IncompleteModelData(f"masked cells in model variables {bad}")
     for t in formula.fixed:
         spec = d.spec(t.column)
         x = d.column(t.column)

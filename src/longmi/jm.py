@@ -14,11 +14,13 @@ one-group case, and a cluster-specific one gives every cluster its own
 group. The sampler carries precisions: each inverse-Wishart draw of
 Omega (per group) or Psi returns the precision with the covariance, and
 every conditional is written in the precision, so no sweep inverts a
-covariance. Per-cluster and per-group sums of row products are batched
-matrix products over rows laid out by label once (``_Blocks``), and the
-fixed-effect precision sum_g Q_g (x) X_g'X_g is one GEMM. With one
-group it is Q (x) X'X, whose factor chol(Q) (x) chol(X'X) gives the
-draw of B in closed form.
+covariance. The random effects, B under several groups, the missing
+cells and the translation-interweave shift of the random effects' means
+are each one ``rng.precision_draw``. Per-cluster and per-group sums of
+row products are batched matrix products over rows laid out by label
+once (``_Blocks``), and the fixed-effect precision sum_g Q_g (x)
+X_g'X_g is one GEMM. With one group it is Q (x) X'X, whose factor
+chol(Q) (x) chol(X'X) gives the draw of B in closed form.
 
 Missing cells are drawn by one kernel that takes the stack of group
 precisions and a plan of the incomplete rows, built once per sampler,
@@ -47,13 +49,9 @@ from .errors import (
     UnknownParam,
 )
 from .rng import (
-    MvnParams,
     RngStream,
     cho_solve,
-    cho_solve_stack,
     chol,
-    conditional_mvn,
-    mvn_draw,
     precision_draw,
     solve_triangular,
     sym,
@@ -333,18 +331,16 @@ def _draw_missing(rng, Y, mu, Q, plan: _DrawPlan):
     Row i follows N(mu_i, inv(Q[group[i]])). Given its known cells the
     unknown block has precision Q_MM and mean
     mu_M - inv(Q_MM) Q_MO (y_O - mu_O). Each row's Q_MM is padded with the
-    identity on the known coordinates, so one batched Cholesky L L' covers
-    every pattern, and inv(L L') (L z - Q_MO (y_O - mu_O)) is that mean
-    shift plus the noise inv(L') z. Entries on known coordinates are
-    discarded.
+    identity on the known coordinates, so one ``precision_draw`` over the
+    stack, with b = -Q_MO (y_O - mu_O), covers every pattern. Entries on
+    known coordinates are discarded.
     """
     y, m = Y[plan.rows], mu[plan.rows]
     Qg = Q[plan.group]
-    L = chol(np.where(plan.both, Qg, plan.eye_known))
     dev = np.where(plan.unknown, 0.0, y - m)
-    z = rng.normal(size=y.shape)
-    rhs = np.einsum("nij,nj->ni", L, z) - np.einsum("nij,nj->ni", Qg, dev)
-    Y[plan.rows] = np.where(plan.unknown, m + cho_solve_stack(L, rhs), y)
+    shift = precision_draw(rng, np.where(plan.both, Qg, plan.eye_known),
+                           -np.einsum("nij,nj->ni", Qg, dev))
+    Y[plan.rows] = np.where(plan.unknown, m + shift, y)
 
 
 @dataclass(frozen=True)
@@ -585,23 +581,19 @@ class _MlmmSampler:
 
         The shift has a flat likelihood direction whenever a random
         covariate also appears among the fixed effects, so its
-        conditional is N(mean of the effects, Psi / C); moving the drawn
+        conditional is N(mean w of the effects, Psi / C); moving the drawn
         shift into B (and B2 for the level-2 block) is an exact Gibbs
-        step on an otherwise nearly frozen direction.
+        step on an otherwise nearly frozen direction. Coefficients
+        without a matching fixed effect stay at zero: with lam = C
+        inv(Psi), the rest S have precision lam_SS and b = (lam w)_S.
         """
         C, q, r, qr = self.C, self.q, self.r, self.qr
         w = self.U.transpose(0, 2, 1).reshape(C, qr)
         if self.r2:
             w = np.concatenate([w, self._v_resid()], axis=1)
-        wbar = w.mean(axis=0)
-        params = MvnParams(wbar, sym(self.Psi / C))
-        if self._shiftable.all():
-            shift = mvn_draw(rng, params)
-        else:
-            fixed = np.where(~self._shiftable)[0]
-            cond = conditional_mvn(params, fixed, np.zeros(fixed.size))
-            shift = np.zeros(self.dim_psi)
-            shift[self._shiftable] = mvn_draw(rng, cond)
+        lam, s = C * self.Psi_prec, self._shiftable
+        shift = np.zeros(self.dim_psi)
+        shift[s] = precision_draw(rng, lam[np.ix_(s, s)], (lam @ w.mean(axis=0))[s])
         u_shift = shift[:qr].reshape(r, q).T  # (q, r)
         self.U = self.U - u_shift[None, :, :]
         moved = self._shift_b_row >= 0
@@ -629,15 +621,15 @@ class _MlmmSampler:
     def _draw_b(self, rng: RngStream, T: np.ndarray):
         """B | rest given T, the responses less the random-effect offsets:
         normal with precision sum_g Q_g (x) X_g'X_g over response-major
-        vec(B), drawn from one Cholesky factor L of it as
-        inv(L')(inv(L) lin + z).
+        vec(B), drawn by ``precision_draw`` from one Cholesky factor L of
+        it as inv(L')(inv(L) lin + z).
 
         With one group the precision is Q (x) X'X and L = Lq (x) Lx, so
         the draw is the OLS mean plus inv(Lx)' E inv(Lq), E the same z
         laid out as an (f, r) matrix."""
         f, r, G, Q = self.f, self.r, self.G, self.Q
-        z = rng.normal(size=f * r)
         if G == 1:
+            z = rng.normal(size=f * r)
             col_factor = np.linalg.solve(chol(Q[0]), np.eye(r)).T
             self.B = _matrix_normal_draw(self._xtx_inv @ (self.X.T @ T),
                                          self._sqrt_xtx_inv, z.reshape(r, f).T,
@@ -645,9 +637,7 @@ class _MlmmSampler:
             return
         XtT = _Blocks.cross(self._X_group, self._by_group.gather(T))  # (G, f, r)
         lin = XtT.transpose(1, 0, 2).reshape(f, G * r) @ Q.reshape(G * r, r)
-        L = chol(_kron_sum(Q, self.XtX_g))
-        draw = solve_triangular(L, lin.T.ravel(), lower=True)
-        draw = solve_triangular(L, draw + z, lower=True, trans="T")
+        draw = precision_draw(rng, _kron_sum(Q, self.XtX_g), lin.T.ravel())
         self.B = draw.reshape(r, f).T
 
     def _draw_level2(self, rng: RngStream):

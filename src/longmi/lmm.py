@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import RankDeficient, UnsupportedNesting
 from .formula import ModelFormula, build_design, grouping_codes, parse_formula
-from .rng import check_rank, chol_inverse
+from .rng import check_rank, chol_inverse, group_sums
 from .table import Dataset
 
 _LOG2PI = math.log(2.0 * math.pi)
@@ -101,22 +101,17 @@ class _Blocks:
         _, first, code, n_g = np.unique(
             key, return_index=True, return_inverse=True, return_counts=True
         )
-        inner_F = _sums(code, F, len(n_g))
+        inner_F = group_sums(code, F, len(n_g))
         level, size = _by_size(n_g, inner_F)
         self.levels = [level]
         if len(codes) == 2:
             shape = len(level[0]), outer.max() + 1  # (inner size, outer group)
             cell = np.ravel_multi_index((size, outer[first]), shape)
             n_cell = np.bincount(cell, minlength=shape[0] * shape[1]).reshape(shape)
-            F_cell = _sums(cell, inner_F, n_cell.size).reshape(shape[0], -1)
+            F_cell = group_sums(cell, inner_F, n_cell.size).reshape(shape[0], -1)
             F_outer = F_cell.reshape(*shape, -1).sum(axis=0)
             self.nest = n_cell, F_cell, F_outer
             self.levels.insert(0, _by_size(level[0] @ n_cell, F_outer)[0])
-
-
-def _sums(code: np.ndarray, F: np.ndarray, size: int) -> np.ndarray:
-    """Column sums of the rows of F per code in range(size)."""
-    return np.array([np.bincount(code, weights=col, minlength=size) for col in F.T]).T
 
 
 def _by_size(n_g: np.ndarray, F_g: np.ndarray):
@@ -269,7 +264,8 @@ def _fit_components(blocks: _Blocks, criterion: str):
     It starts at rho = 1 (lme4's default) and steps with the absolute
     eigenvalues of the analytic Hessian from ``_deviance_core``, which is
     indefinite there for nested fits, so each step costs one evaluation
-    plus any halvings. On the log scale the gradient vanishes as rho_k ->
+    plus any halvings. A step longer than 4 in some log ratio is scaled
+    down whole, keeping its descent direction. On the log scale the gradient vanishes as rho_k ->
     0, so convergence is tested on d(deviance)/d(rho). A ratio that falls
     below the floor, or whose gradient still points at zero when the loop
     stops unconverged, is checked against the fit without its level: the
@@ -301,7 +297,7 @@ def _fit_components(blocks: _Blocks, criterion: str):
             break
         w, V = np.linalg.eigh((H + H.T) / 2.0)
         step = -V @ ((V.T @ g) / np.maximum(np.abs(w), 1e-8))
-        step = np.clip(step, -4.0, 4.0)
+        step *= 4.0 / max(4.0, np.max(np.abs(step)))
         for _ in range(26):
             new = at(x + step)
             if np.isfinite(new[0]) and new[0] <= dev + dev_tol:

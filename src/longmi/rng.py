@@ -127,6 +127,19 @@ def check_rank(X: np.ndarray, r: np.ndarray | None = None) -> None:
         raise RankDeficient("design matrix is rank deficient")
 
 
+def expit(x):
+    """Logistic function 1 / (1 + exp(-x)), through tanh so that no
+    argument overflows."""
+    return 0.5 * (1.0 + np.tanh(0.5 * x))
+
+
+def group_sums(codes: np.ndarray, W: np.ndarray, size: int) -> np.ndarray:
+    """Column sums of the rows of W per code in range(size), added in row
+    order (one bincount per column, so the same bits as accumulating row
+    by row)."""
+    return np.array([np.bincount(codes, weights=col, minlength=size) for col in W.T]).T
+
+
 def sym(a: np.ndarray) -> np.ndarray:
     """Symmetric part of one matrix or of each in a stack."""
     return (a + np.swapaxes(a, -1, -2)) / 2.0
@@ -216,37 +229,37 @@ def _solve_lower(L: np.ndarray, B: np.ndarray) -> np.ndarray:
     return X
 
 
-def cho_solve_stack(L: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve L L' x = b row by row, for a stack of lower Cholesky factors.
+def precision_draw(rng: RngStream, lam: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """One draw from N(inv(lam) b, inv(lam)), for one matrix or for each
+    entry of a stack.
 
-    Forward then back substitution, vectorised over the stack; for the
-    small blocks here this beats a batched LU solve several times over.
+    With lam = L L', inv(L L') (b + L z) is the mean inv(lam) b plus the
+    noise inv(L') z, so one Cholesky factor serves both. For one matrix
+    that is inv(L')(inv(L) b + z), two triangular solves.
     """
-    x = b.copy()
-    for i in range(b.shape[1]):
+    L = chol(lam)
+    z = rng.normal(size=b.shape)
+    if L.ndim == 2:
+        return solve_triangular(
+            L, solve_triangular(L, b, lower=True) + z, lower=True, trans="T"
+        )
+    # forward then back substitution, vectorised over the stack: for the
+    # small blocks here this beats a batched LU solve several times over
+    x = b + np.einsum("gij,gj->gi", L, z)
+    for i in range(x.shape[1]):
         x[:, i] -= np.einsum("nj,nj->n", L[:, i, :i], x[:, :i])
         x[:, i] /= L[:, i, i]
-    for i in reversed(range(b.shape[1])):
+    for i in reversed(range(x.shape[1])):
         x[:, i] -= np.einsum("nj,nj->n", L[:, i + 1:, i], x[:, i + 1:])
         x[:, i] /= L[:, i, i]
     return x
 
 
-def precision_draw(rng: RngStream, lam: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """One draw from N(inv(lam) b, inv(lam)) for each entry of the stack.
-
-    With lam = L L', inv(L L') (b + L z) is the mean inv(lam) b plus the
-    noise inv(L') z, so one Cholesky factor serves both.
-    """
-    L = chol(lam)
-    z = rng.normal(size=b.shape)
-    return cho_solve_stack(L, b + np.einsum("gij,gj->gi", L, z))
-
-
 def inv_wishart_draw(
     rng: RngStream, scale: np.ndarray, dof, size: int | None = None
 ) -> np.ndarray:
-    """Inverse-Wishart draw(s); E[draw] = scale / (dof - p - 1).
+    """Inverse-Wishart draw(s), the covariance of ``wishart_precision_draw``;
+    E[draw] = scale / (dof - p - 1).
 
     ``scale`` is one p x p matrix, or a (G, p, p) stack with ``dof`` a
     scalar or one value per entry; a stack gives one draw per entry.
@@ -255,14 +268,10 @@ def inv_wishart_draw(
     scale = np.asarray(scale, dtype=float)
     stacked = scale.ndim == 3
     scale = scale if stacked else np.atleast_2d(scale)[None]
-    n, p = scale.shape[0], scale.shape[-1]
     if not stacked and size is not None:
-        n = size
-    T = _bartlett(rng, np.asarray(dof, dtype=float), n, p)
-    # Bartlett decomposition of the Wishart draw on the inverted scale
-    A = chol(np.linalg.inv(sym(scale))) @ T
-    out = sym(np.linalg.inv(A @ np.swapaxes(A, -1, -2)))
-    return out if stacked or size is not None else out[0]
+        scale = np.broadcast_to(scale, (size,) + scale.shape[1:])
+    cov = wishart_precision_draw(rng, scale, dof)[1]
+    return cov if stacked or size is not None else cov[0]
 
 
 def wishart_precision_draw(
@@ -271,8 +280,9 @@ def wishart_precision_draw(
     """One inverse-Wishart draw per entry of a (G, p, p) scale stack, as
     (precision, covariance).
 
-    The covariance follows ``inv_wishart_draw``'s law and the precision
-    is its inverse, a Wishart(dof, inv(scale)) draw, E = dof inv(scale).
+    The covariance is inverse-Wishart, E = scale / (dof - p - 1), and
+    the precision is its inverse, a Wishart(dof, inv(scale)) draw, E =
+    dof inv(scale).
     With scale = C C', the factor inv(C)' of inv(scale) times a Bartlett
     factor T gives the precision A A' for A = inv(C)' T, and the
     covariance is K' K for K = inv(A) = inv(T) C': only triangular
@@ -299,15 +309,10 @@ def trunc_normal_draw(
     size: int | None = None,
 ) -> float | np.ndarray:
     """Normal(mean, sd) restricted to the open interval (lower, upper)."""
-    if not lower < upper:
-        raise EmptyInterval(f"({lower}, {upper}) has no interior")
-    if sd <= 0:
-        raise ValueError("sd must be positive")
     n = 1 if size is None else size
-    a = (lower - mean) / sd
-    b = (upper - mean) / sd
-    z = _trunc_std(rng, np.full(n, a), np.full(n, b))
-    out = mean + sd * z
+    out = trunc_normal_array(
+        rng, np.full(n, mean), sd, np.full(n, lower), np.full(n, upper)
+    )
     return float(out[0]) if size is None else out
 
 
@@ -315,6 +320,8 @@ def trunc_normal_array(
     rng: RngStream, mean: np.ndarray, sd: float, lower: np.ndarray, upper: np.ndarray
 ) -> np.ndarray:
     """Vectorized truncated normal with per-element means and bounds."""
+    if not sd > 0:
+        raise ValueError("sd must be positive")
     mean = np.asarray(mean, dtype=float)
     a = (np.asarray(lower, dtype=float) - mean) / sd
     b = (np.asarray(upper, dtype=float) - mean) / sd

@@ -28,11 +28,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BadConfig
-from .rng import RngStream
+from .rng import RngStream, expit
 from .table import ColumnSpec, Dataset, ReshapeMap
 
 OUTCOME_WAVES = (3, 5, 7)
 EXPOSURE_WAVES = (2, 4, 6)
+SES_LEVELS = ("1", "2", "3", "4", "5")
 
 CATS_MAP = ReshapeMap(
     stubs=("prev_dep", "numeracy_score", "prev_sdq"),
@@ -128,6 +129,12 @@ class SimConfig:
     seed: int = 2946
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if not _conforms(value, f.type):
+                raise BadConfig(f"{f.name} must be {f.type}, got {value!r}")
+            if (f.name.endswith("_sd") or f.name == "seed") and value < 0:
+                raise BadConfig(f"{f.name} must be >= 0")
         lo, hi = self.size_bounds
         if not (1 <= lo < hi):
             raise BadConfig("size_bounds must satisfy 1 <= lower < upper")
@@ -135,9 +142,6 @@ class SimConfig:
             raise BadConfig("need n_students >= n_schools >= 1")
         if abs(sum(self.ses_probs) - 1.0) > 1e-9:
             raise BadConfig("ses_probs must sum to 1")
-        for f in dataclasses.fields(self):
-            if f.name.endswith("_sd") and getattr(self, f.name) < 0:
-                raise BadConfig(f"{f.name} must be >= 0")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -154,15 +158,25 @@ class SimConfig:
         return cls(**tupled)
 
 
+def _conforms(value, kind: str) -> bool:
+    """Whether ``value`` is of the ``SimConfig`` field type ``kind``: an
+    int, a float (an int will do), or a tuple of them, where
+    ``tuple[float, ...]`` holds one entry per ses level."""
+    if kind.startswith("tuple["):
+        kinds = [k.strip() for k in kind[len("tuple["):-1].split(",")]
+        if kinds[-1] == "...":
+            kinds = kinds[:1] * len(SES_LEVELS)
+        return (isinstance(value, tuple) and len(value) == len(kinds)
+                and all(map(_conforms, value, kinds)))
+    numeric = int if kind == "int" else (int, float)
+    return isinstance(value, numeric) and not isinstance(value, bool)
+
+
 @dataclass
 class SimOutput:
     complete: Dataset
     observed: Dataset
     truth: SimConfig
-
-
-def _expit(x):
-    return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
 def _raw_cluster_sizes(rng: RngStream, cfg: SimConfig) -> np.ndarray:
@@ -205,7 +219,7 @@ _LONG_COLUMNS = [
     ColumnSpec("id", "continuous", "unit-id"),
     ColumnSpec("age", "continuous", "analysis"),
     ColumnSpec("sex", "binary", "analysis"),
-    ColumnSpec("ses", "categorical", "analysis", ("1", "2", "3", "4", "5")),
+    ColumnSpec("ses", "categorical", "analysis", SES_LEVELS),
     ColumnSpec("numeracy_scorew1", "continuous", "analysis"),
     ColumnSpec("time", "continuous", "time"),
     ColumnSpec("prev_dep", "binary", "analysis"),
@@ -256,7 +270,7 @@ def generate_complete(rng: RngStream, cfg: SimConfig) -> Dataset:
             + u_school
             + u_student
         )
-        dep[k_dep] = (rng.random(n) < _expit(logit)).astype(float)
+        dep[k_dep] = (rng.random(n) < expit(logit)).astype(float)
         sdq[k_dep] = (
             cfg.sdq_intercept
             + cfg.sdq_dep * dep[k_dep]
@@ -323,13 +337,13 @@ def impose_missingness(rng: RngStream, cfg: SimConfig, complete: Dataset) -> Dat
         out[k_out] = rows.column("numeracy_score")
 
     shared = rng.normal(0.0, cfg.miss_shared_sd, n)
-    m_ses = rng.random(n) < _expit(
+    m_ses = rng.random(n) < expit(
         cfg.miss_ses_intercept
         + cfg.miss_ses_age * age
         + cfg.miss_ses_sex * sex
         + shared
     )
-    m_base = rng.random(n) < _expit(
+    m_base = rng.random(n) < expit(
         cfg.miss_base_intercept
         + cfg.miss_base_age * age
         + cfg.miss_base_sex * sex
@@ -354,7 +368,7 @@ def impose_missingness(rng: RngStream, cfg: SimConfig, complete: Dataset) -> Dat
             + w_student
             + shared
         )
-        m_dep[k_dep] = rng.random(n) < _expit(logit)
+        m_dep[k_dep] = rng.random(n) < expit(logit)
 
     x_school = rng.normal(0.0, cfg.miss_out_school_sd, n_sch)[school]
     x_student = rng.normal(0.0, cfg.miss_out_student_sd, n)
@@ -374,7 +388,7 @@ def impose_missingness(rng: RngStream, cfg: SimConfig, complete: Dataset) -> Dat
             + x_student
             + shared
         )
-        m_out[k_out] = rng.random(n) < _expit(logit)
+        m_out[k_out] = rng.random(n) < expit(logit)
 
     mask = complete.mask.copy()
     j_ses = complete.col_index("ses")

@@ -58,6 +58,25 @@ class TestSim:
         cfg.write_text(json.dumps({"nonsense_field": 1}))
         assert run("sim", "--config", str(cfg), "--out-dir", str(tmp_path)) == 2
 
+    @pytest.mark.parametrize("fields, argv, named", [
+        ({}, ("--seed", "-3"), "seed"),
+        ({"seed": "x"}, (), "seed"),
+        ({"seed": 2.0}, (), "seed"),
+        ({"n_schools": 2.5}, (), "n_schools"),
+        ({"sex_p": "a"}, (), "sex_p"),
+        ({"size_bounds": [8]}, (), "size_bounds"),
+        ({"base_ses": [0.0, 0.1, 0.2, 0.3]}, (), "base_ses"),
+        ({"ses_probs": [0.25, 0.25, 0.25, 0.25]}, (), "ses_probs"),
+    ])
+    def test_ill_typed_config_exit(self, tmp_path, capsys, fields, argv, named):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(fields))
+        assert run("sim", *argv, "--config", str(cfg),
+                   "--out-dir", str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {named} must be")
+        assert not (tmp_path / "out").exists()
+
     def test_manifest_written(self, sim_dir):
         meta = json.loads((sim_dir / "run_manifest.json").read_text())
         assert meta["subcommand"] == "sim"
@@ -170,6 +189,13 @@ class TestImpute:
             "--nbetween", "100", flag, "0", "--out-dir", str(tmp_path / "x"),
         ) == 2
         assert f"{flag} must be at least 1" in capsys.readouterr().err
+
+    def test_negative_seed_exit(self, sim_dir, tmp_path, capsys):
+        assert run(
+            "impute", "--input", str(sim_dir / "observed.csv"), "--method", "fcs-1l-wide",
+            "--nbetween", "100", "--seed", "-1", "--out-dir", str(tmp_path / "x"),
+        ) == 2
+        assert "--seed must be at least 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize("method", METHOD_NAMES)
     def test_cluster_less_cohort(self, clusterless_dir, tmp_path, capsys, method):

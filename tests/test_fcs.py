@@ -123,9 +123,9 @@ class TestMethodVector:
             MethodVector({"y": "mystery"})
 
 
-def row_problem(y, miss, X, kind, n_levels):
+def row_problem(y, miss, X):
     """The visit problem of a target with full column ``y`` and design ``X``."""
-    return UnivariateProblem(y[~miss], X[~miss], X[miss], kind, n_levels)
+    return UnivariateProblem(y[~miss], X[~miss], X[miss])
 
 
 class TestImputeUnivariate:
@@ -136,8 +136,6 @@ class TestImputeUnivariate:
             y=np.where(miss, 0.0, y),
             miss=miss,
             X=np.column_stack([np.ones(d.n_rows), d.column("x")]),
-            kind="continuous",
-            n_levels=0,
         )
         vals, _ = impute_univariate(RngStream(1), "pmm", prob)
         assert set(vals) <= set(y[~miss])
@@ -150,8 +148,6 @@ class TestImputeUnivariate:
             y=np.full(n, 3.0),
             miss=miss,
             X=np.ones((n, 1)),
-            kind="continuous",
-            n_levels=0,
         )
         with pytest.warns(UserWarning, match="flooring"):
             vals, _ = impute_univariate(RngStream(2), "norm", prob)
@@ -165,7 +161,6 @@ class TestImputeUnivariate:
         miss[::5] = True
         prob = row_problem(
             y=y, miss=miss, X=np.column_stack([np.ones(n), x]),
-            kind="binary", n_levels=2,
         )
         with pytest.raises(PerfectSeparation):
             impute_univariate(RngStream(3), "logreg", prob)
@@ -180,7 +175,7 @@ class TestImputeUnivariate:
         miss = rng.random(n) < 0.3
         prob = row_problem(
             y=y.astype(float), miss=miss,
-            X=np.column_stack([np.ones(n), x]), kind="categorical", n_levels=3,
+            X=np.column_stack([np.ones(n), x]),
         )
         vals, _ = impute_univariate(RngStream(5), "polr", prob)
         assert set(vals) <= {0.0, 1.0, 2.0}
@@ -198,7 +193,6 @@ class TestImputeUnivariate:
             y=np.r_[y, 0, 2].astype(float), miss=miss,
             X=np.column_stack([np.ones(n + 2), np.r_[x, -100.0, 100.0],
                                np.r_[np.zeros(n), 1.0, 1.0]]),
-            kind="categorical", n_levels=3,
         )
         with pytest.raises(PerfectSeparation):
             impute_univariate(RngStream(6), "polr", prob)

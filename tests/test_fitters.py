@@ -543,6 +543,27 @@ class TestNestedLmm:
         assert np.max(np.abs(grad)) < 1e-6 * abs(2.0 * fit.loglik)
         assert fit.n_iter <= 10
 
+    @pytest.mark.parametrize("seed, sizes, sd_school, crit", [
+        (141, (15, 8, 12), 0.05, "ML"), (302, (12, 5, 12), 0.1, "REML"),
+    ])
+    def test_long_newton_step_keeps_its_direction(self, seed, sizes, sd_school, crit):
+        from longmi import lmm
+
+        # the first Newton step overshoots in both log ratios; cut
+        # component by component to +-4 it pointed uphill, and every
+        # later step halved to nothing until the iteration cap
+        rng = np.random.default_rng(seed)
+        n_school, lo, hi = sizes
+        y, X, school, student, _ = nested_data(
+            rng, rng.integers(lo, hi, n_school), sd_school, 1.0, 0.3
+        )
+        fit = fit_lmm_arrays(y, X, [school, student], crit)
+        assert fit.converged and fit.boundary == ()
+        theta = np.array(list(fit.var_components.values()))
+        grad = lmm._gradient(lmm._Blocks(X, y, [school, student]), theta, crit)
+        assert np.max(np.abs(grad)) < 1e-6 * abs(2.0 * fit.loglik)
+        assert fit.n_iter <= 10
+
     def test_row_permutation_and_relabelling_invariance(self):
         rng = np.random.default_rng(25)
         y, X, school, _, pair = nested_data(rng, [6, 3, 8, 5, 4, 7], 0.5, 0.7, 0.5)

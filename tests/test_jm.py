@@ -357,6 +357,20 @@ class TestPrecisionDraw:
             got = np.cov(x, rowvar=False)
             assert (np.abs(got - cov) <= 0.05 * np.outer(sd, sd)).all()
 
+    def test_one_matrix_matches_normal_with_inverse_precision(self):
+        # one p x p precision takes two triangular solves, not the stack loop
+        gen = np.random.default_rng(10)
+        p, reps = 5, 10_000
+        a = gen.normal(size=(p, p))
+        lam, b = a @ a.T + p * np.eye(p), gen.normal(size=p)
+        rng = RngStream(11)
+        draws = np.array([precision_draw(rng, lam, b) for _ in range(reps)])
+        cov = np.linalg.inv(lam)
+        sd = np.sqrt(np.diag(cov))
+        assert (np.abs(draws.mean(axis=0) - cov @ b) < 5 * sd / np.sqrt(reps)).all()
+        got = np.cov(draws, rowvar=False)
+        assert (np.abs(got - cov) <= 0.05 * np.outer(sd, sd)).all()
+
 
 class TestMlmmSampler:
     def make_two_level(self, seed=14, C=100, per=10, icc=0.3, miss=0.25):
@@ -449,7 +463,7 @@ class TestMlmmSampler:
         with pytest.raises(BadConfig, match="'w2' is not constant within cluster 1"):
             run_jm(RngStream(30), spec, d)
 
-    def level2_state(self, seed=31, C=6, per=4, cov_mode="common"):
+    def level2_state(self, seed=31, C=6, per=4, cov_mode="common", z_cols=("t",)):
         # two responses with a random intercept and slope, one
         # cluster-level response and covariate, and a fixed random state
         gen = np.random.default_rng(seed)
@@ -457,14 +471,16 @@ class TestMlmmSampler:
         t = np.tile(np.linspace(-1, 1, per), C)
         cols = {"id": np.arange(C * per), "g": clus, "t": t,
                 "a": gen.normal(size=C * per), "b": gen.normal(size=C * per),
-                "w2": gen.normal(size=C)[clus], "h": gen.normal(size=C)[clus]}
+                "w2": gen.normal(size=C)[clus], "h": gen.normal(size=C)[clus],
+                "s": np.cos(np.arange(C * per))}
         d = Dataset.build(
             [ColumnSpec("id", "continuous", "unit-id"),
              ColumnSpec("g", "continuous", "cluster-id"),
-             *[ColumnSpec(nm, "continuous", "analysis") for nm in ("t", "a", "b", "w2", "h")]],
+             *[ColumnSpec(nm, "continuous", "analysis")
+               for nm in ("t", "a", "b", "w2", "h", "s")]],
             cols, shape_kind="wide",
         )
-        spec = JmSpec(y_cols=("a", "b"), x_cols=("t",), z_cols=("t",),
+        spec = JmSpec(y_cols=("a", "b"), x_cols=("t",), z_cols=z_cols,
                       y2_cols=("w2",), x2_cols=("h",), clus="g",
                       cov_mode=cov_mode, nburn=1, nbetween=1, nimp=1)
         s = _MlmmSampler(RngStream(seed), spec, d)
@@ -563,6 +579,31 @@ class TestMlmmSampler:
             s._draw_level2(rng)
             draws[k] = s.B2.ravel()
         self.assert_normal(draws, mean.ravel(), cov, reps)
+
+    def test_recenter_matches_conditional_mvn(self):
+        # a random slope on s, which is not a fixed effect, stays put: the
+        # shift of the effects' means is N(wbar, Psi / C) given its
+        # s coordinates at zero, moved out of U into B and B2
+        s = self.level2_state(z_cols=("t", "s"))
+        C, q, r, qr, reps = s.C, s.q, s.r, s.qr, 4000
+        fixed = np.flatnonzero(~s._shiftable)
+        assert s.z_names == ["_intercept", "t", "s"] and fixed.tolist() == [2, 5]
+        w = np.concatenate([s.U.transpose(0, 2, 1).reshape(C, qr), s._v_resid()], axis=1)
+        law = conditional_mvn(MvnParams(w.mean(axis=0), s.Psi / C), fixed,
+                              np.zeros(fixed.size))
+        U, B, B2 = s.U.copy(), s.B.copy(), s.B2.copy()
+        rng = RngStream(35)
+        draws = np.empty((reps, s.dim_psi))
+        for k in range(reps):
+            s.U, s.B, s.B2 = U.copy(), B.copy(), B2.copy()
+            s._recenter(rng)
+            u_shift = U - s.U
+            assert np.allclose(u_shift, u_shift[0], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(s.B[:2] - B[:2], u_shift[0, :2], atol=1e-12)
+            draws[k] = np.append(u_shift[0].T.ravel(), s.B2[0] - B2[0])
+        assert (draws[:, fixed] == 0.0).all()
+        keep = np.setdiff1d(np.arange(s.dim_psi), fixed)
+        self.assert_normal(draws[:, keep], law.mean, law.cov, reps)
 
     def test_cluster_specific_covariance_runs(self):
         d, _ = self.make_two_level(seed=22, C=40, per=8)

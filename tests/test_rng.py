@@ -161,6 +161,17 @@ class TestInvWishart:
         expected = scales / (dofs - 2 - 1)[:, None, None]
         np.testing.assert_allclose(draws.mean(axis=0), expected, rtol=0.05)
 
+    def test_is_the_covariance_of_the_precision_draw(self):
+        scale = random_spd(np.random.default_rng(3), 4)
+        one = inv_wishart_draw(RngStream(13), scale, 9.0)
+        np.testing.assert_array_equal(
+            one, wishart_precision_draw(RngStream(13), scale[None], 9.0)[1][0]
+        )
+        many = inv_wishart_draw(RngStream(14), scale, 9.0, size=6)
+        np.testing.assert_array_equal(
+            many, wishart_precision_draw(RngStream(14), np.tile(scale, (6, 1, 1)), 9.0)[1]
+        )
+
     def test_stacked_invalid_dof(self):
         with pytest.raises(InvalidDof):
             inv_wishart_draw(

@@ -5,8 +5,10 @@ aside) is private to the module that defines it; helpers shared across modules g
 owns them (linear algebra and random draws live in ``rng``).
 
 Fits solve with their Cholesky or QR factors rather than forming a
-matrix inverse: ``np.linalg.inv`` appears only in ``rng``, where
-``inv_wishart_draw`` backs the Wishart law tests.
+matrix inverse: ``np.linalg.inv`` appears only in ``rng.chol_inverse``,
+the inverse of a triangular factor. The samplers draw in precision form:
+``jm`` and ``fcs`` import none of the covariance-form samplers, which
+stay in ``rng`` as the oracles the law tests check against.
 
 scipy is imported only inside ``rng``'s functions, on first call, so
 subcommands that never call it (sim, pool, diag, a usage error) start
@@ -125,7 +127,22 @@ def _inverse_calls(path: pathlib.Path) -> list[str]:
 
 def test_matrix_inverse_only_in_rng():
     hits = [hit for path in sorted(PKG.glob("*.py")) for hit in _inverse_calls(path)]
-    assert hits and all(h.startswith("rng.py:") for h in hits), hits
+    assert len(hits) == 1 and hits[0].startswith("rng.py:"), hits
+
+
+COVARIANCE_SAMPLERS = {"MvnParams", "mvn_draw", "conditional_mvn", "inv_wishart_draw"}
+
+
+def test_samplers_import_no_covariance_form_draw():
+    imported = {
+        f"{name}: {alias.name}"
+        for name in ("jm.py", "fcs.py")
+        for node in ast.walk(ast.parse((PKG / name).read_text()))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.name in COVARIANCE_SAMPLERS
+    }
+    assert imported == set()
 
 
 def test_inverse_checker_sees_calls_and_imports(tmp_path):
