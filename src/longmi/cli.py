@@ -151,12 +151,12 @@ def _write_trace(path, trace) -> None:
     """Long ``iteration,parameter,value`` CSV, as ``csv.writer`` writes it.
 
     Each name is quoted once and each line is ``iteration,name,`` plus
-    the value, so the text is built without a writer call per row.
+    ``repr`` of the value, so no writer call is made per row.
     """
     mat = trace.matrix()
     names = csv_fields(trace.names)
     heads = [f"{it},{name}," for it in range(1, len(mat) + 1) for name in names]
-    lines = map(str.__add__, heads, map(_fmt, mat.ravel().tolist()))
+    lines = map(str.__add__, heads, map(repr, mat.ravel().tolist()))
     tmp = path + ".tmp"
     with open(tmp, "w", newline="") as fh:
         fh.write("iteration,parameter,value\r\n")

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyCategory, PerfectSeparation, RankDeficient
-from .rng import RngStream, check_rank, cho_factor, cho_solve, expit, solve_triangular
+from .errors import EmptyCategory, NotPositiveDefinite, PerfectSeparation, RankDeficient
+from .rng import RngStream, chol, chol_inverse, expit, gram_chol
 
 _SIGMA2_FLOOR = 1e-10
 _MAX_ITER = 100  # Newton steps of a logistic or ordinal fit
@@ -43,23 +43,25 @@ class LinearDraw:
 
 def fit_linear_and_draw(rng: RngStream, X: np.ndarray, y: np.ndarray) -> LinearDraw:
     """OLS fit with sigma2 drawn from its scaled inverse-chi-square
-    posterior and beta from N(beta_hat, sigma2_draw (X'X)^-1)."""
+    posterior and beta from N(beta_hat, sigma2_draw K'K), K'K = (X'X)^-1
+    for K the inverse of X'X's Cholesky factor; one refinement on its
+    residual gives beta_hat about the accuracy of a QR solve."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     n, p = X.shape
     if n <= p:
         raise RankDeficient(f"need n > p, got n={n}, p={p}")
-    q, r = np.linalg.qr(X)
-    check_rank(X, r)
-    beta_hat = solve_triangular(r, q.T @ y)
+    K = chol_inverse(gram_chol(X))
+    beta_hat = K.T @ (K @ (X.T @ y))
+    resid = y - X @ beta_hat
+    beta_hat += K.T @ (K @ (X.T @ resid))
     resid = y - X @ beta_hat
     s2 = float(resid @ resid) / (n - p)
     if s2 < _SIGMA2_FLOOR:
         warnings.warn("residual variance ~ 0; flooring for the draw", stacklevel=2)
         s2 = _SIGMA2_FLOOR
     sigma2_draw = (n - p) * s2 / rng.chisquare(n - p)
-    r_inv = solve_triangular(r, np.eye(p))
-    beta_draw = beta_hat + np.sqrt(sigma2_draw) * (r_inv @ rng.normal(size=p))
+    beta_draw = beta_hat + np.sqrt(sigma2_draw) * (K.T @ rng.normal(size=p))
     return LinearDraw(beta_hat, beta_draw, float(sigma2_draw))
 
 
@@ -74,8 +76,19 @@ class GlmFit:
     n_cutpoints: int = 0
 
 
-def _logistic_loglik(X, y, beta):
-    eta = X @ beta
+def _inverse_information(info: np.ndarray) -> np.ndarray:
+    """inv(info) as K'K for K the inverse of its Cholesky factor, or
+    ``PerfectSeparation`` if info is not finite and positive definite."""
+    if np.isfinite(info).all():  # numpy's Cholesky passes NaN through
+        try:
+            K = chol_inverse(chol(info))
+            return K.T @ K
+        except NotPositiveDefinite:
+            pass
+    raise PerfectSeparation("information matrix singular at optimum")
+
+
+def _logistic_loglik(y, eta):
     # log expit / log(1-expit) computed stably
     return float(np.sum(y * eta - np.logaddexp(0.0, eta)))
 
@@ -93,14 +106,15 @@ def fit_logistic(X: np.ndarray, y: np.ndarray) -> GlmFit:
     y = np.asarray(y, dtype=float)
     if not np.isin(y, (0.0, 1.0)).all():
         raise ValueError("logistic response must be 0/1")
-    check_rank(X)
+    gram_chol(X)
     n, p = X.shape
     beta = np.zeros(p)
-    ll = _logistic_loglik(X, y, beta)
+    eta = X @ beta
+    ll = _logistic_loglik(y, eta)
     step = np.zeros(p)
     converged = False
     for _ in range(_MAX_ITER):
-        mu = expit(X @ beta)
+        mu = expit(eta)
         w = mu * (1 - mu)
         score = X.T @ (y - mu)
         if np.max(np.abs(score)) < 1e-8:
@@ -111,11 +125,13 @@ def fit_logistic(X: np.ndarray, y: np.ndarray) -> GlmFit:
             step = np.linalg.solve(info + 1e-12 * np.eye(p), score)
         except np.linalg.LinAlgError:
             raise PerfectSeparation("information matrix singular") from None
-        new_ll = _logistic_loglik(X, y, beta + step)
+        eta = X @ (beta + step)
+        new_ll = _logistic_loglik(y, eta)
         halvings = 0
         while new_ll < ll and halvings < 30:
             step /= 2.0
-            new_ll = _logistic_loglik(X, y, beta + step)
+            eta = X @ (beta + step)
+            new_ll = _logistic_loglik(y, eta)
             halvings += 1
         beta = beta + step
         assert new_ll >= ll - 1e-9, "IRLS log-likelihood decreased"
@@ -126,21 +142,17 @@ def fit_logistic(X: np.ndarray, y: np.ndarray) -> GlmFit:
             converged = _settled(step)
             break
         ll = new_ll
-    ll_final = _logistic_loglik(X, y, beta)
+    ll_final = _logistic_loglik(y, eta)  # eta = X beta at every exit
     if ll_final > -1e-8 * n:
         # only separated or degenerate data push the likelihood to 0
         raise PerfectSeparation("response is perfectly predicted; MLE diverges")
-    mu = expit(X @ beta)
+    mu = expit(eta)
     w = np.maximum(mu * (1 - mu), 1e-12)
     info = (X * w[:, None]).T @ X
-    try:
-        cov = cho_solve(cho_factor(info), np.eye(p))
-    except np.linalg.LinAlgError:
-        raise PerfectSeparation("information matrix singular at optimum") from None
-    return GlmFit(beta, (cov + cov.T) / 2.0, converged, ll_final)
+    return GlmFit(beta, _inverse_information(info), converged, ll_final)
 
 
-def _polr_terms(X, yk, K, cut, beta):
+def _polr_terms(X, yk, K, cut, beta, level=None):
     """Log-likelihood, score and observed information in (cut, beta) coords.
 
     Row i adds log pi, pi = F(a_u) - F(a_l) with a = cut - x beta at its
@@ -148,7 +160,8 @@ def _polr_terms(X, yk, K, cut, beta):
     F(a_l) = 0 on the bottom one), F = expit, f = F(1 - F), f' = f(1 - 2F).
     With s = f / pi and r = f' / pi, minus the Hessian of log pi in
     (a_u, a_l) is [[s_u^2 - r_u, -s_u s_l], [-s_u s_l, s_l^2 + r_l]]
-    (McCullagh 1980); d a / d beta = -x.
+    (McCullagh 1980); d a / d beta = -x. ``level`` is the (K, n) 0/1
+    indicator of yk == k, built here when not given.
     """
     p = X.shape[1]
     k1 = K - 1
@@ -160,7 +173,8 @@ def _polr_terms(X, yk, K, cut, beta):
     w_uu = su * (su - (1 - 2 * gu))
     w_ll = sl * (sl + (1 - 2 * gl))
     w_ul = -su * sl
-    level = (yk == np.arange(K)[:, None]).astype(float)
+    if level is None:
+        level = (yk == np.arange(K)[:, None]).astype(float)
     up, lo = level[:k1], level[1:]  # rows whose upper / lower cutpoint is j
     off = (lo @ w_ul)[:-1]
     info = np.empty((k1 + p, k1 + p))
@@ -178,7 +192,7 @@ def _polr_theta_to_nat(theta, k1):
     return cut, theta[k1:]
 
 
-def _polr_theta_terms(X, yk, K, theta):
+def _polr_theta_terms(X, yk, K, theta, level=None):
     """-loglik with its gradient and Hessian in theta = (c1, log gaps, beta).
 
     J = d(cut, beta) / d theta maps the score and information; since
@@ -186,7 +200,7 @@ def _polr_theta_terms(X, yk, K, theta):
     gradient is added to its diagonal entry.
     """
     k1 = K - 1
-    ll, score, info = _polr_terms(X, yk, K, *_polr_theta_to_nat(theta, k1))
+    ll, score, info = _polr_terms(X, yk, K, *_polr_theta_to_nat(theta, k1), level)
     gaps = np.arange(1, k1)
     J = np.eye(theta.size)
     J[:k1, :k1] = np.tril(np.ones((k1, k1))) * np.exp(np.r_[0.0, theta[gaps]])
@@ -218,7 +232,8 @@ def fit_polr(X: np.ndarray, y: np.ndarray) -> GlmFit:
     # drop constant columns: cutpoints play the intercept role
     keep = ~np.all(X == X[0], axis=0)
     Xr = X[:, keep]
-    check_rank(np.column_stack([np.ones(len(yk)), Xr]))
+    gram_chol(np.column_stack([np.ones(len(yk)), Xr]))
+    level = (yk == np.arange(K)[:, None]).astype(float)
     p = Xr.shape[1]
     k1 = K - 1
     m = k1 + p
@@ -226,7 +241,7 @@ def fit_polr(X: np.ndarray, y: np.ndarray) -> GlmFit:
     cut0 = np.log(cum / (1 - cum))
     theta = np.concatenate([[cut0[0]], np.log(np.diff(cut0))]) if k1 > 1 else cut0.copy()
     theta = np.concatenate([theta, np.zeros(p)])
-    f, g, H = _polr_theta_terms(Xr, yk, K, theta)
+    f, g, H = _polr_theta_terms(Xr, yk, K, theta, level)
     step = np.zeros(m)
     converged = False
     for _ in range(_MAX_ITER):
@@ -237,11 +252,11 @@ def fit_polr(X: np.ndarray, y: np.ndarray) -> GlmFit:
             step = np.linalg.solve(H + 1e-10 * np.eye(m), -g)
         except np.linalg.LinAlgError:
             step = -g
-        new = _polr_theta_terms(Xr, yk, K, theta + step)
+        new = _polr_theta_terms(Xr, yk, K, theta + step, level)
         halvings = 0
         while not np.isfinite(new[0]) or new[0] > f:
             step /= 2.0
-            new = _polr_theta_terms(Xr, yk, K, theta + step)
+            new = _polr_theta_terms(Xr, yk, K, theta + step, level)
             halvings += 1
             if halvings > 40:
                 break
@@ -255,11 +270,8 @@ def fit_polr(X: np.ndarray, y: np.ndarray) -> GlmFit:
             raise PerfectSeparation("ordinal fit diverging; data separated")
     cut, beta = _polr_theta_to_nat(theta, k1)
     assert (np.diff(cut) > 0).all(), "cutpoints must be strictly increasing"
-    ll_final, _, info = _polr_terms(Xr, yk, K, cut, beta)
-    try:
-        cov = cho_solve(cho_factor(info), np.eye(m))
-    except (np.linalg.LinAlgError, ValueError):  # not positive definite / not finite
-        raise PerfectSeparation("information matrix singular at optimum") from None
+    ll_final, _, info = _polr_terms(Xr, yk, K, cut, beta, level)
+    cov = _inverse_information(info)
 
     # re-expand beta over the original column set (zeros for dropped columns)
     full_beta = np.zeros(X.shape[1])
@@ -267,7 +279,7 @@ def fit_polr(X: np.ndarray, y: np.ndarray) -> GlmFit:
     packed = np.concatenate([cut, full_beta])
     full_cov = np.zeros((packed.size, packed.size))
     live = np.concatenate([np.ones(k1, bool), keep])
-    full_cov[np.ix_(live, live)] = (cov + cov.T) / 2.0
+    full_cov[np.ix_(live, live)] = cov
     return GlmFit(packed, full_cov, converged, ll_final, n_cutpoints=k1)
 
 

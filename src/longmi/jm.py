@@ -43,7 +43,6 @@ import numpy as np
 from .errors import (
     BadConfig,
     DegenerateSeries,
-    RankDeficient,
     TooFewClusters,
     UnknownLevel,
     UnknownParam,
@@ -52,6 +51,7 @@ from .rng import (
     RngStream,
     cho_solve,
     chol,
+    gram_chol,
     precision_draw,
     solve_triangular,
     sym,
@@ -250,24 +250,6 @@ def _matrix_normal_draw(b_hat, sqrt_row, E, col_factor):
     """Draw from MN(b_hat, sqrt_row sqrt_row', col_factor col_factor')
     given standard normals E of b_hat's shape."""
     return b_hat + sqrt_row @ E @ col_factor.T
-
-
-def _gram_chol(X: np.ndarray, names: list[str], what: str) -> np.ndarray:
-    """Lower Cholesky factor of X'X, or ``RankDeficient`` naming the
-    design's columns when one of them is a linear combination of the
-    others: a pivot whose square is within 1e-10 of its column's sum of
-    squares (1 - R^2 on the earlier columns) counts as zero."""
-    xtx = X.T @ X
-    try:
-        L = np.linalg.cholesky(xtx)
-    except np.linalg.LinAlgError:
-        L = None
-    if L is None or (np.diag(L) ** 2 <= 1e-10 * np.diag(xtx)).any():
-        raise RankDeficient(
-            f"{what} design ({', '.join(names)}) is rank deficient: "
-            "some column is a linear combination of the others"
-        )
-    return L
 
 
 def _kron_sum(A, B):
@@ -500,7 +482,9 @@ class _MlmmSampler:
             self.r2 = self.Y2.shape[1]
             self.f2 = self.X2.shape[1]
             self.B2 = np.zeros((self.f2, self.r2))
-            self._x2_chol = C2 = _gram_chol(self.X2, self.x2_names, "level-2")
+            self._x2_chol = C2 = gram_chol(
+                self.X2, f"level-2 design ({', '.join(self.x2_names)})"
+            )
             self._sqrt_x2_inv = np.linalg.solve(C2.T, np.eye(self.f2))
             one = np.zeros(self.C, dtype=int)
             self.plan2 = _DrawPlan.build(self.layout2.unknown_mask(), one)
@@ -523,7 +507,7 @@ class _MlmmSampler:
         self.Q = self.Omega.copy()
         # every G factors X'X, so a collinear design fails here by name;
         # the one-group draw of B reuses the factor
-        Lx = _gram_chol(self.X, self.x_names, "fixed-effect")
+        Lx = gram_chol(self.X, f"fixed-effect design ({', '.join(self.x_names)})")
         self._sqrt_xtx_inv = np.linalg.solve(Lx.T, np.eye(self.f))
         self._xtx_inv = self._sqrt_xtx_inv @ self._sqrt_xtx_inv.T
 

@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import RankDeficient, UnsupportedNesting
 from .formula import ModelFormula, build_design, grouping_codes, parse_formula
-from .rng import check_rank, chol_inverse, group_sums
+from .rng import chol, chol_inverse, gram_chol, group_sums
 from .table import Dataset
 
 _LOG2PI = math.log(2.0 * math.pi)
@@ -71,11 +71,14 @@ class _Blocks:
     ``levels[k]`` summarises level k's groups, outermost first: the
     distinct group sizes n, how many groups have each size, and per size
     the sum of F_g F_g' (flattened) over its groups' column sums F_g of F
-    = [X | y]. With two levels ``nest`` also holds, per inner size and
-    outer group, the number of inner groups and the sum of their F_g, and
-    each outer group's F_g. An inner group is an (outer, inner) label
-    pair, so inner labels reused across outer groups still nest. With no
-    grouping ``levels`` is empty.
+    = [X | y - X b0]: y is centred by its OLS fit b0 (from the rank check's
+    factor), so a large mean costs no precision, and a fit's beta is b0
+    plus that of the centred y; ``var_y`` is the variance of y itself.
+    With two levels ``nest`` also holds, per inner size and outer group,
+    the number of inner groups and the sum of their F_g, and each outer
+    group's F_g. An inner group is an (outer, inner) label pair, so inner
+    labels reused across outer groups still nest. With no grouping
+    ``levels`` is empty.
     """
 
     def __init__(self, X: np.ndarray, y: np.ndarray, codes: list[np.ndarray]):
@@ -84,7 +87,9 @@ class _Blocks:
                 f"random intercepts take at most 2 nested groupings, got {len(codes)}"
             )
         self.n, self.p = X.shape
-        F = np.column_stack([X, y])
+        K = chol_inverse(gram_chol(X))
+        self.b0 = K.T @ (K @ (X.T @ y))
+        F = np.column_stack([X, y - X @ self.b0])
         self.FtF = F.T @ F
         self.var_y = float(np.var(y))
         self.levels, self.nest = [], None
@@ -217,7 +222,7 @@ def _deviance_core(
     lam = 1.0 / rho
     logdetM, K, G, C, N, dsum = _solve(blocks, lam)
     A = blocks.FtF - K  # [S c; c' y'y_adj], profiled over the random effects
-    L_inv = chol_inverse(A[:p, :p])
+    L_inv = chol_inverse(chol(A[:p, :p]))
     S_inv = L_inv.T @ L_inv
     beta = L_inv.T @ (L_inv @ A[:p, p])
     s2 = max(A[p, p] - float(beta @ A[:p, p]), 1e-300) / dof
@@ -358,7 +363,6 @@ def fit_lmm_arrays(
     n, p = X.shape
     if n <= p:
         raise RankDeficient(f"need n > p, got n={n}, p={p}")
-    check_rank(X)
     blocks = _Blocks(X, y, [np.asarray(c, dtype=int) for c in codes])
     theta, dev, converged, n_iter, boundary, beta, S_inv = _fit_components(
         blocks, criterion
@@ -369,7 +373,7 @@ def fit_lmm_arrays(
     names = names or [f"x{j}" for j in range(p)]
     return LmmFit(
         list(names),
-        beta,
+        blocks.b0 + beta,
         se,
         comps,
         -0.5 * dev,

@@ -65,13 +65,6 @@ class RngStream:
 # arguments through unchanged.
 
 
-def cho_factor(*a, **k):
-    """``scipy.linalg.cho_factor``."""
-    from scipy.linalg import cho_factor
-
-    return cho_factor(*a, **k)
-
-
 def cho_solve(*a, **k):
     """``scipy.linalg.cho_solve``."""
     from scipy.linalg import cho_solve
@@ -111,20 +104,28 @@ def chol(cov: np.ndarray) -> np.ndarray:
         ) from None
 
 
-def chol_inverse(a: np.ndarray) -> np.ndarray:
-    """inv(L) for the lower Cholesky factor L of an SPD matrix a: inv(a)
-    is inv(L)' inv(L) and log det a is -2 sum log diag(inv(L))."""
-    return np.linalg.inv(chol(a))
+def chol_inverse(L: np.ndarray) -> np.ndarray:
+    """inv(L) for a lower Cholesky factor L of an SPD matrix a = L L':
+    inv(a) is inv(L)' inv(L) and log det a is -2 sum log diag(inv(L))."""
+    return np.linalg.inv(L)
 
 
-def check_rank(X: np.ndarray, r: np.ndarray | None = None) -> None:
-    """Raise ``RankDeficient`` unless X has full column rank, judged from
-    the diagonal of R in X = QR (computed without Q when not given)."""
-    if r is None:
-        r = np.linalg.qr(X, mode="r")
-    diag = np.abs(np.diag(r))
-    if diag.min() <= X.shape[0] * np.finfo(float).eps * max(diag.max(), 1.0):
-        raise RankDeficient("design matrix is rank deficient")
+def gram_chol(X: np.ndarray, label: str = "design matrix") -> np.ndarray:
+    """Lower Cholesky factor of X'X, or ``RankDeficient`` naming ``label``
+    when a column of X is a linear combination of the others: a pivot
+    whose square is within 1e-10 of its column's sum of squares (1 - R^2
+    on the earlier columns) counts as zero."""
+    xtx = X.T @ X
+    try:
+        L = np.linalg.cholesky(xtx)
+    except np.linalg.LinAlgError:
+        L = None
+    if L is None or (np.diag(L) ** 2 <= 1e-10 * np.diag(xtx)).any():
+        raise RankDeficient(
+            f"{label} is rank deficient: "
+            "some column is a linear combination of the others"
+        )
+    return L
 
 
 def expit(x):

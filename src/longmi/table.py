@@ -571,24 +571,28 @@ def csv_fields(labels: Sequence[str]) -> list[str]:
 
 
 def _column_texts(spec: ColumnSpec, x: np.ndarray, masked: np.ndarray):
-    """One column's sorted distinct values and their cell texts, the
-    texts followed by ``NA``.
+    """One column's cell texts followed by ``NA``, the value each text
+    reads back as, and each cell's index into the texts, in the smallest
+    unsigned dtype that holds it.
 
-    A level column's values are its level codes, written as csv-quoted
-    labels. Other columns format each distinct unmasked value once:
-    integer-valued floats below 1e15 as ints (so -0.0 and 0.0 both
-    read ``0``), the rest by ``repr``.
+    Each distinct unmasked value is formatted once. A level column's
+    values are its level codes, written as csv-quoted labels. Other
+    columns write integer-valued floats below 1e15 as ints (so -0.0 and
+    0.0 both read ``0``), the rest by ``repr``.
     """
-    if spec.levels is not None:
-        texts = np.array(csv_fields(spec.levels) + [MISSING_TOKEN], dtype=object)
-        return np.arange(len(spec.levels), dtype=float), texts
-    distinct = np.unique(x[~masked])
-    whole = (distinct == np.trunc(distinct)) & (np.abs(distinct) < 1e15)
+    distinct, inverse = np.unique(x[~masked], return_inverse=True)
+    index = np.full(len(x), len(distinct), dtype=np.min_scalar_type(len(distinct)))
+    index[~masked] = inverse
     texts = np.empty(len(distinct) + 1, dtype=object)
-    texts[:-1][whole] = list(map(str, distinct[whole].astype(np.int64).tolist()))
-    texts[:-1][~whole] = list(map(repr, distinct[~whole].tolist()))
+    if spec.levels is not None:
+        labels = csv_fields(spec.levels)
+        texts[:-1] = [labels[c] for c in distinct.astype(int).tolist()]
+    else:
+        whole = (distinct == np.trunc(distinct)) & (np.abs(distinct) < 1e15)
+        texts[:-1][whole] = list(map(str, distinct[whole].astype(np.int64).tolist()))
+        texts[:-1][~whole] = list(map(repr, distinct[~whole].tolist()))
     texts[-1] = MISSING_TOKEN
-    return distinct, texts
+    return texts, np.append(distinct + 0.0, np.nan), index
 
 
 def sidecar_path(csv_path: str) -> str:
@@ -627,9 +631,9 @@ def write_csv(d: Dataset, path: str) -> None:
 
     Masked cells are written as ``NA``, levels by label, integer-valued
     floats below 1e15 as ints, other floats by ``repr``. Each column's
-    distinct values are formatted once; rows are then assembled from
-    those texts in blocks of ``BLOCK_ROWS``, each cell's text found by
-    binary search among its column's distinct values.
+    distinct values are formatted once, and each cell's text found once
+    by ``np.unique``; rows are then assembled from those texts in blocks
+    of ``BLOCK_ROWS``.
 
     The copy (``<stem>.values.npz``) holds ``values``, the float matrix
     that parsing the CSV gives (each text's value, so -0.0 is stored as
@@ -641,8 +645,6 @@ def write_csv(d: Dataset, path: str) -> None:
     columns = [
         _column_texts(c, d.values[:, j], d.mask[:, j]) for j, c in enumerate(d.columns)
     ]
-    # the value each text of a column reads back as, NA last
-    parsed = [np.append(distinct + 0.0, np.nan) for distinct, _ in columns]
     tmp, copy_tmp = path + ".tmp", copy_path(path) + ".tmp"
     with zipfile.ZipFile(copy_tmp, "w") as copy:
         with open(tmp, "w", newline="") as fh, copy.open(
@@ -656,14 +658,10 @@ def write_csv(d: Dataset, path: str) -> None:
             csv.writer(fh).writerow(d.col_names)
             for start in range(0, d.n_rows, BLOCK_ROWS):
                 block = slice(start, start + BLOCK_ROWS)
-                cols, back = [], []
-                for j, (distinct, texts) in enumerate(columns):
-                    index = np.searchsorted(distinct, d.values[block, j])
-                    index[d.mask[block, j]] = len(distinct)
-                    cols.append(texts[index].tolist())
-                    back.append(parsed[j][index])
+                cols = [texts[index[block]].tolist() for texts, _, index in columns]
                 fh.write("\r\n".join(map(",".join, zip(*cols))))
                 fh.write("\r\n")
+                back = [parsed[index[block]] for _, parsed, index in columns]
                 npy.write(np.column_stack(back).tobytes())
         os.replace(tmp, path)
         meta = {

@@ -11,6 +11,7 @@ from longmi.errors import (
     UnsupportedNesting,
 )
 from longmi.fitters import (
+    _inverse_information,
     _polr_terms,
     _polr_theta_terms,
     fit_linear_and_draw,
@@ -79,6 +80,38 @@ class TestLinearDraw:
         X = np.column_stack([np.ones(20), np.ones(20)])
         with pytest.raises(RankDeficient):
             fit_linear_and_draw(RngStream(0), X, np.arange(20.0))
+
+    def test_beta_hat_matches_lstsq_when_ill_conditioned(self):
+        # singular values 1 .. 1e-4: X'X has condition number 1e8, so
+        # the normal equations alone lose about 8 digits
+        rng = np.random.default_rng(31)
+        n, p = 200, 6
+        U = np.linalg.qr(rng.normal(size=(n, p)))[0]
+        V = np.linalg.qr(rng.normal(size=(p, p)))[0]
+        X = U @ np.diag(np.logspace(0.0, -4.0, p)) @ V.T
+        assert np.linalg.cond(X) == pytest.approx(1e4, rel=1e-6)
+        y = X @ rng.normal(size=p) + 0.1 * rng.normal(size=n)
+        ref = np.linalg.lstsq(X, y, rcond=None)[0]
+        got = fit_linear_and_draw(RngStream(0), X, y).beta_hat
+        assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
+
+    def test_draw_covariance_is_sigma2_inverse_gram(self):
+        # given sigma2_draw, beta_draw - beta_hat ~ N(0, sigma2_draw (X'X)^-1)
+        rng = np.random.default_rng(32)
+        n = 30
+        x = rng.normal(size=n)
+        X = np.column_stack([np.ones(n), x, x + 0.5 * rng.normal(size=n)])
+        y = X @ [1.0, 0.5, -0.5] + rng.normal(size=n)
+        draws = 4000
+        z = np.empty((draws, 3))
+        for i in range(draws):
+            d = fit_linear_and_draw(RngStream(33, i), X, y)
+            z[i] = (d.beta_draw - d.beta_hat) / np.sqrt(d.sigma2_draw)
+        want = np.linalg.solve(X.T @ X, np.eye(3))
+        sd = np.sqrt(np.diag(want))
+        corr_err = (np.cov(z.T) - want) / np.outer(sd, sd)
+        assert np.abs(corr_err).max() < 0.08  # about 5 standard errors
+        assert np.abs(z.mean(axis=0) / sd).max() < 0.08
 
 
 class TestLogistic:
@@ -235,6 +268,47 @@ class TestPolr:
     def test_empty_category(self):
         with pytest.raises(EmptyCategory):
             fit_polr(np.ones((10, 1)), np.repeat([0, 2], 5))
+
+
+def collinear_design(n=40):
+    """An intercept, x and 2x + 1: exactly collinear, also once fit_polr
+    drops the constant column and adds its cutpoints."""
+    x = np.random.default_rng(34).normal(size=n)
+    return np.column_stack([np.ones(n), x, 2.0 * x + 1.0])
+
+
+@pytest.mark.parametrize("family", ["linear", "logistic", "polr", "lmm"])
+def test_collinear_design_rank_deficient(family):
+    X = collinear_design()
+    n = len(X)
+    y = np.arange(n) % 3
+    fit = {
+        "linear": lambda: fit_linear_and_draw(RngStream(0), X, y.astype(float)),
+        "logistic": lambda: fit_logistic(X, (y == 0).astype(float)),
+        "polr": lambda: fit_polr(X, y),
+        "lmm": lambda: fit_lmm_arrays(y.astype(float), X, [np.arange(n) // 4], "REML"),
+    }[family]
+    with pytest.raises(RankDeficient, match="rank deficient"):
+        fit()
+
+
+@pytest.mark.parametrize("info", [
+    [[1.0, 2.0], [2.0, 1.0]],  # indefinite
+    [[1.0, 1.0], [1.0, 1.0]],  # singular
+    [[np.nan, 0.0], [0.0, 1.0]],  # numpy's Cholesky would pass this through
+    [[np.inf, 0.0], [0.0, 1.0]],
+])
+def test_information_not_finite_or_not_pd_is_separation(info):
+    with pytest.raises(PerfectSeparation, match="singular at optimum"):
+        _inverse_information(np.array(info))
+
+
+def test_inverse_information_is_symmetric_inverse():
+    A = np.random.default_rng(35).normal(size=(6, 6))
+    info = A @ A.T + np.eye(6)
+    cov = _inverse_information(info)
+    np.testing.assert_array_equal(cov, cov.T)
+    np.testing.assert_allclose(cov @ info, np.eye(6), atol=1e-12)
 
 
 def quasi_separated(seed=0, count=45):
@@ -563,6 +637,25 @@ class TestNestedLmm:
         grad = lmm._gradient(lmm._Blocks(X, y, [school, student]), theta, crit)
         assert np.max(np.abs(grad)) < 1e-6 * abs(2.0 * fit.loglik)
         assert fit.n_iter <= 10
+
+    @pytest.mark.parametrize("crit", ["ML", "REML"])
+    def test_response_mean_costs_no_precision(self, crit):
+        # shifting y by 1e4 moves the intercept alone; summing the
+        # uncentred response lost the components' last digits, and the
+        # fit ended unconverged
+        for seed in (2, 5, 9):
+            rng = np.random.default_rng(seed)
+            y, X, school, _, pair = nested_data(
+                rng, list(rng.integers(3, 9, 10)), 0.3, 0.8, 0.5
+            )
+            a = fit_lmm_arrays(y, X, [school, pair], crit)
+            b = fit_lmm_arrays(y + 1e4, X, [school, pair], crit)
+            assert a.converged and b.converged
+            for k, v in a.var_components.items():
+                assert b.var_components[k] == pytest.approx(v, rel=1e-8)
+            np.testing.assert_allclose(b.beta - a.beta, [1e4, 0.0, 0.0],
+                                       rtol=0, atol=1e-8 * a.se.min())
+            assert b.loglik == pytest.approx(a.loglik, rel=1e-10)
 
     def test_row_permutation_and_relabelling_invariance(self):
         rng = np.random.default_rng(25)

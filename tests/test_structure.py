@@ -4,9 +4,11 @@ A name with a leading underscore (dunders such as ``__version__``
 aside) is private to the module that defines it; helpers shared across modules get a public name in the module that
 owns them (linear algebra and random draws live in ``rng``).
 
-Fits solve with their Cholesky or QR factors rather than forming a
-matrix inverse: ``np.linalg.inv`` appears only in ``rng.chol_inverse``,
-the inverse of a triangular factor. The samplers draw in precision form:
+Fits solve with Cholesky factors rather than forming a matrix inverse:
+``np.linalg.inv`` appears only in ``rng.chol_inverse``, the inverse of a
+triangular factor. Regression designs are rank-checked by
+``rng.gram_chol`` from the Cholesky factor of X'X, so nothing calls
+``np.linalg.qr`` or scipy's ``cho_factor``. The samplers draw in precision form:
 ``jm`` and ``fcs`` import none of the covariance-form samplers, which
 stay in ``rng`` as the oracles the law tests check against.
 
@@ -111,23 +113,45 @@ def test_scipy_checker_sees_module_level_imports(tmp_path):
     ]
 
 
-def _inverse_calls(path: pathlib.Path) -> list[str]:
-    """Calls of ``*.linalg.inv`` and imports of ``inv`` from a linalg module."""
+def _linalg_calls(path: pathlib.Path, names: set[str]) -> list[str]:
+    """Calls of ``*.linalg.<name>`` or of a bare ``<name>``, and imports
+    of ``<name>`` from any module, for the given names, each with the
+    function it sits in."""
     found = []
-    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-        if isinstance(node, ast.Call):
-            name = ast.unparse(node.func)
-            if name.split(".")[-2:] == ["linalg", "inv"]:
-                found.append((node.lineno, name))
-        elif isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linalg"):
-            if any(a.name == "inv" for a in node.names):
-                found.append((node.lineno, "import inv"))
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            what = None
+            if isinstance(child, ast.Call):
+                parts = ast.unparse(child.func).split(".")
+                if parts[-1] in names and (len(parts) == 1 or parts[-2] == "linalg"):
+                    what = ".".join(parts)
+            elif isinstance(child, ast.ImportFrom):
+                hits = [a.name for a in child.names if a.name in names]
+                what = f"import {', '.join(hits)}" if hits else None
+            if what:
+                found.append((child.lineno, f"{scope} {what}"))
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+            else:
+                visit(child, scope)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), "<module>")
     return [f"{path.name}:{line} {what}" for line, what in sorted(found)]
 
 
 def test_matrix_inverse_only_in_rng():
-    hits = [hit for path in sorted(PKG.glob("*.py")) for hit in _inverse_calls(path)]
+    hits = [hit for path in sorted(PKG.glob("*.py")) for hit in _linalg_calls(path, {"inv"})]
     assert len(hits) == 1 and hits[0].startswith("rng.py:"), hits
+    assert hits[0].endswith(" chol_inverse np.linalg.inv"), hits
+
+
+def test_no_qr_or_cho_factor():
+    hits = [
+        hit for path in sorted(PKG.glob("*.py"))
+        for hit in _linalg_calls(path, {"qr", "cho_factor"})
+    ]
+    assert hits == []
 
 
 COVARIANCE_SAMPLERS = {"MvnParams", "mvn_draw", "conditional_mvn", "inv_wishart_draw"}
@@ -151,10 +175,24 @@ def test_inverse_checker_sees_calls_and_imports(tmp_path):
         "import numpy as np\nnp.linalg.inv(a)\nnumpy.linalg.inv(b)\n"
         "np.linalg.pinv(c)\nfrom numpy.linalg import inv\n"
         "from scipy.linalg import cho_solve\nnp.linalg.solve(a, b)\n"
+        "def f(a):\n    return inv(a) + np.linalg.qr(a)[0]\n"
     )
-    assert _inverse_calls(probe) == [
-        "probe.py:2 np.linalg.inv", "probe.py:3 numpy.linalg.inv",
-        "probe.py:5 import inv",
+    assert _linalg_calls(probe, {"inv"}) == [
+        "probe.py:2 <module> np.linalg.inv", "probe.py:3 <module> numpy.linalg.inv",
+        "probe.py:5 <module> import inv", "probe.py:9 f inv",
+    ]
+
+
+def test_qr_checker_sees_calls_and_imports(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "import numpy as np\nfrom .rng import cho_factor, cho_solve\n"
+        "def f(a):\n    q, r = np.linalg.qr(a)\n    return cho_factor(a), a.qr()\n"
+        "scipy.linalg.cho_factor(a)\nnp.linalg.cholesky(a)\n"
+    )
+    assert _linalg_calls(probe, {"qr", "cho_factor"}) == [
+        "probe.py:2 <module> import cho_factor", "probe.py:4 f np.linalg.qr",
+        "probe.py:5 f cho_factor", "probe.py:6 <module> scipy.linalg.cho_factor",
     ]
 
 
