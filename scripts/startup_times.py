@@ -3,7 +3,9 @@
 
 Every subcommand of the paper's workflow (simulate, impute, analyze,
 pool, diag) runs as its own process, so each one pays the interpreter
-and import start-up that an in-process benchmark pays once. This script
+and import start-up that an in-process benchmark pays once. ``longmi
+--help`` and ``longmi impute --help`` show what listing the method
+names in the help costs. This script
 runs each subcommand ``--runs`` times in a new interpreter with BLAS
 pinned to one thread and prints the median wall time, with quartiles,
 per subcommand. Given two ``src/`` directories it alternates between
@@ -54,6 +56,8 @@ def steps(work: str) -> list[tuple[str, int, list[str]]]:
                      "--out-dir", out]),
         ("BadConfig exit", 2, ["impute", "--input", observed, "--method", "fcs-3l",
                                "--m", "0", "--out-dir", out]),
+        ("--help", 0, ["--help"]),
+        ("impute --help", 0, ["impute", "--help"]),
     ]
 
 

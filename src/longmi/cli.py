@@ -18,11 +18,10 @@ import os
 import sys
 import time
 
-import numpy as np
-
-from . import __version__
+from . import __version__, deferred
 from .errors import (
     BadConfig,
+    DegenerateSeries,
     LongmiError,
     MisalignedParams,
     ParseError,
@@ -31,24 +30,11 @@ from .errors import (
     UnknownParam,
     UnsupportedMethod,
 )
-from .formula import parse_formula
-from .jm import autocorrs
-from .lmm import LmmFit, fit_lmm
-from .methods import METHOD_NAMES, build_and_run
-from .pooling import pool
-from .rng import RngStream
-from .simulate import SimConfig, simulate
-from .stack import IMPUTATION_COL, ImputedStack
-from .table import (
-    Dataset,
-    available_case_filter,
-    copy_path,
-    csv_fields,
-    incomplete_fraction,
-    read_csv,
-    sidecar_path,
-    write_csv,
-)
+
+# Each subcommand imports what it calls, so a process compiles only what it
+# runs; these calls stay attributes here, where perfbench's tracer wraps them.
+simulate, read_csv, write_csv = map(deferred, ("simulate", "read_csv", "write_csv"))
+build_and_run, fit_lmm, pool = map(deferred, ("build_and_run", "fit_lmm", "pool"))
 
 MANIFEST = "run_manifest.json"
 WORKERS_ENV = "LONGMI_WORKERS"
@@ -111,6 +97,10 @@ def _fmt(x: float) -> str:
 
 
 def cmd_sim(args) -> int:
+    from .rng import RngStream
+    from .simulate import SimConfig
+    from .table import copy_path, incomplete_fraction, sidecar_path
+
     t0 = time.time()
     cfg_fields = {}
     if args.config:
@@ -153,6 +143,8 @@ def _write_trace(path, trace) -> None:
     Each name is quoted once and each line is ``iteration,name,`` plus
     ``repr`` of the value, so no writer call is made per row.
     """
+    from .table import csv_fields
+
     mat = trace.matrix()
     names = csv_fields(trace.names)
     heads = [f"{it},{name}," for it in range(1, len(mat) + 1) for name in names]
@@ -167,10 +159,10 @@ def _write_trace(path, trace) -> None:
 
 
 def cmd_impute(args) -> int:
+    from .rng import RngStream
+    from .table import copy_path, sidecar_path
+
     t0 = time.time()
-    _check_upstream(args.input)
-    observed = read_csv(args.input)
-    os.makedirs(args.out_dir, exist_ok=True)
     if args.nbetween < 100:
         raise BadConfig("nbetween below 100 risks dependent imputations")
     for flag, least in (("m", 1), ("maxit", 1), ("nburn", 1), ("seed", 0)):
@@ -183,6 +175,9 @@ def cmd_impute(args) -> int:
             baseline[col] = int(wave)
         except ValueError:
             raise BadConfig(f"--mtw-baseline wants col=wave, got {item!r}") from None
+    _check_upstream(args.input)
+    observed = read_csv(args.input)
+    os.makedirs(args.out_dir, exist_ok=True)
     if not baseline and "numeracy_scorew1" in observed.col_names:
         baseline = {"numeracy_scorew1": 1}
     rng = RngStream(args.seed)
@@ -234,7 +229,7 @@ def cmd_impute(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _fit_to_json(fit: LmmFit) -> dict:
+def _fit_to_json(fit) -> dict:
     return {
         "params": [
             {"name": n, "estimate": b, "se": s} for n, b, s in fit.params()
@@ -250,6 +245,10 @@ def _fit_to_json(fit: LmmFit) -> dict:
 
 
 def cmd_analyze(args) -> int:
+    from .formula import parse_formula
+    from .stack import IMPUTATION_COL, ImputedStack
+    from .table import available_case_filter
+
     t0 = time.time()
     _check_upstream(args.input)
     data = read_csv(args.input)
@@ -400,6 +399,8 @@ def _parse_cell(path, line, token, kind):
 def _write_series(path, series) -> None:
     """``parameter,iteration,value`` rows by name, then iteration, as
     ``csv.writer`` writes them: built like ``_write_trace``'s lines."""
+    from .table import csv_fields
+
     names = sorted(series)
     tmp = path + ".tmp"
     with open(tmp, "w", newline="") as fh:
@@ -411,6 +412,8 @@ def _write_series(path, series) -> None:
 
 
 def cmd_diag(args) -> int:
+    from .jm import autocorrs
+
     t0 = time.time()
     path = args.trace or args.chain_stats
     _check_upstream(path)
@@ -440,10 +443,8 @@ def cmd_diag(args) -> int:
     ac_path = os.path.join(args.out_dir, "diag_autocorr.csv")
 
     def ac_rows():
-        from .errors import DegenerateSeries
-
         for name, pts in sorted(series.items()):
-            values = np.array([v for _, v in sorted(pts)])
+            values = [v for _, v in sorted(pts)]
             lags = range(1, min(args.max_lag, len(values) - 1) + 1)
             try:
                 acs = [_fmt(r) for r in autocorrs(values, lags)]
@@ -463,6 +464,8 @@ def cmd_diag(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .methods import METHOD_NAMES
+
     p = argparse.ArgumentParser(
         prog="longmi",
         description="Multiple imputation for longitudinal and clustered data",

@@ -271,10 +271,10 @@ def _fit_components(blocks: _Blocks, criterion: str):
     indefinite there for nested fits, so each step costs one evaluation
     plus any halvings. A step longer than 4 in some log ratio is scaled
     down whole, keeping its descent direction. On the log scale the gradient vanishes as rho_k ->
-    0, so convergence is tested on d(deviance)/d(rho). A ratio that falls
-    below the floor, or whose gradient still points at zero when the loop
-    stops unconverged, is checked against the fit without its level: the
-    lower deviance wins, and a tie goes to the smaller model.
+    0, so convergence is tested on d(deviance)/d(rho). The ratios below
+    the floor (else, if the loop stops unconverged, those whose gradient
+    still points at zero) are checked against the fit without their
+    levels: the lower deviance wins, and a tie goes to the smaller model.
     """
     L = len(blocks.q_level)
     if L == 0:
@@ -316,7 +316,9 @@ def _fit_components(blocks: _Blocks, criterion: str):
         if (np.exp(x) * s2 < floor).any() or np.max(np.abs(step)) < 1e-11:
             break
     rho = np.exp(x)
-    low = (rho * s2 < floor) | ((g / rho > tol) & (not converged))
+    low = rho * s2 < floor
+    if not low.any() and not converged:
+        low = g / rho > tol
     if low.any():
         keep = np.flatnonzero(~low)
         sub = _restrict_blocks(blocks, ~low)

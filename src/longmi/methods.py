@@ -16,21 +16,13 @@ the analysis step the same table.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
+from . import deferred
 from .errors import BadConfig, UnsupportedMethod
-from .fcs import (
-    LevelsSpec,
-    MethodVector,
-    PredictorMatrix,
-    default_predictor_matrix,
-    mtw_predictor_matrix,
-    run_fcs,
-)
-from .jm import ChainTrace, JmSpec, run_jm
-from .rng import RngStream
 from .stack import ImputedStack
 from .table import (
     Dataset,
@@ -39,6 +31,15 @@ from .table import (
     reshape_long_to_wide,
     reshape_wide_to_long,
 )
+
+if TYPE_CHECKING:
+    from .fcs import LevelsSpec, MethodVector, PredictorMatrix
+    from .jm import ChainTrace, JmSpec
+    from .rng import RngStream
+
+# An engine loads only when a method runs or describes it, not with the
+# catalog; the runs stay attributes here, where perfbench's tracer wraps them.
+run_jm, run_fcs = deferred("run_jm"), deferred("run_fcs")
 
 
 @dataclass(frozen=True)
@@ -257,7 +258,7 @@ def build_and_run(
     if row.engine == "jm":
         spec = _jm_spec(row, d, dm, m, nburn, nbetween)
         stack, trace = run_jm(rng, spec, d)
-        stats, spec_json = None, _jm_spec_json(spec)
+        stats, spec_json = None, {"family": "jm", **asdict(spec)}
     else:
         mv, pred, levels = _fcs_config(method, row, d, dm, mtw_window, mtw_baseline)
         stack, stats = run_fcs(rng, d, mv, pred, levels, maxit, m, fallback_pmm,
@@ -276,6 +277,8 @@ def _jm_spec(row: Method, d: Dataset, dm: DataMap, m, nburn, nbetween) -> JmSpec
     """Wide: every incomplete column is a response; long: time-varying
     columns are level-1 responses and time-fixed ones level-2 responses
     within the unit, with a random time slope."""
+    from .jm import JmSpec
+
     if row.wide:
         cols = [c.name for c in d.columns if c.name not in (dm.unit, dm.cluster)]
         return JmSpec(
@@ -300,6 +303,13 @@ def _jm_spec(row: Method, d: Dataset, dm: DataMap, m, nburn, nbetween) -> JmSpec
 
 def _fcs_config(method, row: Method, d: Dataset, dm: DataMap, window, baseline):
     """Method vector, predictor matrix and levels for one FCS row."""
+    from .fcs import (
+        LevelsSpec,
+        MethodVector,
+        default_predictor_matrix,
+        mtw_predictor_matrix,
+    )
+
     if method == "fcs-1l-wide-mtw":
         pred = mtw_predictor_matrix(d, dm.reshape, window, baseline or {})
     else:
@@ -332,22 +342,6 @@ def _fcs_config(method, row: Method, d: Dataset, dm: DataMap, window, baseline):
     return MethodVector(methods), pred, levels
 
 
-def _jm_spec_json(spec: JmSpec):
-    return {
-        "family": "jm",
-        "y_cols": list(spec.y_cols),
-        "x_cols": list(spec.x_cols),
-        "z_cols": list(spec.z_cols),
-        "y2_cols": list(spec.y2_cols),
-        "x2_cols": list(spec.x2_cols),
-        "clus": spec.clus,
-        "cov_mode": spec.cov_mode,
-        "nburn": spec.nburn,
-        "nbetween": spec.nbetween,
-        "nimp": spec.nimp,
-    }
-
-
 def _fcs_spec_json(methods: MethodVector, pred: PredictorMatrix,
                    levels: LevelsSpec | None, maxit, m):
     return {
@@ -358,14 +352,7 @@ def _fcs_spec_json(methods: MethodVector, pred: PredictorMatrix,
                 if pred.codes[i, j] != 0}
             for i, r in enumerate(pred.names)
         },
-        "levels": (
-            {
-                "level_of": dict(levels.level_of),
-                "clusters": {k: list(v) for k, v in levels.clusters.items()},
-            }
-            if levels
-            else None
-        ),
+        "levels": asdict(levels) if levels else None,
         "maxit": maxit,
         "m": m,
     }

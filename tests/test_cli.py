@@ -197,6 +197,24 @@ class TestImpute:
         ) == 2
         assert "--seed must be at least 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, message", [
+        (("--nbetween", "5"), "nbetween below 100"),
+        (("--m", "0"), "--m must be at least 1"),
+        (("--maxit", "0"), "--maxit must be at least 1"),
+        (("--nburn", "0"), "--nburn must be at least 1"),
+        (("--seed", "-1"), "--seed must be at least 0"),
+        (("--mtw-baseline", "numeracy_scorew1"), "--mtw-baseline wants col=wave"),
+    ])
+    def test_rejected_flag_reads_and_writes_nothing(self, tmp_path, capsys, flags,
+                                                    message):
+        # the input does not exist: the flags are checked before it is read
+        assert run(
+            "impute", "--input", str(tmp_path / "absent.csv"), "--method", "fcs-3l",
+            "--nbetween", "100", *flags, "--out-dir", str(tmp_path / "x"),
+        ) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize("method", METHOD_NAMES)
     def test_cluster_less_cohort(self, clusterless_dir, tmp_path, capsys, method):
         # methods that model the school need its column; the rest run without it

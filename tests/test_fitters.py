@@ -581,6 +581,22 @@ class TestNestedLmm:
         # the nested fit's Newton steps before dropping the school level count
         assert fit.n_iter > one.n_iter
 
+    def test_floored_school_level_drops_alone(self):
+        # no school effect: ML stops with the school ratio under the floor
+        # while the student ratio's gradient has not yet vanished; only the
+        # school level is dropped, and the fit converges
+        rng = np.random.default_rng(2)
+        school = np.repeat(np.arange(8), 20)
+        student = np.repeat(np.arange(80), 2)
+        x = rng.normal(size=160)
+        y = 1.0 + 0.5 * x + rng.normal(0, 0.5, 80)[student] + rng.normal(size=160)
+        X = np.column_stack([np.ones(160), x])
+        fit = fit_lmm_arrays(y, X, [school, student], "ML")
+        assert fit.converged and fit.boundary == ("level0",)
+        assert fit.var_components["level0"] == 0.0
+        one = fit_lmm_arrays(y, X, [student], "ML")
+        assert fit.loglik == pytest.approx(one.loglik, abs=1e-9)
+
     def test_student_variance_on_boundary(self):
         rng = np.random.default_rng(24)
         # within a school every student gets a permutation of the same

@@ -24,11 +24,14 @@ axis=0)`` on stacked float rows.
 """
 
 import ast
+import importlib
 import json
 import os
 import pathlib
 import subprocess
 import sys
+
+import pytest
 
 import longmi
 
@@ -198,16 +201,24 @@ def test_qr_checker_sees_calls_and_imports(tmp_path):
 
 _STARTUP_PROBE = """
 import json, os, sys
-from longmi.cli import main
 
 work = sys.argv[1]
+seen = set(sys.modules)
+loaded = {}
 
 
-def guarded():
-    return [m for m in ("scipy", "hashlib") if m in sys.modules]
+def record(name):
+    # what this step loads for the first time: longmi's modules and the
+    # heavy imports kept off the start-up path
+    new = set(sys.modules) - seen
+    seen.update(new)
+    loaded[name] = sorted(m for m in new if m.split(".")[0] == "longmi"
+                          or m in ("numpy", "scipy", "hashlib"))
 
 
-loaded = {"import": guarded()}
+from longmi.cli import main
+
+record("import")
 
 
 def step(name, *argv):
@@ -215,14 +226,9 @@ def step(name, *argv):
         main(list(argv))
     except SystemExit:
         pass
-    loaded[name] = guarded()
+    record(name)
 
 
-cfg = os.path.join(work, "cfg.json")
-with open(cfg, "w") as fh:
-    json.dump({"n_schools": 4, "n_students": 12}, fh)
-sim = os.path.join(work, "sim")
-step("sim", "sim", "--seed", "5", "--config", cfg, "--out-dir", sim)
 fits = os.path.join(work, "fits")
 os.makedirs(fits)
 for i, q in enumerate((1.0, 2.0, 3.0), start=1):
@@ -230,11 +236,22 @@ for i, q in enumerate((1.0, 2.0, 3.0), start=1):
         json.dump({"params": [{"name": "b", "estimate": q, "se": 1.0}],
                    "var_components": {"residual": 1.0}, "converged": True}, fh)
 step("pool", "pool", "--fits", fits, "--out-dir", os.path.join(work, "pooled"))
+cfg = os.path.join(work, "cfg.json")
+with open(cfg, "w") as fh:
+    json.dump({"n_schools": 4, "n_students": 12}, fh)
+sim = os.path.join(work, "sim")
+step("sim", "sim", "--seed", "5", "--config", cfg, "--out-dir", sim)
 step("help", "--help")
-step("bad_config", "impute", "--input", os.path.join(sim, "observed.csv"),
-     "--method", "fcs-3l", "--m", "0", "--out-dir", os.path.join(work, "imp"))
+observed = os.path.join(sim, "observed.csv")
+step("bad_config", "impute", "--input", observed, "--method", "fcs-3l",
+     "--m", "0", "--out-dir", os.path.join(work, "imp"))
+step("jm_impute", "impute", "--input", observed, "--method", "jm-1l-wide",
+     "--m", "1", "--nburn", "5", "--nbetween", "100",
+     "--out-dir", os.path.join(work, "jm"))
 print(json.dumps(loaded))
 """
+
+ENGINES = {"longmi.fcs", "longmi.jm", "longmi.fitters", "longmi.lmm", "longmi.formula"}
 
 
 def test_startup_leaves_scipy_unloaded(tmp_path):
@@ -243,13 +260,34 @@ def test_startup_leaves_scipy_unloaded(tmp_path):
         [sys.executable, "-c", _STARTUP_PROBE, str(tmp_path)],
         capture_output=True, text=True, env=env, timeout=120, check=True,
     )
-    loaded = json.loads(res.stdout.strip().splitlines()[-1])
-    assert (tmp_path / "sim" / "observed.csv").exists()
+    loaded = {k: set(v) for k, v in json.loads(res.stdout.strip().splitlines()[-1]).items()}
     assert (tmp_path / "pooled" / "pooled.csv").exists()
+    assert (tmp_path / "sim" / "observed.csv").exists()
     assert "must be at least 1" in res.stderr
-    # sim writes (and the bad-config impute reads) keyed copies: hashlib
-    assert loaded == {"import": [], "sim": ["hashlib"], "pool": ["hashlib"],
-                      "help": ["hashlib"], "bad_config": ["hashlib"]}
+    assert not (tmp_path / "imp").exists()
+    assert (tmp_path / "jm" / "imputations.csv").exists()
+    assert loaded["import"] == {"longmi", "longmi.cli", "longmi.errors"}
+    assert "numpy" in loaded["pool"]
+    assert not loaded["pool"] & (ENGINES | {"longmi.simulate", "hashlib"})
+    # sim writes keyed copies of its CSVs: hashlib
+    assert "hashlib" in loaded["sim"]
+    assert not loaded["sim"] & (ENGINES | {"longmi.pooling"})
+    # the flags are checked before the input is read or an engine loads
+    assert loaded["help"] == loaded["bad_config"] == set()
+    assert "longmi.jm" in loaded["jm_impute"]
+    assert not loaded["jm_impute"] & {"longmi.fcs", "longmi.fitters"}
+    assert all("scipy" not in loaded[k] for k in ("pool", "sim", "help", "bad_config"))
+
+
+def test_public_names_resolve_on_first_access():
+    for name in longmi.__all__:
+        module = importlib.import_module(f"longmi.{longmi._MODULE_OF[name]}")
+        assert getattr(longmi, name) is getattr(module, name), name
+    assert set(longmi.__all__) <= set(dir(longmi))
+    # importing the submodule of the same name keeps the function exported
+    assert longmi.simulate is importlib.import_module("longmi.simulate").simulate
+    with pytest.raises(AttributeError, match="no_such_name"):
+        longmi.no_such_name  # noqa: B018
 
 
 def _slow_calls(path: pathlib.Path) -> list[str]:
