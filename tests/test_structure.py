@@ -16,6 +16,11 @@ scipy is imported only inside ``rng``'s functions, on first call, so
 subcommands that never call it (sim, pool, diag, a usage error) start
 without paying for its import. ``hashlib``, which keys the binary copy
 of a CSV, is likewise imported only when a copy is written or read.
+Each process loads only the modules its subcommand runs: ``import
+longmi.cli`` loads ``longmi``, ``longmi.cli`` and ``longmi.errors`` and
+no numpy, the package resolves its public names on first access,
+``sim`` and ``pool`` load no imputation engine, LMM or formula code, a
+JM impute loads no FCS code, and a rejected flag loads nothing new.
 
 Group sums use ``np.bincount`` (one call per column) rather than the
 unbuffered ``np.add.at``, and groupings over several columns are
