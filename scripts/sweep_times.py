@@ -10,7 +10,11 @@ included, so K should be large enough to amortise them). ``--layer lmm``
 imputes each cohort with ``fcs-3l`` (m 5, maxit 3) and reports, for the
 ``(1|id)`` and ``(1|school/id)`` REML fits of the benchmark's analysis
 formula over the 15 completed datasets, the CPU ms per fit (median of
-five passes) and the ``lmm._deviance_core`` calls per fit. Given
+five passes) and the ``lmm._deviance_core`` calls per fit; then it fits
+the 300 synthetic nested designs of ``generator_designs`` by ML and by
+REML and reports the fits not converged, the fits on the boundary, and
+the median and 90th percentile of the Newton iterations of the interior
+and of the boundary fits. Given
 two ``src/`` directories the runs come in pairs, one per tree, and the
 trees alternate which goes first. The script prints each tree's median
 per row and, with two trees, the median of the per-pair ratios tree 2 /
@@ -37,6 +41,8 @@ FORMULA = ("numeracy_score ~ prev_dep + time + age + numeracy_scorew1 + sex"
            " + factor(ses) + ")
 TITLES = {"jm": "CPU ms per sweep", "lmm": "CPU ms and _deviance_core calls per fit"}
 LMM_PASSES = 5
+GENERATOR_SEED = 20261020
+GENERATOR_DESIGNS = 300
 
 
 def cohorts():
@@ -47,6 +53,29 @@ def cohorts():
 
     warnings.simplefilter("ignore")
     return [simulate(RngStream(s), SimConfig(seed=s)).observed for s in COHORTS]
+
+
+def generator_designs():
+    """(y, X, [school, student]) for each synthetic nested design: 5-29
+    schools of 2-11 students with 1-3 rows each, school sd ~ U(0, 0.3),
+    student sd ~ U(0, 1), residual sd 1 and y = 1 + 0.5 x + effects + e
+    for x ~ N(0, 1). Small school variances put many fits on the
+    boundary."""
+    import numpy as np
+
+    rng = np.random.default_rng(GENERATOR_SEED)
+    for _ in range(GENERATOR_DESIGNS):
+        n_school = rng.integers(5, 30)
+        school_of = np.repeat(np.arange(n_school), rng.integers(2, 12, n_school))
+        rows = rng.integers(1, 4, len(school_of))
+        school = np.repeat(school_of, rows)
+        student = np.repeat(np.arange(len(school_of)), rows)
+        sd_school, sd_student = rng.uniform(0, 0.3), rng.uniform(0, 1)
+        x = rng.normal(size=len(school))
+        y = (1.0 + 0.5 * x + rng.normal(0, sd_school, n_school)[school]
+             + rng.normal(0, sd_student, len(rows))[student]
+             + rng.normal(size=len(school)))
+        yield y, np.column_stack([np.ones(len(y)), x]), [school, student]
 
 
 def measure_jm(args) -> dict[str, float]:
@@ -99,6 +128,22 @@ def measure_lmm(args) -> dict[str, float]:
         finally:
             lmm._deviance_core = core
         out[f"{random} calls"] = calls[0] / len(data)
+    iterations = {"interior": [], "boundary": []}
+    nonconverged = 0
+    for y, X, codes in generator_designs():
+        for crit in ("ML", "REML"):
+            fit = lmm.fit_lmm_arrays(y, X, codes, crit)
+            nonconverged += not fit.converged
+            iterations["boundary" if fit.boundary else "interior"].append(fit.n_iter)
+    out["gen nonconverged"] = nonconverged
+    out["gen boundary fits"] = len(iterations["boundary"])
+    for kind, its in iterations.items():
+        its = its or [0]
+        out[f"gen {kind} it p50"] = statistics.median(its)
+        out[f"gen {kind} it p90"] = (
+            statistics.quantiles(its, n=10, method="inclusive")[-1] if len(its) > 1
+            else its[0]
+        )
     return out
 
 
@@ -158,9 +203,13 @@ def main(argv=None) -> int:
             row += f"{statistics.median(r[method] for r in runs[src]):10.3f}"
         if len(args.src) == 2:
             pairs = list(zip(first, runs[args.src[1]]))
-            ratio = statistics.median(b[method] / a[method] for a, b in pairs)
             wins = sum(b[method] < a[method] for a, b in pairs)
-            row += f"{ratio:12.3f}  {wins:>5d}/{len(pairs)}"
+            if all(a[method] for a, _ in pairs):
+                ratio = statistics.median(b[method] / a[method] for a, b in pairs)
+                row += f"{ratio:12.3f}"
+            else:
+                row += f"{'-':>12s}"
+            row += f"  {wins:>5d}/{len(pairs)}"
         print(row)
     for i, src in enumerate(args.src):
         print(f"tree {i + 1}: {os.path.abspath(src)}")

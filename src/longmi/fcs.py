@@ -35,10 +35,10 @@ from .fitters import (
 from .rng import (
     RngStream,
     chol,
+    chol_inverse,
     expit,
     group_sums,
     precision_draw,
-    solve_triangular,
     sym,
     trunc_normal_array,
     wishart_precision_draw,
@@ -327,7 +327,7 @@ class _LmmGibbs:
         q = len(self.z_to_x)
         sizes = [len(u) for u in self.u]
         Cx = chol(X.T @ X + 1e-10 * np.eye(p))
-        Ci = solve_triangular(Cx, np.eye(p), lower=True)  # beta ~ N(Ci'Ci X'r, s2 Ci'Ci)
+        Ci = chol_inverse(Cx)  # beta ~ N(Ci'Ci X'r, s2 Ci'Ci)
         if q == 1:
             counts = [np.bincount(c, minlength=s) for c, s in zip(codes, sizes)]
         else:

@@ -49,11 +49,10 @@ from .errors import (
 )
 from .rng import (
     RngStream,
-    cho_solve,
     chol,
+    chol_inverse,
     gram_chol,
     precision_draw,
-    solve_triangular,
     sym,
     wishart_precision_draw,
 )
@@ -628,17 +627,16 @@ class _MlmmSampler:
         """B2 and the missing Y2 cells given U. Given U, V has precision
         the vv block of inv(Psi) and mean -inv(P_vv) P_vu u."""
         qr, C, P = self.qr, self.C, self.Psi_prec
-        Lv = chol(P[qr:, qr:])
+        Ki = chol_inverse(chol(P[qr:, qr:]))
         u_flat = self.U.transpose(0, 2, 1).reshape(C, qr)
-        m_v = -cho_solve((Lv, True), P[qr:, :qr] @ u_flat.T).T
+        m_v = -(Ki.T @ (Ki @ (P[qr:, :qr] @ u_flat.T))).T
         T2 = self.Y2 - m_v
         b2_hat = np.linalg.solve(
             self._x2_chol.T, np.linalg.solve(self._x2_chol, self.X2.T @ T2)
         )
-        # inv(Lv)' is a factor of the covariance inv(P_vv)
-        col_factor = solve_triangular(Lv, np.eye(self.r2), lower=True).T
+        # Ki' is a factor of the covariance inv(P_vv)
         self.B2 = _matrix_normal_draw(b2_hat, self._sqrt_x2_inv,
-                                      rng.normal(size=b2_hat.shape), col_factor)
+                                      rng.normal(size=b2_hat.shape), Ki.T)
         mu2 = self.X2 @ self.B2 + m_v
         Q2 = P[qr:, qr:][None]
         _draw_missing(rng, self.Y2, mu2, Q2, self.plan2)

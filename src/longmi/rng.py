@@ -60,23 +60,8 @@ class RngStream:
 
 
 # scipy is imported on first call, not with the package: its import is
-# most of the package's start-up time, which sim, pool, diag and a usage
-# error would otherwise pay without calling it. These pass their
-# arguments through unchanged.
-
-
-def cho_solve(*a, **k):
-    """``scipy.linalg.cho_solve``."""
-    from scipy.linalg import cho_solve
-
-    return cho_solve(*a, **k)
-
-
-def solve_triangular(*a, **k):
-    """``scipy.linalg.solve_triangular``."""
-    from scipy.linalg import solve_triangular
-
-    return solve_triangular(*a, **k)
+# most of the package's start-up time, which every process that draws no
+# truncated normal would otherwise pay without calling it.
 
 
 def ndtr(x):
@@ -236,14 +221,13 @@ def precision_draw(rng: RngStream, lam: np.ndarray, b: np.ndarray) -> np.ndarray
 
     With lam = L L', inv(L L') (b + L z) is the mean inv(lam) b plus the
     noise inv(L') z, so one Cholesky factor serves both. For one matrix
-    that is inv(L')(inv(L) b + z), two triangular solves.
+    that is inv(L)'(inv(L) b + z), through one triangular inverse.
     """
     L = chol(lam)
     z = rng.normal(size=b.shape)
     if L.ndim == 2:
-        return solve_triangular(
-            L, solve_triangular(L, b, lower=True) + z, lower=True, trans="T"
-        )
+        Ki = chol_inverse(L)
+        return Ki.T @ (Ki @ b + z)
     # forward then back substitution, vectorised over the stack: for the
     # small blocks here this beats a batched LU solve several times over
     x = b + np.einsum("gij,gj->gi", L, z)

@@ -519,20 +519,48 @@ class TestNestedLmm:
         codes = [school, student] if levels == 2 else [pair]
         blocks = lmm._Blocks(X, y, codes)
 
-        def terms(x):
-            """Profiled d(deviance)/d(log rho) and its analytic Hessian."""
-            _, s2, grad, _, _, hess = lmm._deviance_core(blocks, np.exp(x), crit)
-            return grad[:-1] * np.exp(x) * s2, hess
+        def terms(rho):
+            """Profiled d(deviance)/d(rho) and its analytic Hessian."""
+            _, _, grad, _, _, hess = lmm._deviance_core(blocks, rho, crit)
+            return grad, hess
 
         theta = np.array(list(fit_lmm_arrays(y, X, codes, crit).var_components.values()))
-        opt = np.log(theta[:-1] / theta[-1])
-        near_zero = opt.copy()
-        near_zero[0] = np.log(1e-4)
-        for x in (np.zeros(levels), opt, near_zero):
-            fd = fd_jacobian(lambda v: terms(v)[0], x)
+        opt = theta[:-1] / theta[-1]
+        near_zero, zero = opt.copy(), opt.copy()
+        near_zero[0], zero[0] = 1e-4, 0.0
+        # at rho_0 = 0 the differences reach rho_0 = -1e-6, where V stays
+        # positive definite and the closed forms still hold
+        for rho in (np.ones(levels), opt, near_zero, zero):
+            fd = fd_jacobian(lambda v: terms(v)[0], rho)
             np.testing.assert_allclose(
-                terms(x)[1], fd, rtol=1e-6, atol=1e-6 * np.abs(fd).max()
+                terms(rho)[1], fd, rtol=1e-6, atol=1e-6 * np.abs(fd).max()
             )
+
+    @pytest.mark.parametrize("crit", ["ML", "REML"])
+    @pytest.mark.parametrize("levels", [1, 2])
+    def test_gradient_at_zero_matches_one_sided_differences(self, crit, levels):
+        from longmi import lmm
+
+        rng = np.random.default_rng(30)
+        y, X, school, student, pair = nested_data(
+            rng, rng.integers(4, 10, 8), 0.3, 0.5, 0.4
+        )
+        codes = [school, student] if levels == 2 else [pair]
+        blocks = lmm._Blocks(X, y, codes)
+        h = 1e-5
+        for k in range(levels):
+            rho = np.full(levels, 0.6)
+            rho[k] = 0.0
+            _, s2, grad = lmm._deviance_core(blocks, rho, crit)[:3]
+            # the profiled gradient is the gradient at sigma_e^2 = s2, and
+            # d/d rho_k is s2 d/d sigma_k^2
+            theta = np.append(rho * s2, s2)
+            step = np.zeros(levels + 1)
+            step[k] = h * s2
+            d0, d1, d2 = (
+                deviance(y, X, codes, theta + i * step, crit) for i in range(3)
+            )
+            assert grad[k] == pytest.approx((4 * d1 - 3 * d0 - d2) / (2 * h), rel=1e-6)
 
     @pytest.mark.parametrize("crit", ["ML", "REML"])
     def test_one_deviance_evaluation_per_newton_step(self, crit, monkeypatch):
@@ -553,6 +581,8 @@ class TestNestedLmm:
             assert 0 < len(calls) <= 2 * fit.n_iter
 
     def test_school_variance_on_boundary_equals_one_level_fit(self):
+        from longmi import lmm
+
         rng = np.random.default_rng(23)
         # every school holds the same students' values: identical school means
         per_school, rows = 5, 3
@@ -571,20 +601,24 @@ class TestNestedLmm:
         assert one.boundary == ()
         np.testing.assert_allclose(fit.beta, one.beta, atol=1e-10)
         np.testing.assert_allclose(fit.se, one.se, atol=1e-10)
-        assert fit.var_components["level1"] == pytest.approx(
-            one.var_components["level0"], rel=1e-10
-        )
-        assert fit.var_components["residual"] == pytest.approx(
-            one.var_components["residual"], rel=1e-10
-        )
+        # the nested fit reaches the one-level optimum by its own Newton
+        # path, so the components agree to the fits' convergence tolerance,
+        # and they are at least as stationary in the one-level model as
+        # the one-level fit's own
+        comps = np.array([fit.var_components["level1"], fit.var_components["residual"]])
+        ref = np.array([one.var_components["level0"], one.var_components["residual"]])
+        np.testing.assert_allclose(comps, ref, rtol=1e-8)
+        blocks = lmm._Blocks(X, y, [school * per_school + student])
+        assert (np.abs(lmm._gradient(blocks, comps, "REML")).max()
+                <= np.abs(lmm._gradient(blocks, ref, "REML")).max())
         assert fit.loglik == pytest.approx(one.loglik, abs=1e-9)
-        # the nested fit's Newton steps before dropping the school level count
+        # the nested fit's Newton steps before holding the school level count
         assert fit.n_iter > one.n_iter
 
     def test_floored_school_level_drops_alone(self):
-        # no school effect: ML stops with the school ratio under the floor
-        # while the student ratio's gradient has not yet vanished; only the
-        # school level is dropped, and the fit converges
+        # no school effect: ML takes the school ratio under the floor while
+        # the student ratio's gradient has not yet vanished; only the school
+        # ratio is held at zero, and the fit converges
         rng = np.random.default_rng(2)
         school = np.repeat(np.arange(8), 20)
         student = np.repeat(np.arange(80), 2)
@@ -594,6 +628,7 @@ class TestNestedLmm:
         fit = fit_lmm_arrays(y, X, [school, student], "ML")
         assert fit.converged and fit.boundary == ("level0",)
         assert fit.var_components["level0"] == 0.0
+        assert fit.n_iter <= 16
         one = fit_lmm_arrays(y, X, [student], "ML")
         assert fit.loglik == pytest.approx(one.loglik, abs=1e-9)
 

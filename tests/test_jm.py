@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 from scipy.stats import norm
 
 from longmi.errors import (
@@ -31,7 +32,6 @@ from longmi.rng import (
     chol,
     conditional_mvn,
     precision_draw,
-    solve_triangular,
 )
 from longmi.table import ColumnSpec, Dataset
 

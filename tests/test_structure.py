@@ -7,8 +7,10 @@ owns them (linear algebra and random draws live in ``rng``).
 Fits solve with Cholesky factors rather than forming a matrix inverse:
 ``np.linalg.inv`` appears only in ``rng.chol_inverse``, the inverse of a
 triangular factor. Regression designs are rank-checked by
-``rng.gram_chol`` from the Cholesky factor of X'X, so nothing calls
-``np.linalg.qr`` or scipy's ``cho_factor``. The samplers draw in precision form:
+``rng.gram_chol`` from the Cholesky factor of X'X and triangular systems
+are solved through ``rng.chol_inverse``, so nothing calls
+``np.linalg.qr`` or scipy's ``cho_factor``, ``cho_solve`` or
+``solve_triangular``. The samplers draw in precision form:
 ``jm`` and ``fcs`` import none of the covariance-form samplers, which
 stay in ``rng`` as the oracles the law tests check against.
 
@@ -157,7 +159,9 @@ def test_matrix_inverse_only_in_rng():
 def test_no_qr_or_cho_factor():
     hits = [
         hit for path in sorted(PKG.glob("*.py"))
-        for hit in _linalg_calls(path, {"qr", "cho_factor"})
+        for hit in _linalg_calls(
+            path, {"qr", "cho_factor", "cho_solve", "solve_triangular"}
+        )
     ]
     assert hits == []
 
