@@ -5,10 +5,12 @@ Every subcommand of the paper's workflow (simulate, impute, analyze,
 pool, diag) runs as its own process, so each one pays the interpreter
 and import start-up that an in-process benchmark pays once. ``longmi
 --help`` and ``longmi impute --help`` show what listing the method
-names in the help costs. This script
+names in the help costs, and ``impute fcs-2l`` (m 5, maxit 10) what its
+probit latent's truncated-normal draws cost. This script
 runs each subcommand ``--runs`` times in a new interpreter with BLAS
 pinned to one thread and prints the median wall time, with quartiles,
-per subcommand. Given two ``src/`` directories it alternates between
+and the median peak resident set size (``ru_maxrss``) per subcommand.
+Given two ``src/`` directories it alternates between
 them, switching which goes first on every run, and prints both side by
 side with the difference of the medians.
 
@@ -36,6 +38,7 @@ FORMULA = ("numeracy_score ~ prev_dep + time + age + numeracy_scorew1 + sex"
            " + factor(ses) + (1|school/id)")
 JM_ARGS = ("--method", "jm-2l-wide", "--m", "2", "--nburn", "20", "--nbetween", "100")
 FCS_ARGS = ("--method", "fcs-3l", "--m", "5", "--maxit", "3")
+FCS_2L_ARGS = ("--method", "fcs-2l", "--m", "5", "--maxit", "10")
 
 
 def steps(work: str) -> list[tuple[str, int, list[str]]]:
@@ -47,6 +50,8 @@ def steps(work: str) -> list[tuple[str, int, list[str]]]:
         ("impute jm-2l-wide", 0, ["impute", "--input", observed, *JM_ARGS,
                                   "--out-dir", out]),
         ("impute fcs-3l", 0, ["impute", "--input", observed, *FCS_ARGS,
+                              "--out-dir", out]),
+        ("impute fcs-2l", 0, ["impute", "--input", observed, *FCS_2L_ARGS,
                               "--out-dir", out]),
         ("analyze (1|school/id)", 0, [
             "analyze", "--input", os.path.join(work, "fcs", "imputations.csv"),
@@ -68,16 +73,23 @@ def environment(src: str) -> dict[str, str]:
     return env
 
 
-def longmi(src: str, argv: list[str], expect: int = 0) -> float:
-    """Wall time of ``longmi <argv>`` in a fresh interpreter."""
+def longmi(src: str, argv: list[str], expect: int = 0) -> tuple[float, float]:
+    """Wall time (s) and peak RSS (MB) of ``longmi <argv>`` in a fresh
+    interpreter."""
     cmd = [sys.executable, "-m", "longmi.cli", *argv]
-    t = time.perf_counter()
-    res = subprocess.run(cmd, env=environment(src), capture_output=True, text=True)
-    elapsed = time.perf_counter() - t
-    if res.returncode != expect:
-        raise SystemExit(f"{' '.join(argv[:3])} under {src} exited "
-                         f"{res.returncode}, expected {expect}:\n{res.stderr}")
-    return elapsed
+    with tempfile.TemporaryFile() as err:
+        t = time.perf_counter()
+        proc = subprocess.Popen(cmd, env=environment(src),
+                                stdout=subprocess.DEVNULL, stderr=err)
+        _, status, usage = os.wait4(proc.pid, 0)
+        elapsed = time.perf_counter() - t
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        if proc.returncode != expect:
+            err.seek(0)
+            raise SystemExit(f"{' '.join(argv[:3])} under {src} exited "
+                             f"{proc.returncode}, expected {expect}:\n"
+                             f"{err.read().decode(errors='replace')}")
+    return elapsed, usage.ru_maxrss / 1024
 
 
 def prepare(src: str, work: str) -> None:
@@ -120,19 +132,23 @@ def main(argv=None) -> int:
                     label, expect, step_argv = plans[src][step]
                     times[label, src].append(longmi(src, step_argv, expect))
 
-    print(f"wall time over {args.runs} fresh interpreters (s): median [quartiles]")
+    print(f"wall time over {args.runs} fresh interpreters (s): median [quartiles]"
+          "; peak RSS (MB): median")
     print(f"{'subcommand':24s}" + "".join(f"{'tree ' + str(i + 1):>22s}"
-                                         for i in range(len(args.src))))
+                                         for i in range(len(args.src)))
+          + ("   wall 2-1" if len(args.src) == 2 else "")
+          + "".join(f"{'RSS ' + str(i + 1):>8s}" for i in range(len(args.src))))
     for label, _, _ in plan:
-        row, medians = f"{label:24s}", []
+        row, medians, rss = f"{label:24s}", [], ""
         for src in args.src:
-            t = times[label, src]
+            t = [wall for wall, _ in times[label, src]]
             q1, med, q3 = statistics.quantiles(t, n=4) if len(t) > 1 else t * 3
             row += f"{med:8.3f} [{q1:.3f}, {q3:.3f}]"
             medians.append(med)
+            rss += f"{statistics.median(mb for _, mb in times[label, src]):8.1f}"
         if len(medians) == 2:
-            row += f"   {medians[1] - medians[0]:+.3f}"
-        print(row)
+            row += f"{medians[1] - medians[0]:+11.3f}"
+        print(row + rss)
     for i, src in enumerate(args.src):
         print(f"tree {i + 1}: {os.path.abspath(src)}")
     return 0

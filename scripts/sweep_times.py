@@ -7,9 +7,12 @@ every joint-model method up once, and then reports, per method, the CPU
 time of ``build_and_run(<method>, m=1, nburn=K)`` over the three cohorts
 divided by the 3K sweeps (set-up, reshapes and the one snapshot are
 included, so K should be large enough to amortise them). ``--layer lmm``
-imputes each cohort with ``fcs-3l`` (m 5, maxit 3) and reports, for the
+first imputes each cohort with ``fcs-3l`` (m 5, maxit 3) under the first
+tree and writes the 15 completed datasets to CSV files, so that both
+trees fit the same data even when their imputations differ. Each run
+then reads those files and reports, for the
 ``(1|id)`` and ``(1|school/id)`` REML fits of the benchmark's analysis
-formula over the 15 completed datasets, the CPU ms per fit (median of
+formula over the 15 datasets, the CPU ms per fit (median of
 five passes) and the ``lmm._deviance_core`` calls per fit; then it fits
 the 300 synthetic nested designs of ``generator_designs`` by ML and by
 REML and reports the fits not converged, the fits on the boundary, and
@@ -28,11 +31,13 @@ tree 1 and the number of pairs in which tree 2 was lower.
 from __future__ import annotations
 
 import argparse
+import glob
 import json
 import os
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 
 COHORTS = (2946, 2947, 2948)
@@ -96,14 +101,27 @@ def measure_jm(args) -> dict[str, float]:
     return out
 
 
-def measure_lmm(args) -> dict[str, float]:
-    """CPU ms and deviance evaluations per REML fit (worker side)."""
-    from longmi import lmm
+def write_lmm_data(args) -> dict[str, float]:
+    """Write the ``fcs-3l`` imputations of the cohorts under ``args.data``
+    (worker side, first tree only)."""
     from longmi.methods import build_and_run
     from longmi.rng import RngStream
+    from longmi.table import write_csv
 
     data = [imp for d in cohorts() for imp in build_and_run(
         RngStream(SEED), "fcs-3l", d, m=5, maxit=3).stack.imputations]
+    for i, d in enumerate(data):
+        write_csv(d, os.path.join(args.data, f"imputation_{i:02d}.csv"))
+    return {"datasets": len(data)}
+
+
+def measure_lmm(args) -> dict[str, float]:
+    """CPU ms and deviance evaluations per REML fit (worker side)."""
+    from longmi import lmm
+    from longmi.table import read_csv
+
+    data = [read_csv(path) for path in
+            sorted(glob.glob(os.path.join(args.data, "imputation_*.csv")))]
     out = {}
     for random in ("(1|id)", "(1|school/id)"):
         formula = FORMULA + random
@@ -147,13 +165,13 @@ def measure_lmm(args) -> dict[str, float]:
     return out
 
 
-def run(src: str, args) -> dict[str, float]:
+def run(src: str, args, *extra: str) -> dict[str, float]:
     """One fresh-interpreter run on ``src``."""
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
     cmd = [sys.executable, os.path.abspath(__file__), "--worker", "--layer", args.layer,
-           "--nburn", str(args.nburn)]
+           "--nburn", str(args.nburn), "--data", args.data, *extra]
     res = subprocess.run(cmd, env=env, capture_output=True, text=True)
     if res.returncode != 0:
         raise SystemExit(f"run under {src} exited {res.returncode}:\n{res.stderr}")
@@ -169,11 +187,14 @@ def main(argv=None) -> int:
                     help="what to time: the JM sweep or the LMM fit")
     ap.add_argument("--nburn", type=int, default=100, help="jm: sweeps per cohort")
     ap.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
+    ap.add_argument("--data", default="", help=argparse.SUPPRESS)
+    ap.add_argument("--write-data", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.nburn < 1:
         ap.error("--nburn must be at least 1")
     if args.worker:
-        measure = measure_jm if args.layer == "jm" else measure_lmm
+        measure = (write_lmm_data if args.write_data
+                   else measure_jm if args.layer == "jm" else measure_lmm)
         print(json.dumps(measure(args)))
         return 0
     if not 1 <= len(args.src) <= 2:
@@ -185,10 +206,13 @@ def main(argv=None) -> int:
             ap.error(f"no longmi package under {src}")
 
     runs = {src: [] for src in args.src}
-    for i in range(args.pairs):
-        for src in args.src if i % 2 == 0 else args.src[::-1]:
-            runs[src].append(run(src, args))
-        print(f"pair {i + 1}/{args.pairs} done", file=sys.stderr, flush=True)
+    with tempfile.TemporaryDirectory(prefix="longmi-sweep-") as args.data:
+        if args.layer == "lmm":
+            run(args.src[0], args, "--write-data")
+        for i in range(args.pairs):
+            for src in args.src if i % 2 == 0 else args.src[::-1]:
+                runs[src].append(run(src, args))
+            print(f"pair {i + 1}/{args.pairs} done", file=sys.stderr, flush=True)
 
     first = runs[args.src[0]]
     setting = f"nburn {args.nburn}" if args.layer == "jm" else f"{LMM_PASSES} passes"

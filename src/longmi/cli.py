@@ -73,13 +73,24 @@ def _write_manifest(out_dir, subcommand, seed, inputs, outputs, configs, t0):
     )
 
 
+def _read_json(path) -> dict:
+    """The JSON object in ``path``, or ``BadConfig`` naming the file."""
+    try:
+        with open(path) as fh:
+            obj = json.load(fh)
+    except ValueError as e:  # not JSON, or not UTF-8
+        raise BadConfig(f"{path} is not valid JSON: {e}") from None
+    if not isinstance(obj, dict):
+        raise BadConfig(f"{path} holds a JSON {type(obj).__name__}, not an object")
+    return obj
+
+
 def _check_upstream(path):
     """Validate the manifest sitting next to an input file, if any."""
     manifest = os.path.join(os.path.dirname(os.path.abspath(path)), MANIFEST)
     if not os.path.exists(manifest):
         return
-    with open(manifest) as fh:
-        meta = json.load(fh)
+    meta = _read_json(manifest)
     if meta.get("tool") == "longmi" and meta.get("version") != __version__:
         raise BadConfig(
             f"input {path} was produced by longmi {meta.get('version')}, "
@@ -102,13 +113,7 @@ def cmd_sim(args) -> int:
     from .table import copy_path, incomplete_fraction, sidecar_path
 
     t0 = time.time()
-    cfg_fields = {}
-    if args.config:
-        with open(args.config) as fh:
-            try:
-                cfg_fields = json.load(fh)
-            except json.JSONDecodeError as e:
-                raise BadConfig(f"config is not valid JSON: {e}") from e
+    cfg_fields = _read_json(args.config) if args.config else {}
     if args.seed is not None:
         cfg_fields["seed"] = args.seed
     cfg = SimConfig.from_dict(cfg_fields)
@@ -286,13 +291,9 @@ def cmd_analyze(args) -> int:
 
 class _JsonFit:
     def __init__(self, payload):
-        self._params = [
-            (p["name"], float(p["estimate"]), float(p["se"]))
-            for p in payload["params"]
-        ]
-        self.var_components = {
-            k: float(v) for k, v in payload["var_components"].items()
-        }
+        self._params = [(p["name"], float(p["estimate"]), float(p["se"]))
+                        for p in payload["params"]]
+        self.var_components = {k: float(v) for k, v in payload["var_components"].items()}
         self.converged = bool(payload["converged"])
 
     def params(self):
@@ -309,8 +310,10 @@ def cmd_pool(args) -> int:
     _check_upstream(files[0])
     fits = []
     for f in files:
-        with open(f) as fh:
-            fits.append(_JsonFit(json.load(fh)))
+        try:
+            fits.append(_JsonFit(_read_json(f)))
+        except (KeyError, TypeError, ValueError) as e:
+            raise BadConfig(f"{f} is not a fit JSON: {type(e).__name__}: {e}") from None
     try:
         out = pool(fits, strict=args.strict)
     except TooFewImputations:

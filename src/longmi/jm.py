@@ -481,10 +481,9 @@ class _MlmmSampler:
             self.r2 = self.Y2.shape[1]
             self.f2 = self.X2.shape[1]
             self.B2 = np.zeros((self.f2, self.r2))
-            self._x2_chol = C2 = gram_chol(
+            self._x2_chol_inv = chol_inverse(gram_chol(
                 self.X2, f"level-2 design ({', '.join(self.x2_names)})"
-            )
-            self._sqrt_x2_inv = np.linalg.solve(C2.T, np.eye(self.f2))
+            ))
             one = np.zeros(self.C, dtype=int)
             self.plan2 = _DrawPlan.build(self.layout2.unknown_mask(), one)
             self.mh_plan2 = _mh_plan(self.layout2, d, one)
@@ -507,7 +506,7 @@ class _MlmmSampler:
         # every G factors X'X, so a collinear design fails here by name;
         # the one-group draw of B reuses the factor
         Lx = gram_chol(self.X, f"fixed-effect design ({', '.join(self.x_names)})")
-        self._sqrt_xtx_inv = np.linalg.solve(Lx.T, np.eye(self.f))
+        self._sqrt_xtx_inv = chol_inverse(Lx).T
         self._xtx_inv = self._sqrt_xtx_inv @ self._sqrt_xtx_inv.T
 
         self.plan = _DrawPlan.build(self.layout.unknown_mask(), self.group)
@@ -613,7 +612,7 @@ class _MlmmSampler:
         f, r, G, Q = self.f, self.r, self.G, self.Q
         if G == 1:
             z = rng.normal(size=f * r)
-            col_factor = np.linalg.solve(chol(Q[0]), np.eye(r)).T
+            col_factor = chol_inverse(chol(Q[0])).T
             self.B = _matrix_normal_draw(self._xtx_inv @ (self.X.T @ T),
                                          self._sqrt_xtx_inv, z.reshape(r, f).T,
                                          col_factor)
@@ -631,11 +630,10 @@ class _MlmmSampler:
         u_flat = self.U.transpose(0, 2, 1).reshape(C, qr)
         m_v = -(Ki.T @ (Ki @ (P[qr:, :qr] @ u_flat.T))).T
         T2 = self.Y2 - m_v
-        b2_hat = np.linalg.solve(
-            self._x2_chol.T, np.linalg.solve(self._x2_chol, self.X2.T @ T2)
-        )
+        Ci = self._x2_chol_inv
+        b2_hat = Ci.T @ (Ci @ (self.X2.T @ T2))
         # Ki' is a factor of the covariance inv(P_vv)
-        self.B2 = _matrix_normal_draw(b2_hat, self._sqrt_x2_inv,
+        self.B2 = _matrix_normal_draw(b2_hat, Ci.T,
                                       rng.normal(size=b2_hat.shape), Ki.T)
         mu2 = self.X2 @ self.B2 + m_v
         Q2 = P[qr:, qr:][None]

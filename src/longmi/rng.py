@@ -7,6 +7,7 @@ regardless of how chains are scheduled.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,25 +58,6 @@ class RngStream:
 
     def choice(self, *a, **k):
         return self.gen.choice(*a, **k)
-
-
-# scipy is imported on first call, not with the package: its import is
-# most of the package's start-up time, which every process that draws no
-# truncated normal would otherwise pay without calling it.
-
-
-def ndtr(x):
-    """Standard normal CDF, ``scipy.special.ndtr``."""
-    from scipy.special import ndtr
-
-    return ndtr(x)
-
-
-def ndtri(p):
-    """Standard normal quantile, ``scipy.special.ndtri``."""
-    from scipy.special import ndtri
-
-    return ndtri(p)
 
 
 def chol(cov: np.ndarray) -> np.ndarray:
@@ -282,9 +264,6 @@ def wishart_precision_draw(
     return sym(A @ np.swapaxes(A, -1, -2)), sym(np.swapaxes(K, -1, -2) @ K)
 
 
-_FAR_TAIL = 4.0
-
-
 def trunc_normal_draw(
     rng: RngStream,
     mean: float,
@@ -295,9 +274,7 @@ def trunc_normal_draw(
 ) -> float | np.ndarray:
     """Normal(mean, sd) restricted to the open interval (lower, upper)."""
     n = 1 if size is None else size
-    out = trunc_normal_array(
-        rng, np.full(n, mean), sd, np.full(n, lower), np.full(n, upper)
-    )
+    out = trunc_normal_array(rng, np.full(n, mean), sd, lower, upper)
     return float(out[0]) if size is None else out
 
 
@@ -310,44 +287,65 @@ def trunc_normal_array(
     mean = np.asarray(mean, dtype=float)
     a = (np.asarray(lower, dtype=float) - mean) / sd
     b = (np.asarray(upper, dtype=float) - mean) / sd
-    if (a >= b).any():
+    if not (a < b).all():
         raise EmptyInterval("some truncation interval has no interior")
-    return mean + sd * _trunc_std(rng, a, b)
+    a, b = np.broadcast_arrays(a, b)
+    return mean + sd * _trunc_std(rng, a.ravel(), b.ravel()).reshape(a.shape)
+
+
+_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
 def _trunc_std(rng: RngStream, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Standard-normal draws on (a, b): inverse-CDF in the bulk, Robert's
-    shifted-exponential rejection once the interval lies beyond 4 sd."""
-    out = np.empty(a.shape)
-    # mirror left-tail intervals onto the right tail
-    flip = b <= -_FAR_TAIL
+    """Standard-normal draws on (a, b) by accept-reject with the proposals
+    of Robert, "Simulation of truncated normal variables", Statistics and
+    Computing 5(2), 1995. An interval left of zero is mirrored, so hi > 0,
+    and each element keeps the proposal with the highest acceptance rate
+    on its (lo, hi), over Phi(hi) - Phi(lo):
+    - the normal, kept in (lo, hi): 1, or 2 folded to |z| when lo >= 0;
+    - the uniform on (lo, hi), kept with probability exp((m^2 - z^2) / 2)
+      for m = max(lo, 0): sqrt(2 pi) exp(m^2 / 2) / (hi - lo);
+    - for lo >= 0, lo plus an exponential of rate lam = (lo + sqrt(lo^2 +
+      4)) / 2, kept below hi with probability exp(-(z - lam)^2 / 2):
+      sqrt(2 pi) lam exp(lam lo - lam^2 / 2).
+    So a long tail beyond lo = 0.257 draws exponentials and an interval
+    across 0 narrower than sqrt(2 pi) uniforms. The elements are grouped
+    by proposal once; each round then passes once over those pending.
+    """
+    flip = b <= 0.0
     lo = np.where(flip, -b, a)
     hi = np.where(flip, -a, b)
-    far = lo >= _FAR_TAIL
-    if (~far).any():
-        al, bl = lo[~far], hi[~far]
-        u = rng.uniform(ndtr(al), ndtr(bl))
-        # clip away exact 0/1 so ndtri stays finite
-        u = np.clip(u, 1e-300, 1 - 1e-16)
-        z = ndtri(u)
-        out[~far] = np.clip(z, al, bl)
-    if far.any():
-        out[far] = _robert_tail(rng, lo[far], hi[far])
-    out[flip] = -out[flip]
-    return out
-
-
-def _robert_tail(rng: RngStream, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Rejection sampler for N(0,1) on (lo, hi) with lo >= 4."""
-    out = np.empty(lo.shape)
-    todo = np.arange(lo.size)
-    lam = (lo + np.sqrt(lo**2 + 4.0)) / 2.0
+    fold = lo >= 0.0
+    m = np.maximum(lo, 0.0)
+    lam = 0.5 * (m + np.sqrt(m * m + 4.0))
+    r_norm = math.log(2.0) * fold  # log acceptance rates, as above
+    r_unif = _LOG_SQRT_2PI + 0.5 * m * m - np.log(hi - lo)
+    r_exp = np.where(fold, _LOG_SQRT_2PI + np.log(lam) + lam * (m - 0.5 * lam), -np.inf)
+    unif = r_unif > np.maximum(r_norm, r_exp)
+    # each element's proposal: 0 normal, 1 folded normal, 2 uniform, 3
+    # exponential; pending elements by proposal, n0 <= n1 <= n2 the ends
+    kind = np.where(unif, 2, fold + 2 * (r_exp > r_norm)).astype(np.int8)
+    todo = np.argsort(kind, kind="stable")
+    n0, n1, n2 = np.cumsum(np.bincount(kind, minlength=4))[:3]
+    # the proposal z = base + scale * v is kept when l < z < h and, past
+    # the normals, U <= exp(c0 + z (c1 - z / 2))
+    P = np.zeros((6, todo.size))
+    base, scale, c0, c1, l, h = P
+    l[:], h[:], scale[:n1], base[n1:] = lo[todo], hi[todo], 1.0, lo[todo[n1:]]
+    u, lam = todo[n1:n2], lam[todo[n2:]]
+    scale[n1:n2], c0[n1:n2] = hi[u] - lo[u], 0.5 * m[u] ** 2
+    scale[n2:], c0[n2:], c1[n2:] = 1.0 / lam, -0.5 * lam * lam, lam
+    out = np.empty(a.shape)
     while todo.size:
-        l, h, lm = lo[todo], hi[todo], lam[todo]
-        z = l + rng.gen.exponential(size=todo.size) / lm
-        accept = (z < h) & (
-            np.log(rng.random(todo.size)) <= -0.5 * (z - lm) ** 2
-        )
-        out[todo[accept]] = z[accept]
-        todo = todo[~accept]
-    return out
+        v = np.concatenate([rng.normal(size=n1), rng.random(n2 - n1),
+                            rng.gen.standard_exponential(todo.size - n2)])
+        np.abs(v[n0:n1], out=v[n0:n1])
+        base, scale, c0, c1, l, h = P
+        z = base + scale * v
+        out[todo] = z  # a rejected draw is overwritten in a later round
+        keep = (z <= l) | (z >= h)
+        t = z[n1:]
+        keep[n1:] |= rng.random(t.size) > np.exp(c0[n1:] + t * (c1[n1:] - 0.5 * t))
+        n0, n1, n2 = (np.count_nonzero(keep[:n]) for n in (n0, n1, n2))
+        todo, P = todo[keep], P[:, keep]
+    return np.where(flip, -out, out)

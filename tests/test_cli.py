@@ -58,6 +58,12 @@ class TestSim:
         cfg.write_text(json.dumps({"nonsense_field": 1}))
         assert run("sim", "--config", str(cfg), "--out-dir", str(tmp_path)) == 2
 
+    def test_config_not_an_object_exit(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text("[4, 12]")
+        assert run("sim", "--config", str(cfg), "--out-dir", str(tmp_path / "out")) == 2
+        assert f"{cfg} holds a JSON list" in capsys.readouterr().err
+
     @pytest.mark.parametrize("fields, argv, named", [
         ({}, ("--seed", "-3"), "seed"),
         ({"seed": "x"}, (), "seed"),
@@ -459,6 +465,36 @@ class TestAnalyzePool:
         }))
         assert run("pool", "--fits", str(fits),
                    "--out-dir", str(tmp_path / "o")) == 2
+
+    @pytest.mark.parametrize("body, found", [
+        ("[1, 2]", "holds a JSON list, not an object"),
+        ("{not json", "is not valid JSON"),
+    ])
+    def test_unreadable_manifest_exit(self, sim_dir, tmp_path, capsys, body, found):
+        import shutil
+
+        clone = tmp_path / "clone"
+        shutil.copytree(sim_dir, clone)
+        (clone / "run_manifest.json").write_text(body)
+        assert run(
+            "analyze", "--input", str(clone / "observed.csv"),
+            "--formula", EQ1, "--aca", "--out-dir", str(tmp_path / "x"),
+        ) == 2
+        err = capsys.readouterr().err
+        assert f"{clone / 'run_manifest.json'} {found}" in err
+
+    @pytest.mark.parametrize("body, found", [
+        (json.dumps({"var_components": {}, "converged": True}),
+         "is not a fit JSON: KeyError: 'params'"),
+        ('{"params": [', "is not valid JSON"),
+    ])
+    def test_unreadable_fit_exit(self, tmp_path, capsys, body, found):
+        fits = tmp_path / "fits"
+        fits.mkdir()
+        (fits / "fit_0001.json").write_text(body)
+        assert run("pool", "--fits", str(fits), "--out-dir", str(tmp_path / "o")) == 2
+        assert f"{fits / 'fit_0001.json'} {found}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_version_mismatch_rejected(self, sim_dir, tmp_path):
         import shutil

@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+from scipy import stats
 
 from longmi.errors import (
     EmptyInterval,
@@ -14,6 +17,7 @@ from longmi.rng import (
     conditional_mvn,
     inv_wishart_draw,
     mvn_draw,
+    trunc_normal_array,
     trunc_normal_draw,
     wishart_precision_draw,
 )
@@ -251,3 +255,76 @@ class TestTruncNormal:
     def test_empty_interval(self):
         with pytest.raises(EmptyInterval):
             trunc_normal_draw(RngStream(0), 0.0, 1.0, 2.0, 2.0)
+
+
+# (mean, sd, lower, upper) of each law case: the sampler's proposal regions
+# (normal, folded normal, uniform and exponential), the probit latent's
+# one-sided intervals at 0, a short interval and both far tails
+LAW_CASES = {
+    "normal, across 0": (0.0, 1.0, -2.0, 2.0),
+    "folded normal, 0 <= lo < 0.257": (0.0, 1.0, 0.1, np.inf),
+    "uniform, short across 0": (0.0, 1.0, -0.3, 0.4),
+    "uniform, short in a tail": (0.0, 1.0, 2.0, 2.5),
+    "exponential, tail": (0.0, 1.0, 0.5, np.inf),
+    "exponential, long two-sided": (0.0, 1.0, 1.0, 6.0),
+    "above 0, mean -3": (-3.0, 1.0, 0.0, np.inf),
+    "above 0, mean 0": (0.0, 1.0, 0.0, np.inf),
+    "above 0, mean 3": (3.0, 1.0, 0.0, np.inf),
+    "below 0, mean -3": (-3.0, 1.0, -np.inf, 0.0),
+    "below 0, mean 3": (3.0, 1.0, -np.inf, 0.0),
+    "scaled, short": (1.5, 2.0, 0.5, 1.5),
+    "far right tail": (0.0, 1.0, 8.0, np.inf),
+    "far right, two-sided": (0.0, 1.0, 5.0, 6.0),
+    "far left tail": (0.0, 1.0, -np.inf, -8.0),
+}
+
+
+def _check_law(draws, mean, sd, lower, upper):
+    """KS test against scipy's truncnorm, plus the mean and the variance
+    within four standard errors."""
+    ref = stats.truncnorm((lower - mean) / sd, (upper - mean) / sd, loc=mean, scale=sd)
+    n = draws.size
+    m, v, _, k = (float(x) for x in ref.stats(moments="mvsk"))
+    assert ((draws > lower) & (draws < upper)).all()
+    assert stats.kstest(draws, ref.cdf).pvalue > 0.01
+    assert abs(draws.mean() - m) < 4 * np.sqrt(v / n)
+    assert abs(draws.var() - v) < 4 * v * np.sqrt((2 + k) / n)
+
+
+class TestTruncNormalLaw:
+    @pytest.mark.parametrize("case", list(LAW_CASES))
+    def test_matches_scipy_truncnorm(self, case):
+        mean, sd, lower, upper = LAW_CASES[case]
+        seed = list(LAW_CASES).index(case)
+        draws = trunc_normal_draw(RngStream(500 + seed), mean, sd, lower, upper, size=20_000)
+        _check_law(draws, mean, sd, lower, upper)
+
+    def test_mixed_intervals_keep_their_own_law(self):
+        # one call over interleaved intervals of every region: each
+        # element's draw lands back in its own place
+        cases = [c for c in LAW_CASES.values() if c[1] == 1.0]
+        which = np.tile(np.arange(len(cases)), 4_000)
+        mean, _, lower, upper = (np.array(col)[which] for col in zip(*cases))
+        z = trunc_normal_array(RngStream(77), mean, 1.0, lower, upper)
+        for i, (mu, sd, lo, hi) in enumerate(cases):
+            _check_law(z[which == i], mu, sd, lo, hi)
+
+    def test_draws_take_the_shape_of_the_intervals(self):
+        mean = np.arange(12.0).reshape(3, 4) - 6.0
+        z = trunc_normal_array(RngStream(5), mean, 1.0, 0.0, np.inf)
+        assert z.shape == (3, 4) and (z > 0.0).all()
+        z = trunc_normal_array(RngStream(5), 0.0, 1.0, np.zeros((2, 1)), np.ones(3))
+        assert z.shape == (2, 3) and ((z > 0.0) & (z < 1.0)).all()
+
+    def test_infinite_bounds_raise_no_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for lower, upper in ((-np.inf, np.inf), (-np.inf, 0.0), (0.0, np.inf),
+                                 (-np.inf, -40.0), (40.0, np.inf)):
+                for mean in (-50.0, 0.0, 50.0):
+                    trunc_normal_draw(RngStream(3), mean, 1.0, lower, upper, size=200)
+
+    def test_nan_bound_is_an_empty_interval(self):
+        with pytest.raises(EmptyInterval):
+            trunc_normal_array(RngStream(0), np.zeros(2), 1.0,
+                               np.array([0.0, np.nan]), np.full(2, np.inf))

@@ -14,10 +14,9 @@ are solved through ``rng.chol_inverse``, so nothing calls
 ``jm`` and ``fcs`` import none of the covariance-form samplers, which
 stay in ``rng`` as the oracles the law tests check against.
 
-scipy is imported only inside ``rng``'s functions, on first call, so
-subcommands that never call it (sim, pool, diag, a usage error) start
-without paying for its import. ``hashlib``, which keys the binary copy
-of a CSV, is likewise imported only when a copy is written or read.
+No module of the package imports scipy: the runtime needs only numpy,
+and scipy serves the tests as an oracle. ``hashlib``, which keys the
+binary copy of a CSV, is imported only when a copy is written or read.
 Each process loads only the modules its subcommand runs: ``import
 longmi.cli`` loads ``longmi``, ``longmi.cli`` and ``longmi.errors`` and
 no numpy, the package resolves its public names on first access,
@@ -82,31 +81,22 @@ def test_checker_sees_private_imports(tmp_path):
 
 
 def _scipy_imports(path: pathlib.Path) -> list[str]:
-    """Imports of scipy in ``path``, each with whether it sits inside a
-    function body."""
+    """Every import of scipy in ``path``, at any depth."""
     found = []
-
-    def visit(node, in_function):
-        for child in ast.iter_child_nodes(node):
-            names = []
-            if isinstance(child, ast.Import):
-                names = [a.name for a in child.names]
-            elif isinstance(child, ast.ImportFrom) and child.level == 0:
-                names = [child.module or ""]
-            if any(n.split(".")[0] == "scipy" for n in names):
-                where = "function" if in_function else "module"
-                found.append(f"{path.name}:{child.lineno} {where}")
-            visit(child, in_function or isinstance(
-                child, (ast.FunctionDef, ast.AsyncFunctionDef)))
-
-    visit(ast.parse(path.read_text(), filename=str(path)), False)
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        names = []
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module or ""]
+        if any(n.split(".")[0] == "scipy" for n in names):
+            found.append(f"{path.name}:{node.lineno}")
     return found
 
 
-def test_scipy_imported_only_inside_rng_functions():
+def test_no_module_imports_scipy():
     hits = [hit for path in sorted(PKG.glob("*.py")) for hit in _scipy_imports(path)]
-    assert hits and all(h.startswith("rng.py:") and h.endswith(" function")
-                        for h in hits), hits
+    assert hits == []
 
 
 def test_scipy_checker_sees_module_level_imports(tmp_path):
@@ -118,8 +108,7 @@ def test_scipy_checker_sees_module_level_imports(tmp_path):
         "from .scipy import x\nimport numpy\n"
     )
     assert _scipy_imports(probe) == [
-        "probe.py:1 module", "probe.py:2 module", "probe.py:4 module",
-        "probe.py:6 function",
+        "probe.py:1", "probe.py:2", "probe.py:4", "probe.py:6",
     ]
 
 
@@ -154,6 +143,12 @@ def test_matrix_inverse_only_in_rng():
     hits = [hit for path in sorted(PKG.glob("*.py")) for hit in _linalg_calls(path, {"inv"})]
     assert len(hits) == 1 and hits[0].startswith("rng.py:"), hits
     assert hits[0].endswith(" chol_inverse np.linalg.inv"), hits
+
+
+def test_samplers_solve_no_linear_system():
+    # triangular factors are inverted by rng.chol_inverse, never solved by LU
+    hits = [hit for name in ("jm.py", "fcs.py") for hit in _linalg_calls(PKG / name, {"solve"})]
+    assert hits == []
 
 
 def test_no_qr_or_cho_factor():
@@ -247,7 +242,7 @@ for i, q in enumerate((1.0, 2.0, 3.0), start=1):
 step("pool", "pool", "--fits", fits, "--out-dir", os.path.join(work, "pooled"))
 cfg = os.path.join(work, "cfg.json")
 with open(cfg, "w") as fh:
-    json.dump({"n_schools": 4, "n_students": 12}, fh)
+    json.dump({"n_schools": 4, "n_students": 20}, fh)
 sim = os.path.join(work, "sim")
 step("sim", "sim", "--seed", "5", "--config", cfg, "--out-dir", sim)
 step("help", "--help")
@@ -257,7 +252,13 @@ step("bad_config", "impute", "--input", observed, "--method", "fcs-3l",
 step("jm_impute", "impute", "--input", observed, "--method", "jm-1l-wide",
      "--m", "1", "--nburn", "5", "--nbetween", "100",
      "--out-dir", os.path.join(work, "jm"))
-print(json.dumps(loaded))
+import longmi.rng
+
+trunc_std, trunc_calls = longmi.rng._trunc_std, []
+longmi.rng._trunc_std = lambda *a: trunc_calls.append(1) or trunc_std(*a)
+step("fcs_2l_impute", "impute", "--input", observed, "--method", "fcs-2l",
+     "--m", "1", "--maxit", "1", "--out-dir", os.path.join(work, "fcs2l"))
+print(json.dumps({"trunc_calls": len(trunc_calls), **loaded}))
 """
 
 ENGINES = {"longmi.fcs", "longmi.jm", "longmi.fitters", "longmi.lmm", "longmi.formula"}
@@ -269,7 +270,9 @@ def test_startup_leaves_scipy_unloaded(tmp_path):
         [sys.executable, "-c", _STARTUP_PROBE, str(tmp_path)],
         capture_output=True, text=True, env=env, timeout=120, check=True,
     )
-    loaded = {k: set(v) for k, v in json.loads(res.stdout.strip().splitlines()[-1]).items()}
+    out = json.loads(res.stdout.strip().splitlines()[-1])
+    trunc_calls = out.pop("trunc_calls")
+    loaded = {k: set(v) for k, v in out.items()}
     assert (tmp_path / "pooled" / "pooled.csv").exists()
     assert (tmp_path / "sim" / "observed.csv").exists()
     assert "must be at least 1" in res.stderr
@@ -285,7 +288,10 @@ def test_startup_leaves_scipy_unloaded(tmp_path):
     assert loaded["help"] == loaded["bad_config"] == set()
     assert "longmi.jm" in loaded["jm_impute"]
     assert not loaded["jm_impute"] & {"longmi.fcs", "longmi.fitters"}
-    assert all("scipy" not in loaded[k] for k in ("pool", "sim", "help", "bad_config"))
+    # the probit latent of fcs-2l draws its truncated normals with numpy
+    assert (tmp_path / "fcs2l" / "imputations.csv").exists()
+    assert "longmi.fcs" in loaded["fcs_2l_impute"] and trunc_calls > 0
+    assert all("scipy" not in names for names in loaded.values())
 
 
 def test_public_names_resolve_on_first_access():
