@@ -5,8 +5,10 @@ Every subcommand of the paper's workflow (simulate, impute, analyze,
 pool, diag) runs as its own process, so each one pays the interpreter
 and import start-up that an in-process benchmark pays once. ``longmi
 --help`` and ``longmi impute --help`` show what listing the method
-names in the help costs, and ``impute fcs-2l`` (m 5, maxit 10) what its
-probit latent's truncated-normal draws cost. This script
+names in the help costs, ``impute fcs-2l`` (m 5, maxit 10) what its
+probit latent's truncated-normal draws cost, and ``impute fcs-1l-wide``
+(m 20, maxit 4) with ``analyze (1|id)`` what writing and reading a
+21-copy stack costs. This script
 runs each subcommand ``--runs`` times in a new interpreter with BLAS
 pinned to one thread and prints the median wall time, with quartiles,
 and the median peak resident set size (``ru_maxrss``) per subcommand.
@@ -18,7 +20,8 @@ side with the difference of the medians.
     python scripts/startup_times.py --runs 8 /path/to/parent/src src
 
 The inputs (a simulated cohort, a jm-2l-wide imputation with its trace,
-an fcs-3l imputation and its fits) are made once per tree, by that tree,
+an fcs-3l imputation and its fits, an fcs-1l-wide imputation) are made
+once per tree, by that tree,
 in its own work directory, so each tree reads files it wrote itself
 (with the binary copies it writes beside its CSVs).
 """
@@ -34,11 +37,13 @@ import tempfile
 import time
 
 COHORT_SEED = "2946"
-FORMULA = ("numeracy_score ~ prev_dep + time + age + numeracy_scorew1 + sex"
-           " + factor(ses) + (1|school/id)")
+FIXED = ("numeracy_score ~ prev_dep + time + age + numeracy_scorew1 + sex"
+         " + factor(ses) + ")
+FORMULA = FIXED + "(1|school/id)"
 JM_ARGS = ("--method", "jm-2l-wide", "--m", "2", "--nburn", "20", "--nbetween", "100")
 FCS_ARGS = ("--method", "fcs-3l", "--m", "5", "--maxit", "3")
 FCS_2L_ARGS = ("--method", "fcs-2l", "--m", "5", "--maxit", "10")
+FCS_WIDE_ARGS = ("--method", "fcs-1l-wide", "--m", "20", "--maxit", "4")
 
 
 def steps(work: str) -> list[tuple[str, int, list[str]]]:
@@ -53,9 +58,14 @@ def steps(work: str) -> list[tuple[str, int, list[str]]]:
                               "--out-dir", out]),
         ("impute fcs-2l", 0, ["impute", "--input", observed, *FCS_2L_ARGS,
                               "--out-dir", out]),
+        ("impute fcs-1l-wide", 0, ["impute", "--input", observed, *FCS_WIDE_ARGS,
+                                   "--out-dir", out]),
         ("analyze (1|school/id)", 0, [
             "analyze", "--input", os.path.join(work, "fcs", "imputations.csv"),
             "--formula", FORMULA, "--out-dir", out]),
+        ("analyze (1|id)", 0, [
+            "analyze", "--input", os.path.join(work, "fcswide", "imputations.csv"),
+            "--formula", FIXED + "(1|id)", "--out-dir", out]),
         ("pool", 0, ["pool", "--fits", os.path.join(work, "fits"), "--out-dir", out]),
         ("diag", 0, ["diag", "--trace", os.path.join(work, "jm", "trace.csv"),
                      "--out-dir", out]),
@@ -101,6 +111,8 @@ def prepare(src: str, work: str) -> None:
                  "--out-dir", os.path.join(work, "fcs")])
     longmi(src, ["analyze", "--input", os.path.join(work, "fcs", "imputations.csv"),
                  "--formula", FORMULA, "--out-dir", os.path.join(work, "fits")])
+    longmi(src, ["impute", "--input", observed, *FCS_WIDE_ARGS,
+                 "--out-dir", os.path.join(work, "fcswide")])
 
 
 def main(argv=None) -> int:

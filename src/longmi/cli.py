@@ -36,6 +36,13 @@ from .errors import (
 simulate, read_csv, write_csv = map(deferred, ("simulate", "read_csv", "write_csv"))
 build_and_run, fit_lmm, pool = map(deferred, ("build_and_run", "fit_lmm", "pool"))
 
+# The names of ``methods.METHOD_NAMES``, for ``--help``: listed here so that
+# building the parser loads no catalog (a structure test keeps them equal).
+METHOD_NAMES = (
+    "jm-1l-wide", "fcs-1l-wide", "fcs-1l-wide-mtw", "jm-2l", "fcs-2l",
+    "jm-1l-di-wide", "fcs-1l-di-wide", "jm-2l-wide", "fcs-2l-wide", "jm-2l-di",
+    "fcs-2l-di", "fcs-3l",
+)
 MANIFEST = "run_manifest.json"
 WORKERS_ENV = "LONGMI_WORKERS"
 
@@ -143,30 +150,23 @@ def cmd_sim(args) -> int:
 
 
 def _write_trace(path, trace) -> None:
-    """Long ``iteration,parameter,value`` CSV, as ``csv.writer`` writes it.
-
-    Each name is quoted once and each line is ``iteration,name,`` plus
-    ``repr`` of the value, so no writer call is made per row.
-    """
+    """Long ``iteration,parameter,value`` CSV, as ``csv.writer`` writes it,
+    one sweep at a time, so that the text of a long run is never held
+    whole. Each name is quoted once and each line is ``iteration,name,``
+    plus ``repr`` of the value, so no writer call is made per row."""
     from .table import csv_fields
 
-    mat = trace.matrix()
     names = csv_fields(trace.names)
-    heads = [f"{it},{name}," for it in range(1, len(mat) + 1) for name in names]
-    lines = map(str.__add__, heads, map(repr, mat.ravel().tolist()))
     tmp = path + ".tmp"
     with open(tmp, "w", newline="") as fh:
         fh.write("iteration,parameter,value\r\n")
-        if heads:
-            fh.write("\r\n".join(lines))
-            fh.write("\r\n")
+        for it, row in enumerate(trace.sweeps(), start=1):
+            fh.write("".join([f"{it},{name},{v!r}\r\n"
+                              for name, v in zip(names, row.tolist())]))
     os.replace(tmp, path)
 
 
 def cmd_impute(args) -> int:
-    from .rng import RngStream
-    from .table import copy_path, sidecar_path
-
     t0 = time.time()
     if args.nbetween < 100:
         raise BadConfig("nbetween below 100 risks dependent imputations")
@@ -180,6 +180,9 @@ def cmd_impute(args) -> int:
             baseline[col] = int(wave)
         except ValueError:
             raise BadConfig(f"--mtw-baseline wants col=wave, got {item!r}") from None
+    from .rng import RngStream
+    from .table import copy_path, sidecar_path
+
     _check_upstream(args.input)
     observed = read_csv(args.input)
     os.makedirs(args.out_dir, exist_ok=True)
@@ -200,9 +203,8 @@ def cmd_impute(args) -> int:
         workers=args.workers,
     )
     paths = []
-    stacked = result.stack.to_stacked()
     imp_path = os.path.join(args.out_dir, "imputations.csv")
-    write_csv(stacked, imp_path)
+    write_csv(result.stack, imp_path)  # from its parts: no stacked copy
     paths += [imp_path, sidecar_path(imp_path), copy_path(imp_path)]
     spec_path = os.path.join(args.out_dir, "impute_spec.json")
     _atomic_json(
@@ -467,8 +469,6 @@ def cmd_diag(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from .methods import METHOD_NAMES
-
     p = argparse.ArgumentParser(
         prog="longmi",
         description="Multiple imputation for longitudinal and clustered data",

@@ -211,6 +211,10 @@ class ChainTrace:
     def n_iter(self) -> int:
         return len(self._rows)
 
+    def sweeps(self) -> list[np.ndarray]:
+        """Each sweep's row of parameter values, in the order recorded."""
+        return list(self._rows)
+
     def matrix(self) -> np.ndarray:
         return np.vstack(self._rows) if self._rows else np.empty((0, len(self.names)))
 

@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import os
+import sys
 import warnings
 from dataclasses import dataclass
 from itertools import chain, islice
@@ -165,11 +166,55 @@ def _first_repeat(values: np.ndarray, key: list[int]) -> int | None:
     return int(repeats.min()) if repeats.size else None
 
 
+def _sole_base(a: np.ndarray) -> bool:
+    """Whether ``a`` spans the whole memory of an array that owns it and
+    that nothing but ``a`` references."""
+    base = a.base
+    # three references: ``a``, the local ``base`` and getrefcount's argument
+    return isinstance(base, np.ndarray) and base.flags.owndata and (
+        base.size == a.size and sys.getrefcount(base) == 3
+    )
+
+
+def _adopt(a: np.ndarray, nan_at: np.ndarray | None = None) -> np.ndarray:
+    """``a`` made read-only for a Dataset to keep, with NaN at ``nan_at``.
+
+    ``a`` itself is kept when no one else can write its memory: it owns
+    that memory (the caller's handle is frozen with it), it spans the
+    whole memory of an array that nothing else holds (``np.load`` reads
+    an npz member into a 1-D array and returns it reshaped), or it is a
+    view of read-only memory (a split part of a frozen stack). Any other
+    view, and a read-only array whose masked cells still need NaN, is
+    copied.
+    """
+    sole = _sole_base(a)
+    bases, b = [], a.base  # the arrays ``a`` views, nearest first
+    while isinstance(b, np.ndarray):
+        bases.append(b)
+        b = b.base
+    kept = a.flags.owndata or sole or bool(bases) and (
+        bases[-1].flags.owndata and not any(b.flags.writeable for b in bases)
+    )
+    stray = nan_at is not None and not np.isnan(a[nan_at]).all()
+    if not kept or (stray and not a.flags.writeable):
+        a, sole = a.copy(), False
+    if stray:
+        a[nan_at] = np.nan
+    a.setflags(write=False)
+    if sole:
+        a.base.setflags(write=False)
+    return a
+
+
 class Dataset:
     """Immutable typed table with missingness mask.
 
     ``values`` is (n_rows, n_cols) float64 with NaN at masked cells;
-    ``mask`` is boolean with True marking a missing cell.
+    ``mask`` is boolean with True marking a missing cell. The arrays a
+    Dataset is handed become its own and are frozen, not copied: writing
+    to them afterwards raises (numpy leaves a view made of one before
+    writeable). A view of memory that something else may still write is
+    copied (see :func:`_adopt`).
     """
 
     def __init__(
@@ -189,11 +234,8 @@ class Dataset:
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != values.shape:
             raise ValueError("mask shape mismatch")
-        values = values.copy()
-        values[mask] = np.nan
-        values.setflags(write=False)
-        mask = mask.copy()
-        mask.setflags(write=False)
+        values = _adopt(values, nan_at=mask)
+        mask = _adopt(mask)
         if shape_kind not in ("wide", "long"):
             raise ValueError("shape_kind must be 'wide' or 'long'")
         self.columns = columns
@@ -629,6 +671,11 @@ def write_csv(d: Dataset, path: str) -> None:
     """Write data plus a JSON metadata sidecar, atomically, and then the
     binary copy that :func:`read_csv` may use instead of parsing.
 
+    ``d`` is a Dataset, or anything that reads like one column at a time
+    (``columns``, ``n_rows``, ``shape_kind``, ``column`` and
+    ``column_mask``): an ``ImputedStack`` is written this way as its
+    stacked form, from its parts.
+
     Masked cells are written as ``NA``, levels by label, integer-valued
     floats below 1e15 as ints, other floats by ``repr``. Each column's
     distinct values are formatted once, and each cell's text found once
@@ -642,8 +689,9 @@ def write_csv(d: Dataset, path: str) -> None:
     """
     import zipfile
 
+    specs = d.columns
     columns = [
-        _column_texts(c, d.values[:, j], d.mask[:, j]) for j, c in enumerate(d.columns)
+        _column_texts(c, d.column(c.name), d.column_mask(c.name)) for c in specs
     ]
     tmp, copy_tmp = path + ".tmp", copy_path(path) + ".tmp"
     with zipfile.ZipFile(copy_tmp, "w") as copy:
@@ -653,9 +701,9 @@ def write_csv(d: Dataset, path: str) -> None:
             np.lib.format.write_array_header_1_0(npy, {
                 "descr": np.lib.format.dtype_to_descr(np.dtype(float)),
                 "fortran_order": False,
-                "shape": d.values.shape,
+                "shape": (d.n_rows, len(specs)),
             })
-            csv.writer(fh).writerow(d.col_names)
+            csv.writer(fh).writerow([c.name for c in specs])
             for start in range(0, d.n_rows, BLOCK_ROWS):
                 block = slice(start, start + BLOCK_ROWS)
                 cols = [texts[index[block]].tolist() for texts, _, index in columns]
@@ -669,7 +717,7 @@ def write_csv(d: Dataset, path: str) -> None:
             "columns": [
                 {"name": c.name, "kind": c.kind, "role": c.role,
                  "levels": list(c.levels) if c.levels else None}
-                for c in d.columns
+                for c in specs
             ],
         }
         tmp = sidecar_path(path) + ".tmp"
@@ -862,7 +910,8 @@ def read_csv(path: str, meta_path: str | None = None) -> Dataset:
         raise BadConfig(
             f"{path}, line {_undecodable_line(path, e)}: not {e.encoding} text"
         ) from None
-    hole = _missing_key(ordered, np.isnan(values))
+    mask = np.isnan(values)
+    hole = _missing_key(ordered, mask)
     if hole:
         c, row = hole
         raise BadConfig(
@@ -870,7 +919,7 @@ def read_csv(path: str, meta_path: str | None = None) -> Dataset:
             "has a missing cell"
         )
     try:
-        return Dataset(ordered, values, shape_kind=shape)
+        return Dataset(ordered, values, mask, shape_kind=shape)
     except (DuplicateTimePoint, ValueError):
         key = _row_key(ordered, shape)
         row = _first_repeat(values, key) if key else None

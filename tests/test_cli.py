@@ -2,16 +2,20 @@ import csv
 import json
 import math
 import os
+import tracemalloc
+import types
 import warnings
 
 import numpy as np
 import pytest
 
+import longmi.cli
 import longmi.table
 from longmi.cli import _fmt, _write_series, _write_trace, main
 from longmi.jm import ChainTrace
 from longmi.methods import CATALOG, METHOD_NAMES
-from longmi.table import read_csv
+from longmi.stack import ImputedStack
+from longmi.table import ColumnSpec, Dataset, read_csv
 
 EQ1 = (
     "numeracy_score ~ prev_dep + time + age + numeracy_scorew1 + sex"
@@ -572,6 +576,80 @@ def test_trace_writer_matches_row_generator(tmp_path):
             for j, name in enumerate(trace.names)
         )
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def _traced_peak(fn, *args):
+    """Peak bytes that tracemalloc sees allocated while ``fn(*args)`` runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_trace_writer_streams_a_long_run(tmp_path):
+    # 5,000 sweeps: jm-2l-wide at m 5 with nburn and nbetween 1000. Forty
+    # parameters keep the test fast; all the text of the run, held at once,
+    # would take some 50 MB, and 198 parameters some 240 MB.
+    gen = np.random.default_rng(4)
+    trace = ChainTrace([f"beta.x{j}" for j in range(40)])
+    for _ in range(5000):
+        trace.record(gen.normal(size=40))
+    path = str(tmp_path / "trace.csv")
+    assert _traced_peak(_write_trace, path, trace) < 16 * 2**20
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert len(rows) == 1 + 5000 * 40
+    assert rows[-1] == ["5000", "beta.x39", _fmt(trace.matrix()[-1, -1])]
+
+
+def synthetic_impute(m, n_units=1200, waves=3, seed=3):
+    """An observed long dataset and an ImputedStack of ``m`` completed
+    copies, shaped like the default cohort: a quarter of the analysis
+    cells masked, each copy filling them with fresh draws."""
+    g = np.random.default_rng(seed)
+    n = n_units * waves
+    cols = [ColumnSpec("school", "continuous", "cluster-id"),
+            ColumnSpec("id", "continuous", "unit-id"),
+            ColumnSpec("time", "continuous", "time"),
+            *(ColumnSpec(f"x{k}", "continuous") for k in range(5)),
+            ColumnSpec("b", "binary"),
+            ColumnSpec("g", "categorical", levels=("lo", "mid", "hi"))]
+    values = np.column_stack([
+        np.repeat(np.arange(n_units) // 30, waves), np.repeat(np.arange(n_units), waves),
+        np.tile(np.arange(1.0, waves + 1), n_units), g.normal(size=(n, 5)),
+        g.integers(0, 2, n), g.integers(0, 3, n),
+    ])
+    holes = np.zeros(values.shape, dtype=bool)
+    holes[:, 3:] = g.random((n, 7)) < 0.25
+    observed = Dataset(cols, values, holes)
+    imputations = []
+    for _ in range(m):
+        fill = np.column_stack([values[:, :3], g.normal(size=(n, 5)),
+                                g.integers(0, 2, n), g.integers(0, 3, n)])
+        imputations.append(observed.completed(np.where(holes, fill, values)))
+    return observed, ImputedStack(observed, imputations)
+
+
+def test_impute_writes_the_stack_without_a_stacked_copy(tmp_path, monkeypatch):
+    observed, stack = synthetic_impute(m=20)
+    parts = sum(d.values.nbytes + d.mask.nbytes for d in (observed, *stack.imputations))
+    result = types.SimpleNamespace(stack=stack, trace=None, chain_stats=None, spec_json={})
+    monkeypatch.setattr(longmi.cli, "read_csv", lambda path: observed)
+    monkeypatch.setattr(longmi.cli, "build_and_run", lambda *a, **k: result)
+    out = tmp_path / "imp"
+    peak = _traced_peak(run, "impute", "--input", str(tmp_path / "observed.csv"),
+                        "--method", "fcs-1l-wide", "--m", "20", "--out-dir", str(out))
+    # formatting the texts takes about 2.1 times the parts; a stacked copy
+    # of them on top of that, as an earlier version made, about 3.1 times
+    assert peak < 2.5 * parts
+    monkeypatch.undo()
+    back = read_csv(str(out / "imputations.csv"))
+    assert back.n_rows == 21 * observed.n_rows
+    split = ImputedStack.from_stacked(back)
+    assert split.original.equals(observed)
+    assert all(a.equals(b) for a, b in zip(split.imputations, stack.imputations))
 
 
 def test_series_writer_matches_row_generator(tmp_path):

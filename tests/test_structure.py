@@ -233,6 +233,11 @@ def step(name, *argv):
     record(name)
 
 
+# before anything else loads numpy: the parser and the flag checks need none
+observed = os.path.join(work, "sim", "observed.csv")
+step("help", "--help")
+step("bad_config", "impute", "--input", observed, "--method", "fcs-3l",
+     "--m", "0", "--out-dir", os.path.join(work, "imp"))
 fits = os.path.join(work, "fits")
 os.makedirs(fits)
 for i, q in enumerate((1.0, 2.0, 3.0), start=1):
@@ -245,10 +250,6 @@ with open(cfg, "w") as fh:
     json.dump({"n_schools": 4, "n_students": 20}, fh)
 sim = os.path.join(work, "sim")
 step("sim", "sim", "--seed", "5", "--config", cfg, "--out-dir", sim)
-step("help", "--help")
-observed = os.path.join(sim, "observed.csv")
-step("bad_config", "impute", "--input", observed, "--method", "fcs-3l",
-     "--m", "0", "--out-dir", os.path.join(work, "imp"))
 step("jm_impute", "impute", "--input", observed, "--method", "jm-1l-wide",
      "--m", "1", "--nburn", "5", "--nbetween", "100",
      "--out-dir", os.path.join(work, "jm"))
@@ -281,10 +282,13 @@ def test_startup_leaves_scipy_unloaded(tmp_path):
     assert loaded["import"] == {"longmi", "longmi.cli", "longmi.errors"}
     assert "numpy" in loaded["pool"]
     assert not loaded["pool"] & (ENGINES | {"longmi.simulate", "hashlib"})
+    # the parser lists the method names without loading the catalog
+    assert not loaded["pool"] & {"longmi.methods", "longmi.stack", "longmi.table"}
     # sim writes keyed copies of its CSVs: hashlib
     assert "hashlib" in loaded["sim"]
     assert not loaded["sim"] & (ENGINES | {"longmi.pooling"})
-    # the flags are checked before the input is read or an engine loads
+    # the flags are checked before the input is read or numpy loads, and
+    # the parser lists the method names without loading the catalog
     assert loaded["help"] == loaded["bad_config"] == set()
     assert "longmi.jm" in loaded["jm_impute"]
     assert not loaded["jm_impute"] & {"longmi.fcs", "longmi.fitters"}
@@ -292,6 +296,13 @@ def test_startup_leaves_scipy_unloaded(tmp_path):
     assert (tmp_path / "fcs2l" / "imputations.csv").exists()
     assert "longmi.fcs" in loaded["fcs_2l_impute"] and trunc_calls > 0
     assert all("scipy" not in names for names in loaded.values())
+
+
+def test_cli_method_names_match_the_catalog():
+    from longmi.cli import METHOD_NAMES
+    from longmi.methods import METHOD_NAMES as CATALOG_NAMES
+
+    assert METHOD_NAMES == CATALOG_NAMES
 
 
 def test_public_names_resolve_on_first_access():

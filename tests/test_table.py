@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import longmi.table as table
+from longmi.stack import ImputedStack
 from longmi.errors import (
     BadConfig,
     DuplicateTimePoint,
@@ -811,6 +812,108 @@ def test_stack_copy_read_matches_parse(tmp_path, monkeypatch):
     monkeypatch.undo()
     os.remove(copy_path(path))
     _same_read(cached, read_csv(path))
+
+
+def test_dataset_freezes_the_arrays_it_is_handed():
+    cols = [ColumnSpec("id", "continuous", "unit-id"), ColumnSpec("x", "continuous")]
+    values = np.array([[1.0, 2.0], [2.0, 5.0]])
+    mask = np.array([[False, False], [False, True]])
+    d = Dataset(cols, values, mask)
+    # the caller's arrays are the dataset's now: frozen, masked cell NaN
+    for held in (values, mask, values[:, 1], d.values, d.mask):
+        with pytest.raises(ValueError, match="read-only"):
+            held[0] = 9
+    assert np.isnan(d.values[1, 1]) and d.values[0, 1] == 2.0
+    # a view of memory its caller may still write is copied
+    base = np.array([[1.0, 2.0], [2.0, 3.0], [3.0, 4.0]])
+    v = Dataset(cols, base[:2], base[:2] != base[:2])
+    base[:] = 0
+    np.testing.assert_array_equal(v.values, [[1.0, 2.0], [2.0, 3.0]])
+    assert base.flags.writeable
+    # a read-only array whose masked cells are not NaN yet is copied too
+    hole = Dataset(cols, d.values, np.array([[False, True], [False, False]]))
+    assert np.isnan(hole.values[0, 1]) and d.values[0, 1] == 2.0
+
+
+def test_dataset_keeps_an_npz_member_and_frozen_views(tmp_path):
+    cols = [ColumnSpec("id", "continuous", "unit-id"), ColumnSpec("x", "continuous")]
+    np.savez(tmp_path / "v.npz", values=np.arange(8.0).reshape(4, 2))
+    with np.load(tmp_path / "v.npz") as z:
+        loaded = z["values"]
+    assert loaded.base is not None and loaded.flags.writeable
+    d = Dataset(cols, loaded)
+    assert d.values is loaded and not loaded.base.flags.writeable
+    part = Dataset(cols, d.values[1:3])
+    assert np.shares_memory(part.values, d.values)
+    # a base that something else still holds is not the dataset's to freeze
+    flat = np.arange(8.0)
+    held = Dataset(cols, flat.reshape(4, 2))
+    assert flat.flags.writeable and not np.shares_memory(held.values, flat)
+
+
+def _parent_split(d):
+    """Parts of a stacked dataset as an earlier version split them: rows of
+    each tag in file order, the Imputation column dropped."""
+    tags = d.column("Imputation")
+    j = d.col_index("Imputation")
+    return [
+        (np.delete(d.values[tags == k], j, axis=1), np.delete(d.mask[tags == k], j, axis=1))
+        for k in range(int(tags.max()) + 1)
+    ]
+
+
+def _split_arrays(stack):
+    return [(p.values, p.mask) for p in (stack.original, *stack.imputations)]
+
+
+def test_split_parts_are_views_of_a_written_stack(tmp_path):
+    d = stacked_dataset(np.random.default_rng(21), m=3, n_units=300)
+    path = str(tmp_path / "s.csv")
+    write_csv(d, path)
+    back = read_csv(path)
+    stack = ImputedStack.from_stacked(back)
+    for values, mask in _split_arrays(stack):
+        assert np.shares_memory(values, back.values)
+        assert np.shares_memory(mask, back.mask)
+        assert not values.flags.writeable and not mask.flags.writeable
+    for (a, am), (b, bm) in zip(_split_arrays(stack), _parent_split(back)):
+        np.testing.assert_array_equal(am, bm)
+        np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def test_shuffled_or_reordered_stack_splits_as_before():
+    gen = np.random.default_rng(22)
+    d = stacked_dataset(gen, m=3, n_units=50)
+    rows = gen.permutation(d.n_rows)
+    shuffled = Dataset(d.columns, d.values[rows], d.mask[rows], validate=False)
+    cols = [1, 2, 0, 3, 4, 5]  # Imputation third
+    moved = Dataset([d.columns[k] for k in cols], d.values[:, cols],
+                    d.mask[:, cols], validate=False)
+    expect = _split_arrays(ImputedStack.from_stacked(d))
+    for other in (shuffled, moved):
+        stack = ImputedStack.from_stacked(other)
+        assert stack.original.columns == d.columns[1:]
+        got = _split_arrays(stack)
+        for (a, am), (b, bm) in zip(got, _parent_split(other)):
+            np.testing.assert_array_equal(am, bm)
+            np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
+        if other is moved:  # same rows in the same order as the grouped stack
+            for (a, am), (b, bm) in zip(got, expect):
+                np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
+                np.testing.assert_array_equal(am, bm)
+
+
+def test_stack_writes_as_its_stacked_form(tmp_path):
+    stack = ImputedStack.from_stacked(stacked_dataset(np.random.default_rng(23), 2, 80))
+    write_csv(stack, str(tmp_path / "parts.csv"))
+    write_csv(stack.to_stacked(), str(tmp_path / "whole.csv"))
+    for suffix in (".csv", ".meta.json"):
+        assert ((tmp_path / f"parts{suffix}").read_bytes()
+                == (tmp_path / f"whole{suffix}").read_bytes())
+    with np.load(tmp_path / "parts.values.npz") as a, np.load(
+        tmp_path / "whole.values.npz"
+    ) as b:
+        np.testing.assert_array_equal(a["values"].view(np.int64), b["values"].view(np.int64))
 
 
 def _copy_pair(tmp_path):
