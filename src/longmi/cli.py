@@ -149,20 +149,31 @@ def cmd_sim(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+# Sweeps per block of trace.csv text: bounds the writer's memory on a long
+# run (a block of 198 parameters is about 1.2 MB of text).
+TRACE_SWEEPS = 100
+
+
 def _write_trace(path, trace) -> None:
     """Long ``iteration,parameter,value`` CSV, as ``csv.writer`` writes it,
-    one sweep at a time, so that the text of a long run is never held
-    whole. Each name is quoted once and each line is ``iteration,name,``
-    plus ``repr`` of the value, so no writer call is made per row."""
+    in blocks of ``TRACE_SWEEPS`` sweeps. Each name is quoted once and
+    each line is ``iteration,name,`` plus ``repr`` of the value, so no
+    writer call is made per row."""
+    import numpy as np
+
     from .table import csv_fields
 
     names = csv_fields(trace.names)
+    sweeps = trace.sweeps()
     tmp = path + ".tmp"
     with open(tmp, "w", newline="") as fh:
         fh.write("iteration,parameter,value\r\n")
-        for it, row in enumerate(trace.sweeps(), start=1):
-            fh.write("".join([f"{it},{name},{v!r}\r\n"
-                              for name, v in zip(names, row.tolist())]))
+        for start in range(0, len(sweeps), TRACE_SWEEPS):
+            block = sweeps[start:start + TRACE_SWEEPS]
+            heads = [f"{it},{name}," for it in range(start + 1, start + len(block) + 1)
+                     for name in names]
+            values = np.concatenate(block).tolist()
+            fh.write("".join([f"{head}{v!r}\r\n" for head, v in zip(heads, values)]))
     os.replace(tmp, path)
 
 
