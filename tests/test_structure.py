@@ -287,8 +287,7 @@ def test_startup_leaves_scipy_unloaded(tmp_path):
     # sim writes keyed copies of its CSVs: hashlib
     assert "hashlib" in loaded["sim"]
     assert not loaded["sim"] & (ENGINES | {"longmi.pooling"})
-    # the flags are checked before the input is read or numpy loads, and
-    # the parser lists the method names without loading the catalog
+    # the flags are checked before the input is read or numpy loads
     assert loaded["help"] == loaded["bad_config"] == set()
     assert "longmi.jm" in loaded["jm_impute"]
     assert not loaded["jm_impute"] & {"longmi.fcs", "longmi.fitters"}
